@@ -213,45 +213,62 @@ def _sweep_one_phi(
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
-    All starts share one trajectory per (rho, beta): tau only decides when
-    counting stops, so each trajectory is stepped once and every tau level
-    records its own first crossing.
+    `taus` must be ascending and distinct; columns follow its order. All tau
+    levels share one trajectory per (rho, beta): tau only decides when
+    counting stops, so each trajectory is stepped once.
+
+    Since d <= tau implies d <= every larger tau, a start crosses its levels
+    from the largest down. Each start therefore carries one threshold, the
+    largest tau it has not crossed yet (-inf once all are crossed), and one
+    `d <= threshold` test per step finds the starts with new crossings; only
+    those rows look up how many levels they now cross. Finished starts keep
+    stepping harmlessly until the live count drops below 3/4 of the state
+    length, when the state is compacted. Starts still live after step_cap
+    steps are the returned cap count.
     """
     rho_grid, beta_grid = np.meshgrid(rhos, betas, indexing="ij")
     target_x = (rho_grid * _COS_DEG[beta_grid]).ravel()
     target_y = (rho_grid * _SIN_DEG[beta_grid]).ravel()
     n = target_x.size
-    taus_desc = np.sort(taus)[::-1]
-    counts = np.full((n, taus_desc.size), -1, dtype=np.int64)
+    counts = np.full((n, taus.size), -1, dtype=np.int64)
+    levels = np.arange(taus.size)
+    successor = (np.arange(360) + phi_deg) % 360
+    thresholds = np.concatenate(([-np.inf], taus))  # indexed by levels left
 
     idx = np.arange(n)
     x = np.zeros(n)
     y = np.zeros(n)
     heading = np.zeros(n, dtype=np.int64)
     prev_d = np.full(n, np.inf)
-    tau_min = float(taus_desc[-1])
+    left = np.full(n, taus.size)  # levels not crossed yet: taus[:left]
+    threshold = thresholds[left]
+    live = n
 
     for step in range(step_cap + 1):
-        d = np.hypot(x - target_x[idx], y - target_y[idx])
-        for ti, tau in enumerate(taus_desc):
-            hit = (d <= tau) & (counts[idx, ti] < 0)
-            if hit.any():
-                counts[idx[hit], ti] = step
-        done = d <= tau_min
-        if done.any():
-            keep = ~done
-            idx = idx[keep]
-            if idx.size == 0:
+        d = np.hypot(x - target_x, y - target_y)
+        rows = np.flatnonzero(d <= threshold)
+        if rows.size:
+            first = np.searchsorted(taus, d[rows])  # lowest level now crossed
+            crossed = (levels >= first[:, None]) & (levels < left[rows, None])
+            hit_rows, hit_levels = np.nonzero(crossed)
+            counts[idx[rows[hit_rows]], hit_levels] = step
+            left[rows] = first
+            threshold[rows] = thresholds[first]
+            live -= int(np.count_nonzero(first == 0))
+            if live == 0:
                 break
-            x, y, heading, prev_d, d = x[keep], y[keep], heading[keep], prev_d[keep], d[keep]
-        turn = d > prev_d
-        heading[turn] = (heading[turn] + phi_deg) % 360
+            if live < 0.75 * idx.size:
+                keep = left > 0
+                idx, x, y, heading = idx[keep], x[keep], y[keep], heading[keep]
+                d, prev_d = d[keep], prev_d[keep]
+                target_x, target_y = target_x[keep], target_y[keep]
+                left, threshold = left[keep], threshold[keep]
+        heading = np.where(d > prev_d, successor[heading], heading)
         prev_d = d
         x += _COS_DEG[heading]
         y += _SIN_DEG[heading]
 
-    order = np.argsort(taus_desc)  # back to ascending tau order
-    return counts[:, order], int(idx.size)
+    return counts, live
 
 
 def exhaustive_sweep(
@@ -261,10 +278,20 @@ def exhaustive_sweep(
     tau_range=DEFAULT_TAU_RANGE,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> ExhaustiveSweepResult:
-    """Mean step counts per (phi, tau) over every start, plus per-phi overall means."""
+    """Mean step counts per (phi, tau) over every start, plus per-phi overall means.
+
+    Starts that hit step_cap before reaching a tau are left out of that
+    cell's mean and counted in cap_hits (at the smallest tau). A cell or
+    overall mean with no reached start is NaN, and such a phi cannot be
+    best_phi. tau_range may come in any order but must not repeat a value.
+    """
     rhos = np.asarray(list(rho_range), dtype=np.float64)
     betas = np.asarray(list(beta_range), dtype=np.int64)
-    taus = np.asarray(list(tau_range), dtype=np.float64)
+    taus = np.sort(np.asarray(list(tau_range), dtype=np.float64))
+    if not (rhos.size and betas.size and taus.size):
+        raise ValueError("rho_range, beta_range and tau_range must not be empty")
+    if np.any(taus[1:] == taus[:-1]):
+        raise ValueError(f"tau_range repeats a value: {list(tau_range)}")
     cells: list[ExhaustiveCell] = []
     overall: dict[int, float] = {}
     cap_hits = 0
@@ -273,12 +300,18 @@ def exhaustive_sweep(
         cap_hits += capped
         reached = counts >= 0
         for ti, tau in enumerate(taus):
-            col = counts[:, ti]
-            cells.append(ExhaustiveCell(phi, int(tau), float(col[reached[:, ti]].mean())))
-        overall[phi] = float(counts[reached].mean())
-    best = min(overall, key=lambda p: (overall[p], p))
+            cells.append(ExhaustiveCell(phi, int(tau), _mean_or_nan(counts[reached[:, ti], ti])))
+        overall[phi] = _mean_or_nan(counts[reached])
+    finite = [p for p in overall if not math.isnan(overall[p])]
+    if not finite:
+        raise ValueError("no rotation angle reaches any tau within the step cap")
+    best = min(finite, key=lambda p: (overall[p], p))
     total = len(rhos) * len(betas) * len(taus) * len(list(phi_range))
     return ExhaustiveSweepResult(cells, overall, best, cap_hits, total)
+
+
+def _mean_or_nan(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else math.nan
 
 
 # ---------------------------------------------------------------------------

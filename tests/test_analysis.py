@@ -117,6 +117,66 @@ def test_exhaustive_sweep_matches_scalar_runs():
         assert cell.mean_steps == pytest.approx(sum(expected) / len(expected), rel=1e-12)
 
 
+def test_exhaustive_sweep_equals_scalar_runs_with_step_cap():
+    phis, rhos, betas = (121, 135, 143), range(10, 101, 30), (0, 97, 180, 311)
+    taus = range(1, 11)
+    result = exhaustive_sweep(
+        phi_range=phis, rho_range=rhos, beta_range=betas, tau_range=taus, step_cap=60
+    )
+    capped = 0
+    for phi in phis:
+        for tau in taus:
+            scalar = [
+                steps_to_reach(phi, float(rho), float(beta), float(tau), step_cap=60)
+                for rho in rhos
+                for beta in betas
+            ]
+            reached = [s for s in scalar if s is not None]
+            assert reached, "every cell needs a reached start"
+            assert result.cell(phi, tau).mean_steps == sum(reached) / len(reached)
+            if tau == 1:
+                capped += scalar.count(None)
+    assert capped > 0
+    assert result.cap_hits == capped
+
+
+def test_exhaustive_sweep_tau_order_is_irrelevant():
+    grid = dict(
+        phi_range=range(135, 136), rho_range=range(10, 31, 10), beta_range=range(0, 360, 90)
+    )
+    ascending = exhaustive_sweep(tau_range=(1, 2, 3), **grid)
+    shuffled = exhaustive_sweep(tau_range=(3, 1, 2), **grid)
+    for tau in (1, 2, 3):
+        assert shuffled.cell(135, tau) == ascending.cell(135, tau)
+    assert shuffled.overall_means == ascending.overall_means
+    for bad in ((1, 2, 1), ()):
+        with pytest.raises(ValueError):
+            exhaustive_sweep(tau_range=bad, **grid)
+
+
+def test_exhaustive_sweep_fully_capped_cells_are_nan():
+    # straight line to a target 15 ahead: within 5 after 10 steps, within 1
+    # only after 14, past the cap of 12
+    result = exhaustive_sweep(
+        phi_range=(135,), rho_range=(15,), beta_range=(0,), tau_range=(1, 5), step_cap=12
+    )
+    assert math.isnan(result.cell(135, 1).mean_steps)
+    assert result.cell(135, 5).mean_steps == 10
+    assert result.overall_means[135] == 10
+    assert result.cap_hits == 1
+
+
+def test_exhaustive_sweep_best_phi_skips_unreached_angles():
+    # target 5 away at 90 degrees: 143 needs 18 steps to get within 1, 135 needs 10
+    grid = dict(rho_range=(5,), beta_range=(90,), tau_range=(1,))
+    result = exhaustive_sweep(phi_range=(143, 135), step_cap=12, **grid)
+    assert math.isnan(result.overall_means[143])
+    assert result.best_phi == 135
+    assert result.cap_hits == 1
+    with pytest.raises(ValueError):
+        exhaustive_sweep(phi_range=(143, 135), step_cap=5, **grid)
+
+
 def test_exhaustive_sweep_monotone_and_deterministic():
     result = exhaustive_sweep(phi_range=range(130, 133), rho_range=range(10, 41, 5))
     for phi in (130, 131, 132):
