@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Vec2, distance
+from .geometry import Vec2, require_finite_fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -38,6 +40,7 @@ class ChannelParams:
     rx_sensitivity_dbm: float = -94.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be positive, got {self.frequency_hz}")
         if self.path_loss_exponent <= 0.0:
@@ -47,25 +50,26 @@ class ChannelParams:
         if self.tx_power_dbm < self.rx_sensitivity_dbm:
             raise ValueError("transmit power below receiver sensitivity leaves no link budget")
 
-    @property
+    # Every sample needs the two derived constants below, so each is
+    # computed on first use and kept.
+    @cached_property
     def link_budget_dbm(self) -> float:
         """Transmit power plus both antenna gains."""
         return self.tx_power_dbm + self.tx_gain_dbi + self.rx_gain_dbi
 
+    @cached_property
+    def reference_loss_db(self) -> float:
+        """Frequency-dependent loss at the 1 m reference distance, in dB."""
+        return 20.0 * math.log10(self.frequency_hz) + 20.0 * math.log10(
+            4.0 * math.pi / SPEED_OF_LIGHT_M_S
+        )
 
-@dataclass(frozen=True)
-class RssiReading:
+
+class RssiReading(NamedTuple):
     """One received-signal sample; out-of-range readings never reach a tracker."""
 
     value_dbm: float
     in_range: bool
-
-
-def reference_loss_db(params: ChannelParams) -> float:
-    """Frequency-dependent loss at the 1 m reference distance, in dB."""
-    return 20.0 * math.log10(params.frequency_hz) + 20.0 * math.log10(
-        4.0 * math.pi / SPEED_OF_LIGHT_M_S
-    )
 
 
 def path_loss(distance_m: float, params: ChannelParams, shadow_db: float = 0.0) -> float:
@@ -76,7 +80,7 @@ def path_loss(distance_m: float, params: ChannelParams, shadow_db: float = 0.0) 
         raise ValueError(f"range {distance_m} below the {MIN_DISTANCE_M} m formula floor")
     return (
         10.0 * params.path_loss_exponent * math.log10(distance_m)
-        + reference_loss_db(params)
+        + params.reference_loss_db
         + shadow_db
     )
 
@@ -99,7 +103,9 @@ def rssi(
     rng: np.random.Generator,
 ) -> RssiReading:
     """Sample the signal indicator for one broadcast from target to robot."""
-    d = max(distance(target_pos, robot_pos), MIN_DISTANCE_M)
+    d = math.hypot(target_pos.x - robot_pos.x, target_pos.y - robot_pos.y)
+    if d < MIN_DISTANCE_M:
+        d = MIN_DISTANCE_M
     shadow = sample_shadowing(rng, params.shadowing_sigma_db)
     value = params.link_budget_dbm - path_loss(d, params, shadow)
     return RssiReading(value, value >= params.rx_sensitivity_dbm)
@@ -113,7 +119,7 @@ def noiseless_rssi(distance_m: float, params: ChannelParams) -> float:
 
 def invert_rssi_to_distance(value_dbm: float, params: ChannelParams) -> float:
     """Range estimate from a signal value; exact inverse of the noiseless model."""
-    exponent = (params.link_budget_dbm - value_dbm - reference_loss_db(params)) / (
+    exponent = (params.link_budget_dbm - value_dbm - params.reference_loss_db) / (
         10.0 * params.path_loss_exponent
     )
     return 10.0**exponent

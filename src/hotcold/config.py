@@ -241,16 +241,16 @@ def build_mobility(cfg):
 def build_world(cfg) -> WorldConfig:
     rx = _get_opt_float(cfg, "world", "robot_start_x_m")
     ry = _get_opt_float(cfg, "world", "robot_start_y_m")
-    robot_start = None
-    if rx is not None and ry is not None:
-        heading = math.radians(_get_float(cfg, "world", "robot_heading_deg"))
-        robot_start = Pose(Vec2(rx, ry), heading)
-    elif (rx is None) != (ry is None):
+    if (rx is None) != (ry is None):
         raise ConfigError("set both or neither of world.robot_start_x_m / robot_start_y_m")
-    obstacles = tuple(
-        Rect(*row) for row in _parse_points(cfg["world"]["obstacles"], "world.obstacles", 4)
-    )
     try:
+        robot_start = None
+        if rx is not None and ry is not None:
+            heading = math.radians(_get_float(cfg, "world", "robot_heading_deg"))
+            robot_start = Pose(Vec2(rx, ry), heading)
+        obstacles = tuple(
+            Rect(*row) for row in _parse_points(cfg["world"]["obstacles"], "world.obstacles", 4)
+        )
         return WorldConfig(
             width_m=_get_float(cfg, "world", "width_m"),
             height_m=_get_float(cfg, "world", "height_m"),

@@ -17,12 +17,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .channel import MIN_DISTANCE_M, ChannelParams, noiseless_rssi, rssi
-from .geometry import Pose, Vec2, advance, bearing, distance, rotate
+from .geometry import (
+    Pose,
+    Vec2,
+    advance,
+    bearing,
+    distance,
+    normalize_heading,
+    require_finite_fields,
+    rotate,
+)
 from .tracker import (
     DecisionKind,
     HotColdConfig,
@@ -73,6 +83,8 @@ class FixedPath:
         if self.waypoints[0][0] != 0.0:
             raise ValueError("fixed path must start at time 0")
         times = [t for t, _ in self.waypoints]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"fixed path times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"fixed path times must strictly increase, got {times}")
 
@@ -106,6 +118,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError(f"degenerate rectangle {self}")
 
@@ -127,6 +140,7 @@ class WorldConfig:
     robot_start: Pose | None = None  # None: space center, heading 0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.width_m <= 0.0 or self.height_m <= 0.0:
             raise ValueError(f"space must have positive extent, got {self.width_m}x{self.height_m}")
         if self.cycle_period_s <= 0.0:
@@ -147,11 +161,12 @@ class WorldConfig:
     def total_cycles(self) -> int:
         return round(self.duration_s / self.cycle_period_s)
 
-    @property
+    # The step lengths are read every cycle, so each is computed once.
+    @cached_property
     def robot_step_m(self) -> float:
         return self.robot_speed_kmh * KMH_TO_MS * self.cycle_period_s
 
-    @property
+    @cached_property
     def target_step_m(self) -> float:
         return self.target_speed_kmh * KMH_TO_MS * self.cycle_period_s
 
@@ -165,13 +180,7 @@ class WorldConfig:
 
     def resolved_tracker(self) -> Tracker:
         """Tracker config with the halt threshold and step size filled in."""
-        if isinstance(self.tracker, HotColdConfig):
-            return replace(
-                self.tracker,
-                halt_threshold_dbm=self.halt_threshold_dbm(),
-                step_size_m=self.tracker.step_size_m or self.robot_step_m,
-            )
-        if isinstance(self.tracker, TrilaterationConfig):
+        if isinstance(self.tracker, (HotColdConfig, TrilaterationConfig)):
             return replace(
                 self.tracker,
                 halt_threshold_dbm=self.halt_threshold_dbm(),
@@ -184,8 +193,7 @@ class WorldConfig:
 # state and per-cycle records
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     time_s: float
     robot: Pose
     target: Vec2
@@ -277,16 +285,22 @@ def random_waypoint_step(
     step = config.target_step_m
     if step == 0.0:
         return target, waypoint
-    gap = distance(target.position, waypoint)
+    # distance(), bearing() and advance() spelled out on one dx/dy: the
+    # same float operations, without their intermediate Pose.
+    position = target.position
+    dx = waypoint.x - position.x
+    dy = waypoint.y - position.y
+    gap = math.hypot(dx, dy)
     if gap <= step:
         new_waypoint = Vec2(
             float(rng.uniform(0.0, config.width_m)),
             float(rng.uniform(0.0, config.height_m)),
         )
-        heading = bearing(target.position, waypoint) if gap > 0.0 else target.heading_rad
+        heading = normalize_heading(math.atan2(dy, dx)) if gap > 0.0 else target.heading_rad
         return Pose(waypoint, heading), new_waypoint
-    heading = bearing(target.position, waypoint)
-    return advance(Pose(target.position, heading), step), waypoint
+    heading = normalize_heading(math.atan2(dy, dx))
+    moved = Vec2(position.x + step * math.cos(heading), position.y + step * math.sin(heading))
+    return Pose(moved, heading), waypoint
 
 
 def _move_target(state: WorldState, config: WorldConfig, t_end: float) -> None:
@@ -362,18 +376,26 @@ def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> flo
 # stepping
 
 
+# Enum member lookups and the .value property each cost a Python-level call,
+# and the cycle loop needs them every cycle: the members are bound once here
+# and a label reads the member's plain _value_ attribute.
+_ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
+_HALT = DecisionKind.HALT
+
+
 def _decision_label(decision: TrackerDecision | None) -> str:
     if decision is None:
         return "none"
-    if decision.kind is DecisionKind.ROTATE_THEN_MOVE:
+    kind = decision.kind
+    if kind is _ROTATE_THEN_MOVE:
         return f"rotate_then_move({decision.rotation_deg:+.4f})"
-    return decision.kind.value
+    return kind._value_
 
 
 def _execute_decision(robot: Pose, decision: TrackerDecision | None, step_m: float) -> Pose:
-    if decision is None or decision.kind is DecisionKind.HALT:
+    if decision is None or decision.kind is _HALT:
         return robot
-    if decision.kind is DecisionKind.ROTATE_THEN_MOVE:
+    if decision.kind is _ROTATE_THEN_MOVE:
         robot = rotate(robot, math.radians(decision.rotation_deg))
     return advance(robot, step_m)
 

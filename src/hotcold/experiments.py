@@ -295,13 +295,6 @@ def write_exhaustive_csv(result: ExhaustiveSweepResult, out_dir: Path) -> Path:
     return path
 
 
-_METRIC_KEYS = {
-    "average_distance_m": "average_distance_m",
-    "cycles_in_range_pct": "cycles_in_range_pct",
-    "cycles_in_halt_pct": "cycles_in_halt_pct",
-}
-
-
 def write_grid_runs_csv(result: GridResult, out_dir: Path) -> Path:
     """grid_runs.csv: one row per run with its seed and all KPIs."""
     lines = [
@@ -336,7 +329,6 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
     """fig5/6/7-style: per (sws, sigma), the hotcold mean KPI and its gap to the
     best SWS at that sigma (minimum for distance, maximum otherwise), plus the
     per-SWS mean and std of the gap across sigma."""
-    key = _METRIC_KEYS[metric]
     hc = [p for p in result.points if p.tracker == "hotcold"]
     if not hc:
         raise ValueError("grid has no hotcold points")
@@ -344,8 +336,8 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
     sigmas = sorted({p.sigma for p in hc})
     best_is_min = metric == "average_distance_m"
 
-    means = {(p.sws, p.sigma): p.mean(key) for p in hc}
-    stds = {(p.sws, p.sigma): p.std(key) for p in hc}
+    means = {(p.sws, p.sigma): p.mean(metric) for p in hc}
+    stds = {(p.sws, p.sigma): p.std(metric) for p in hc}
     diffs: dict[tuple[int, float], float] = {}
     for sigma in sigmas:
         column = [means[(sws, sigma)] for sws in sws_values]
@@ -376,7 +368,6 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
 def write_sigma_comparison_csv(result: GridResult, metric: str, filename: str, out_dir: Path) -> Path:
     """fig8/9/10-style: KPI against sigma for the comparison-SWS hotcold curves,
     trilateration, and the static control, with std across runs."""
-    key = _METRIC_KEYS[metric]
     sigmas = sorted({p.sigma for p in result.points})
     curves: list[tuple[str, str, int | None]] = []
     for sws in result.grid.comparison_sws:
@@ -390,7 +381,7 @@ def write_sigma_comparison_csv(result: GridResult, metric: str, filename: str, o
     for label, tracker, sws in curves:
         for sigma in sigmas:
             p = result.point(tracker, sws, sigma)
-            lines.append(f"{label},{_fmt(sigma)},{_fmt(p.mean(key))},{_fmt(p.std(key))}")
+            lines.append(f"{label},{_fmt(sigma)},{_fmt(p.mean(metric))},{_fmt(p.std(metric))}")
     path = Path(out_dir) / filename
     _write_lines(path, lines)
     return path

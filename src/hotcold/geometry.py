@@ -8,7 +8,7 @@ counter-clockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,7 +22,19 @@ def normalize_heading(angle_rad: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+def require_finite_fields(obj) -> None:
+    """Reject a dataclass whose float fields hold NaN or an infinity.
+
+    Fields of other types (ints, None for "derive a default", nested
+    objects) are left to the class's own checks.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
+
+
+@dataclass(frozen=True, slots=True)
 class Vec2:
     """A point or displacement in the plane, in meters."""
 
@@ -40,7 +52,7 @@ class Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Position plus heading; the heading is always normalized to [0, 2*pi)."""
 
@@ -48,9 +60,15 @@ class Pose:
     heading_rad: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.heading_rad):
-            raise ValueError(f"non-finite heading {self.heading_rad}")
-        object.__setattr__(self, "heading_rad", normalize_heading(self.heading_rad))
+        heading = self.heading_rad
+        if 0.0 < heading < TWO_PI:
+            # already normalized: the wrap would return this exact float.
+            # Zero takes the wrap so that -0.0 becomes 0.0; NaN and the
+            # infinities fail the test and reach the check below.
+            return
+        if not math.isfinite(heading):
+            raise ValueError(f"non-finite heading {heading}")
+        object.__setattr__(self, "heading_rad", normalize_heading(heading))
 
 
 def rotate(pose: Pose, angle_rad: float) -> Pose:
@@ -62,11 +80,12 @@ def advance(pose: Pose, step_m: float) -> Pose:
     """Move forward along the current heading; the heading is unchanged."""
     if step_m < 0.0:
         raise ValueError(f"negative step {step_m}")
+    heading = pose.heading_rad
     position = Vec2(
-        pose.position.x + step_m * math.cos(pose.heading_rad),
-        pose.position.y + step_m * math.sin(pose.heading_rad),
+        pose.position.x + step_m * math.cos(heading),
+        pose.position.y + step_m * math.sin(heading),
     )
-    return Pose(position, pose.heading_rad)
+    return Pose(position, heading)
 
 
 def distance(a: Vec2, b: Vec2) -> float:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .geometry import require_finite_fields
+
 
 class RotationDirection(Enum):
     CCW = "ccw"
@@ -58,6 +60,7 @@ class HotColdConfig:
     step_size_m: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.sws < 1:
             raise ValueError(f"samples window size must be >= 1, got {self.sws}")
         if not 0.0 < self.rotation_angle_deg < 360.0:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import ChannelParams, invert_rssi_to_distance
-from .geometry import Pose, Vec2, bearing, signed_turn
+from .geometry import Pose, Vec2, bearing, require_finite_fields, signed_turn
 from .tracker import HALT, MOVE_FORWARD, TrackerDecision, rotate_then_move
 
 
@@ -40,6 +40,7 @@ class TrilaterationConfig:
     step_size_m: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.k_observations < 3:
             raise ValueError(f"need at least 3 observations, got {self.k_observations}")
         if self.min_spacing_m < 0.0:

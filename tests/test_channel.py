@@ -7,11 +7,11 @@ from hotcold.channel import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
     ChannelParams,
+    RssiReading,
     invert_rssi_to_distance,
     max_range_m,
     noiseless_rssi,
     path_loss,
-    reference_loss_db,
     rssi,
     sample_shadowing,
 )
@@ -24,7 +24,7 @@ def test_reference_loss_constants():
     # frequency term and Friis constant evaluated independently
     assert 20.0 * math.log10(2.4e9) == pytest.approx(187.60, abs=0.01)
     assert 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT_M_S) == pytest.approx(-147.55, abs=0.01)
-    assert reference_loss_db(PARAMS) == pytest.approx(40.05, abs=0.01)
+    assert PARAMS.reference_loss_db == pytest.approx(40.05, abs=0.01)
 
 
 def test_path_loss_at_one_meter():
@@ -138,6 +138,18 @@ def test_shadowing_distribution_kolmogorov_smirnov():
 
 
 def test_params_validation():
+    for name in (
+        "tx_power_dbm",
+        "tx_gain_dbi",
+        "rx_gain_dbi",
+        "frequency_hz",
+        "path_loss_exponent",
+        "shadowing_sigma_db",
+        "rx_sensitivity_dbm",
+    ):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelParams(**{name: bad})
     with pytest.raises(ValueError):
         ChannelParams(frequency_hz=0.0)
     with pytest.raises(ValueError):
@@ -146,3 +158,11 @@ def test_params_validation():
         ChannelParams(shadowing_sigma_db=-0.5)
     with pytest.raises(ValueError):
         ChannelParams(tx_power_dbm=-100.0)
+
+
+def test_rssi_reading_is_an_immutable_named_tuple():
+    reading = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, np.random.default_rng(0))
+    assert reading == RssiReading(value_dbm=reading.value_dbm, in_range=True)
+    assert reading._fields == ("value_dbm", "in_range")
+    with pytest.raises(AttributeError):
+        reading.value_dbm = 0.0

@@ -156,6 +156,21 @@ def test_bad_inputs_exit_nonzero(tmp_path):
         run_cli(["no-such-command"])
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "channel.path_loss_exponent=nan",
+        "world.duration_s=inf",
+        "world.width_m=nan",
+        "channel.shadowing_sigma_db=inf",
+    ],
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, override):
+    assert run_cli(["--out-dir", str(tmp_path), "--set", override, "simulate"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HOTCOLD_OUT_DIR", str(tmp_path / "envout"))
     assert run_cli(["--seed", "1", "--set", "world.duration_s=5", "simulate"]) == 0

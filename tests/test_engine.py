@@ -1,10 +1,15 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hotcold.channel import ChannelParams, noiseless_rssi
 from hotcold.engine import (
+    CycleRecord,
     FixedPath,
     Rect,
     StaticControl,
@@ -18,7 +23,7 @@ from hotcold.engine import (
     step_world,
     trace_csv_lines,
 )
-from hotcold.geometry import Pose, Vec2, distance
+from hotcold.geometry import Pose, Vec2, advance, bearing, distance
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
@@ -45,6 +50,22 @@ def test_config_validation():
         WorldConfig(robot_speed_kmh=-1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 0.0, 0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in (
+            "width_m",
+            "height_m",
+            "duration_s",
+            "cycle_period_s",
+            "robot_speed_kmh",
+            "target_speed_kmh",
+            "halt_distance_m",
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                WorldConfig(**{name: bad})
+        with pytest.raises(ValueError, match="must be finite"):
+            Rect(0.0, 0.0, bad, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            FixedPath(((0.0, Vec2(0.0, 0.0)), (bad, Vec2(1.0, 0.0))))
 
 
 def test_random_waypoint_step_toward_waypoint():
@@ -295,3 +316,128 @@ def test_trace_csv_schema():
     )
     assert len(lines) == 3
     assert lines[1].startswith("0.500000,")
+
+
+_SIGMA2 = ChannelParams(shadowing_sigma_db=2.0)
+PINNED_WORLDS = {
+    "hotcold_sigma2": WorldConfig(duration_s=100.0, channel=_SIGMA2, seed=21),
+    "trilateration": WorldConfig(
+        duration_s=100.0, channel=_SIGMA2, tracker=TrilaterationConfig(), seed=22
+    ),
+    "static_control": WorldConfig(
+        duration_s=100.0, channel=_SIGMA2, tracker=StaticControl(), seed=23
+    ),
+    "hotcold_obstacles": WorldConfig(
+        duration_s=100.0,
+        channel=_SIGMA2,
+        obstacles=(Rect(54.0, 40.0, 56.0, 60.0), Rect(40.0, 56.0, 60.0, 58.0)),
+        seed=24,
+    ),
+    "fixed_path": WorldConfig(
+        duration_s=100.0,
+        channel=_SIGMA2,
+        mobility=FixedPath(
+            ((0.0, Vec2(10.0, 10.0)), (60.0, Vec2(80.0, 20.0)), (150.0, Vec2(40.0, 90.0)))
+        ),
+        seed=25,
+    ),
+    "static_target": WorldConfig(
+        duration_s=100.0,
+        channel=_SIGMA2,
+        mobility=StaticTarget(Vec2(70.0, 35.0)),
+        robot_start=Pose(Vec2(20.0, 80.0), 2.0),
+        seed=26,
+    ),
+}
+
+# sha256 of each world's trace CSV, the exact bits of every record's floats
+# and its metrics JSON. Any change to the cycle loop's arithmetic, draw order
+# or labels changes a digest; a pure speed-up must leave all six alone.
+PINNED_DIGESTS = {
+    "hotcold_sigma2": "cdb7daad090569d9ed17a2f40e385d676d11c194aef190ddd8ebe2128f8228dd",
+    "trilateration": "884847f41529d136c9551e63e2a92a6b2cadbb3edd70ae9a68810d1e7a59641b",
+    "static_control": "e2145493fe26f366f2d7d14bf0e5067e2d36314e37dfba040556dd594ab7547b",
+    "hotcold_obstacles": "ec1d06a0d962a914ad828b09ae1c225b7c16477e091b0af2733373188416a154",
+    "fixed_path": "d713355e9d76ea1487dd21e9f7e55c9a436b3872e79295f964dbc26a9d695f09",
+    "static_target": "e402a54865e59c7b932bd8f26a120ea080385a95554b8619c0fd2b2e3c696733",
+}
+
+
+def _run_digest(cfg: WorldConfig) -> str:
+    metrics, trace = run_simulation(cfg)
+    h = hashlib.sha256()
+    h.update("\n".join(trace_csv_lines(trace)).encode())
+    for rec in trace:
+        bits = (
+            rec.time_s,
+            rec.robot.position.x,
+            rec.robot.position.y,
+            rec.robot.heading_rad,
+            rec.target.x,
+            rec.target.y,
+            rec.rssi_dbm,
+        )
+        h.update((",".join(v.hex() for v in bits) + "\n").encode())
+    h.update(json.dumps(metrics.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_engine_output_bytes_pinned(name):
+    assert _run_digest(PINNED_WORLDS[name]) == PINNED_DIGESTS[name]
+
+
+def test_cycle_record_is_an_immutable_named_tuple():
+    _, trace = run_simulation(WorldConfig(duration_s=1.0, seed=18))
+    rec = trace[0]
+    assert isinstance(rec, CycleRecord)
+    assert rec._fields == (
+        "time_s", "robot", "target", "rssi_dbm", "in_range", "in_halt", "decision",
+    )
+    with pytest.raises(AttributeError):
+        rec.decision = "halt"
+
+
+def _old_random_waypoint_step(target, waypoint, config, rng):
+    """The step as written before it was fused: the oracle for the fast one."""
+    step = config.target_step_m
+    if step == 0.0:
+        return target, waypoint
+    gap = distance(target.position, waypoint)
+    if gap <= step:
+        new_waypoint = Vec2(
+            float(rng.uniform(0.0, config.width_m)),
+            float(rng.uniform(0.0, config.height_m)),
+        )
+        heading = bearing(target.position, waypoint) if gap > 0.0 else target.heading_rad
+        return Pose(waypoint, heading), new_waypoint
+    heading = bearing(target.position, waypoint)
+    return advance(Pose(target.position, heading), step), waypoint
+
+
+def _bits(pose: Pose, waypoint: Vec2) -> tuple[str, ...]:
+    values = (pose.position.x, pose.position.y, pose.heading_rad, waypoint.x, waypoint.y)
+    return tuple(v.hex() for v in values)
+
+
+_coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(
+    x=_coord,
+    y=_coord,
+    wx=_coord,
+    wy=_coord,
+    heading=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+    speed_kmh=st.floats(min_value=0.0, max_value=500.0),
+)
+@example(x=1.0, y=2.0, wx=1.0, wy=2.0, heading=3.0, speed_kmh=3.6)  # standing on the waypoint
+@example(x=0.0, y=0.0, wx=-0.25, wy=0.0, heading=0.5, speed_kmh=3.6)  # arrival, heading pi
+def test_random_waypoint_step_matches_pose_formula(x, y, wx, wy, heading, speed_kmh):
+    cfg = WorldConfig(target_speed_kmh=speed_kmh)
+    target, waypoint = Pose(Vec2(x, y), heading), Vec2(wx, wy)
+    fast = random_waypoint_step(target, waypoint, cfg, np.random.default_rng(0))
+    slow = _old_random_waypoint_step(target, waypoint, cfg, np.random.default_rng(0))
+    assert fast == slow
+    assert _bits(*fast) == _bits(*slow)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -59,10 +61,11 @@ def test_distance_examples():
 
 
 def test_vec2_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Vec2(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Vec2(0.0, math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Vec2(bad, 0.0)
+        with pytest.raises(ValueError):
+            Vec2(0.0, bad)
 
 
 def test_pose_normalizes_heading():
@@ -111,3 +114,42 @@ def test_bearing_and_signed_turn():
     )
     # a half turn is reported as +pi, never -pi
     assert signed_turn(0.0, math.pi) == pytest.approx(math.pi)
+
+
+def test_pose_keeps_in_range_heading_bits():
+    rng = np.random.default_rng(4)
+    for heading in [math.nextafter(0.0, 1.0), 1.0, math.pi, math.nextafter(2.0 * math.pi, 0.0)] + [
+        float(h) for h in rng.uniform(0.0, 2.0 * math.pi, 200)
+    ]:
+        assert Pose(Vec2(0.0, 0.0), heading).heading_rad.hex() == heading.hex()
+
+
+@pytest.mark.parametrize(
+    "heading",
+    [0.0, -0.0, 2.0 * math.pi, -1e-20, -math.pi / 2, 7.5, -123.4, 1e6, -2.0 * math.pi],
+)
+def test_pose_out_of_range_heading_equals_normalize_heading(heading):
+    got = Pose(Vec2(0.0, 0.0), heading).heading_rad
+    assert got.hex() == normalize_heading(heading).hex()
+    assert 0.0 <= got < 2.0 * math.pi
+    assert math.copysign(1.0, got) == 1.0  # never -0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pose_rejects_non_finite_heading(bad):
+    with pytest.raises(ValueError):
+        Pose(Vec2(0.0, 0.0), bad)
+
+
+def test_vec2_and_pose_are_immutable_and_pickle():
+    v = Vec2(1.5, -2.25)
+    pose = Pose(v, 4.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.x = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.heading_rad = 0.0
+    with pytest.raises((AttributeError, TypeError)):
+        v.z = 0.0  # slotted: no room for new attributes
+    for obj in (v, pose):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj)

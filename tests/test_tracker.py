@@ -120,6 +120,10 @@ def test_phase_tracking():
 
 
 def test_config_validation():
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("rotation_angle_deg", "halt_threshold_dbm", "step_size_m"):
+            with pytest.raises(ValueError):
+                HotColdConfig(**{name: bad})
     with pytest.raises(ValueError):
         HotColdConfig(sws=0)
     with pytest.raises(ValueError):
