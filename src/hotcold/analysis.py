@@ -27,6 +27,8 @@ DEFAULT_RHO_RANGE = range(10, 101)
 DEFAULT_BETA_RANGE = range(0, 360)
 DEFAULT_TAU_RANGE = range(1, 11)
 DEFAULT_STEP_CAP = 10_000
+_MAX_EPSILON = 30
+_MAX_TURNS = 400  # every solvable rotation cell needs fewer turns, see _sweep_phi_rotations
 
 _COS_DEG = np.cos(np.radians(np.arange(360)))
 _SIN_DEG = np.sin(np.radians(np.arange(360)))
@@ -47,8 +49,8 @@ def rotations_to_reach(phi_deg: int, theta_deg: int, epsilon_deg: int) -> int | 
         raise ValueError(f"phi must be in [1, 359], got {phi_deg}")
     if not 0 <= theta_deg <= 359:
         raise ValueError(f"theta must be in [0, 359], got {theta_deg}")
-    if not 0 <= epsilon_deg <= 30:
-        raise ValueError(f"epsilon must be in [0, 30], got {epsilon_deg}")
+    if not 0 <= epsilon_deg <= _MAX_EPSILON:
+        raise ValueError(f"epsilon must be in [0, {_MAX_EPSILON}], got {epsilon_deg}")
     for kappa in range(phi_deg + 1):
         lo = theta_deg - epsilon_deg + 360 * kappa
         hi = theta_deg + epsilon_deg + 360 * kappa
@@ -61,19 +63,34 @@ def rotations_to_reach(phi_deg: int, theta_deg: int, epsilon_deg: int) -> int | 
     return None
 
 
-def _sweep_cell_rotations(phi_deg: int, epsilon_deg: int) -> np.ndarray:
-    """Vectorized rotations_to_reach over all theta; -1 marks no solution."""
-    thetas = np.arange(360, dtype=np.int64)[:, None]
-    kappas = np.arange(phi_deg + 1, dtype=np.int64)[None, :]
-    lo = thetas - epsilon_deg + 360 * kappas
-    hi = thetas + epsilon_deg + 360 * kappas
-    w_min = np.maximum(-((-lo) // phi_deg), 0)
-    w_max = hi // phi_deg
-    feasible = w_min <= w_max
-    has_solution = feasible.any(axis=1)
-    first_kappa = np.argmax(feasible, axis=1)
-    omegas = w_min[np.arange(360), first_kappa]
-    return np.where(has_solution, omegas, -1)
+def _sweep_phi_rotations(phi_deg: int) -> np.ndarray:
+    """rotations_to_reach for every epsilon in [0, 30] and every theta at once.
+
+    Row epsilon of the (31, 360) result holds the turn counts over theta;
+    -1 marks no solution. Turn w solves (theta, epsilon) when w*phi lies
+    within epsilon of theta + 360*kappa for a wrap kappa in [0, phi]; as
+    epsilon < 180 only the nearest wrap can do so, at signed offset m. The
+    running minimum of |m| over w falls to epsilon at the first solving w,
+    which is the number of turns whose running minimum is still above
+    epsilon. Every solvable cell has a solution below 390 turns: the heading
+    sequence repeats every 360/gcd(phi, 360) <= 360 turns, and a solution
+    that needs kappa = -1 has w*phi < 30.
+    """
+    if not 1 <= phi_deg <= 359:
+        raise ValueError(f"phi must be in [1, 359], got {phi_deg}")
+    turns = np.arange(_MAX_TURNS)[:, None]
+    offset = turns * phi_deg - np.arange(360)  # w*phi - theta, shape (turns, theta)
+    kappa = (offset + 180) // 360
+    miss = np.minimum(np.abs(offset - 360 * kappa), _MAX_EPSILON + 1)
+    miss[(kappa < 0) | (kappa > phi_deg)] = _MAX_EPSILON + 1
+    np.minimum.accumulate(miss, axis=0, out=miss)
+    # per running-minimum value (the last bin: above every epsilon) and theta,
+    # the number of turns that leave it there
+    per_value = np.bincount(
+        (miss * 360 + np.arange(360)).ravel(), minlength=(_MAX_EPSILON + 2) * 360
+    ).reshape(_MAX_EPSILON + 2, 360)
+    first = _MAX_TURNS - np.cumsum(per_value[:-1], axis=0)
+    return np.where(first < _MAX_TURNS, first, -1)
 
 
 @dataclass(frozen=True)
@@ -123,12 +140,16 @@ def rotation_sweep(
     phi_range=DEFAULT_PHI_RANGE, epsilon_range=DEFAULT_EPSILON_RANGE
 ) -> RotationSweepResult:
     """Sweep mean turn counts over the (phi, epsilon) grid and rank the angles."""
+    epsilons = list(epsilon_range)
+    if not set(epsilons) <= set(range(_MAX_EPSILON + 1)):
+        raise ValueError(f"epsilon values must be integers in [0, {_MAX_EPSILON}], got {epsilons}")
     cells: list[RotationCell] = []
     summaries: list[RotationSummary] = []
     for phi in phi_range:
+        per_epsilon = _sweep_phi_rotations(phi)
         phi_cells: list[RotationCell] = []
-        for eps in epsilon_range:
-            omegas = _sweep_cell_rotations(phi, eps)
+        for eps in epsilons:
+            omegas = per_epsilon[int(eps)]
             valid = bool((omegas >= 0).all())
             mean = float(omegas.mean()) if valid else None
             phi_cells.append(RotationCell(phi, eps, omegas, mean))
@@ -208,66 +229,129 @@ class ExhaustiveSweepResult:
         raise KeyError((phi_deg, tau))
 
 
+# The exhaustive kernel decides "d <= tau" and "d > previous d" from squared
+# distances s = dx*dx + dy*dy and hands every near tie to np.hypot, so each
+# decision is the one np.hypot's distances give. Proof, with u = 2**-53,
+# r = sqrt(dx**2 + dy**2) exact and h = np.hypot(dx, dy):
+# * s is rounded three times: |s - r*r| <= 2**-51.9 * r*r + 2**-1073 (the
+#   second term covers underflow). Nothing overflows while r < 2**401,
+#   which _MAX_DISTANCE ensures.
+# * Assume only that hypot is within 256 ulp of r (glibc's is within 1):
+#   |h - r| <= 2**-44 * r, or <= 2**-1066 for a subnormal h, so
+#   |h*h - r*r| <= 2**-42.9 * r*r + 2**-2000.
+# * Together |s - h*h| <= A*s + B with A = 2**-42.7 and B = 2**-1072.
+# Turn test: if |s - s_prev| > _NEAR_TIE * s + _NEAR_TIE_FLOOR, then s and
+# s_prev differ by more than A*s + A*s_prev + 2B, the sum of their errors (as
+# _NEAR_TIE > 3A, _NEAR_TIE_FLOOR > 3B, and the rounding of the test itself
+# costs under 4u), so s > s_prev exactly when h > h_prev.
+# Crossing test: h <= tau gives s <= (tau*tau + B) / (1 - A), which is below
+# tau*tau * (1 + _NEAR_TIE) + _NEAR_TIE_FLOOR, so no crossing is missed and
+# s above that bound means h > tau. Likewise s <= tau*tau * (1 - _NEAR_TIE)
+# - _NEAR_TIE_FLOOR gives h*h <= s * (1 + A) + B < tau*tau. Candidates that
+# neither bound decides are tested on h.
+_NEAR_TIE = 2.0**-40
+_NEAR_TIE_FLOOR = 2.0**-1000
+_MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**401
+
+
 def _sweep_one_phi(
     phi_deg: int, rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
-    `taus` must be ascending and distinct; columns follow its order. All tau
-    levels share one trajectory per (rho, beta): tau only decides when
-    counting stops, so each trajectory is stepped once.
+    `taus` must be finite, ascending and distinct; columns follow its order.
+    |rhos| + step_cap must be below _MAX_DISTANCE. All tau levels share one
+    trajectory per (rho, beta): tau only decides when counting stops, so
+    each trajectory is stepped once.
 
     Since d <= tau implies d <= every larger tau, a start crosses its levels
-    from the largest down. Each start therefore carries one threshold, the
+    from the largest down. Each start therefore carries one bound, for the
     largest tau it has not crossed yet (-inf once all are crossed), and one
-    `d <= threshold` test per step finds the starts with new crossings; only
-    those rows look up how many levels they now cross. Finished starts keep
-    stepping harmlessly until the live count drops below 3/4 of the state
-    length, when the state is compacted. Starts still live after step_cap
-    steps are the returned cap count.
+    test per step finds the starts with new crossings. Only the lowest level
+    crossed is written; the levels between it and the previous crossing were
+    crossed in the same step and are filled from the level below after the
+    loop. Distances are squared distances with an exact np.hypot fallback
+    (see _NEAR_TIE). Each start keeps its heading's cosine and sine, updated
+    only when it turns. Finished starts keep stepping harmlessly until the
+    live count drops below 3/4 of the state length, when the state is
+    compacted. Starts still live after step_cap steps are the returned cap
+    count.
     """
-    rho_grid, beta_grid = np.meshgrid(rhos, betas, indexing="ij")
-    target_x = (rho_grid * _COS_DEG[beta_grid]).ravel()
-    target_y = (rho_grid * _SIN_DEG[beta_grid]).ravel()
+    target_x = (rhos[:, None] * _COS_DEG[betas]).ravel()  # row-major over (rho, beta)
+    target_y = (rhos[:, None] * _SIN_DEG[betas]).ravel()
     n = target_x.size
     counts = np.full((n, taus.size), -1, dtype=np.int64)
-    levels = np.arange(taus.size)
     successor = (np.arange(360) + phi_deg) % 360
     thresholds = np.concatenate(([-np.inf], taus))  # indexed by levels left
+    clipped = np.minimum(thresholds, 2.0 * _MAX_DISTANCE)
+    squared = np.where(thresholds >= 0.0, clipped * clipped, -np.inf)
+    reaches = squared * (1.0 + _NEAR_TIE) + _NEAR_TIE_FLOOR  # s of every row within
+    insides = squared * (1.0 - _NEAR_TIE) - _NEAR_TIE_FLOOR  # s of rows surely within
 
     idx = np.arange(n)
-    x = np.zeros(n)
-    y = np.zeros(n)
+    x = px = np.zeros(n)
+    y = py = np.zeros(n)
     heading = np.zeros(n, dtype=np.int64)
-    prev_d = np.full(n, np.inf)
+    cos_h = np.full(n, _COS_DEG[0])
+    sin_h = np.full(n, _SIN_DEG[0])
+    prev_s = np.full(n, np.inf)
     left = np.full(n, taus.size)  # levels not crossed yet: taus[:left]
-    threshold = thresholds[left]
+    reach = reaches[left]
     live = n
 
     for step in range(step_cap + 1):
-        d = np.hypot(x - target_x, y - target_y)
-        rows = np.flatnonzero(d <= threshold)
+        dx = x - target_x
+        dy = y - target_y
+        s = np.square(dx, out=dx)
+        s += np.square(dy, out=dy)
+        rows = np.flatnonzero(s <= reach)
         if rows.size:
-            first = np.searchsorted(taus, d[rows])  # lowest level now crossed
-            crossed = (levels >= first[:, None]) & (levels < left[rows, None])
-            hit_rows, hit_levels = np.nonzero(crossed)
-            counts[idx[rows[hit_rows]], hit_levels] = step
+            # most candidates surely cross their threshold's level and surely
+            # not the one below; the rest are decided on np.hypot
+            levels = left[rows]
+            first = levels - 1  # lowest level now crossed
+            candidate_s = s[rows]
+            unsure = np.flatnonzero(
+                (candidate_s > insides[levels]) | (candidate_s <= reaches[first])
+            )
+            if unsure.size:
+                u = rows[unsure]
+                d = np.hypot(x[u] - target_x[u], y[u] - target_y[u])
+                hit = d <= thresholds[levels[unsure]]
+                first[unsure] = np.where(hit, np.searchsorted(taus, d), levels[unsure])
+                crossed = first < levels
+                rows, first = rows[crossed], first[crossed]
+            counts[idx[rows], first] = step
             left[rows] = first
-            threshold[rows] = thresholds[first]
+            reach[rows] = reaches[first]
             live -= int(np.count_nonzero(first == 0))
             if live == 0:
                 break
-            if live < 0.75 * idx.size:
-                keep = left > 0
-                idx, x, y, heading = idx[keep], x[keep], y[keep], heading[keep]
-                d, prev_d = d[keep], prev_d[keep]
-                target_x, target_y = target_x[keep], target_y[keep]
-                left, threshold = left[keep], threshold[keep]
-        heading = np.where(d > prev_d, successor[heading], heading)
-        prev_d = d
-        x += _COS_DEG[heading]
-        y += _SIN_DEG[heading]
+        diff = s - prev_s
+        turn = diff > 0.0
+        near = np.flatnonzero(np.abs(diff, out=diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
+        if near.size:
+            tx, ty = target_x[near], target_y[near]
+            d = np.hypot(x[near] - tx, y[near] - ty)
+            turn[near] = d > np.hypot(px[near] - tx, py[near] - ty)
+        turning = np.flatnonzero(turn)
+        turned = successor[heading[turning]]
+        heading[turning] = turned
+        cos_h[turning] = _COS_DEG[turned]
+        sin_h[turning] = _SIN_DEG[turned]
+        prev_s, px, py = s, x, y
+        x = x + cos_h
+        y = y + sin_h
+        if live < 0.75 * idx.size:
+            keep = left > 0
+            (idx, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y, left, reach) = (
+                a[keep] for a in (idx, x, y, px, py, heading, cos_h, sin_h, prev_s,
+                                  target_x, target_y, left, reach)
+            )
 
+    for j in range(1, taus.size):
+        unset = counts[:, j] < 0
+        counts[unset, j] = counts[unset, j - 1]
     return counts, live
 
 
@@ -284,6 +368,8 @@ def exhaustive_sweep(
     cell's mean and counted in cap_hits (at the smallest tau). A cell or
     overall mean with no reached start is NaN, and such a phi cannot be
     best_phi. tau_range may come in any order but must not repeat a value.
+    Counts equal steps_to_reach exactly: every decision is the one
+    np.hypot's distances give.
     """
     rhos = np.asarray(list(rho_range), dtype=np.float64)
     betas = np.asarray(list(beta_range), dtype=np.int64)
@@ -292,6 +378,10 @@ def exhaustive_sweep(
         raise ValueError("rho_range, beta_range and tau_range must not be empty")
     if np.any(taus[1:] == taus[:-1]):
         raise ValueError(f"tau_range repeats a value: {list(tau_range)}")
+    if not np.isfinite(taus).all():
+        raise ValueError(f"tau_range values must be finite: {list(tau_range)}")
+    if not np.abs(rhos).max() + step_cap < _MAX_DISTANCE:
+        raise ValueError(f"|rho| + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
     cells: list[ExhaustiveCell] = []
     overall: dict[int, float] = {}
     cap_hits = 0
@@ -302,6 +392,7 @@ def exhaustive_sweep(
         for ti, tau in enumerate(taus):
             cells.append(ExhaustiveCell(phi, int(tau), _mean_or_nan(counts[reached[:, ti], ti])))
         overall[phi] = _mean_or_nan(counts[reached])
+        del counts, reached  # freed before the next angle's kernel runs
     finite = [p for p in overall if not math.isnan(overall[p])]
     if not finite:
         raise ValueError("no rotation angle reaches any tau within the step cap")

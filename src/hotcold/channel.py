@@ -26,6 +26,14 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 # below the operating halt distance, so field behavior is unaffected.
 MIN_DISTANCE_M = 0.1
 
+# Bounds far beyond any radio link. They keep every signal sample finite,
+# and every range inverted from one, 10**(log10(d) + X/(10*n)) with X the
+# shadowing sample, finite and above zero.
+MAX_ABS_DB = 1000.0
+MIN_PATH_LOSS_EXPONENT = 0.5
+MAX_PATH_LOSS_EXPONENT = 10.0
+MAX_SHADOWING_SIGMA_DB = 100.0
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -41,12 +49,22 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
+        for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "rx_sensitivity_dbm"):
+            value = getattr(self, name)
+            if abs(value) > MAX_ABS_DB:
+                raise ValueError(f"{name} must be within +-{MAX_ABS_DB:g} dB, got {value}")
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be positive, got {self.frequency_hz}")
-        if self.path_loss_exponent <= 0.0:
-            raise ValueError(f"path-loss exponent must be positive, got {self.path_loss_exponent}")
-        if self.shadowing_sigma_db < 0.0:
-            raise ValueError(f"shadowing sigma must be non-negative, got {self.shadowing_sigma_db}")
+        if not MIN_PATH_LOSS_EXPONENT <= self.path_loss_exponent <= MAX_PATH_LOSS_EXPONENT:
+            raise ValueError(
+                f"path-loss exponent must be in [{MIN_PATH_LOSS_EXPONENT:g}, "
+                f"{MAX_PATH_LOSS_EXPONENT:g}], got {self.path_loss_exponent}"
+            )
+        if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
+            raise ValueError(
+                f"shadowing sigma must be in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, "
+                f"got {self.shadowing_sigma_db}"
+            )
         if self.tx_power_dbm < self.rx_sensitivity_dbm:
             raise ValueError("transmit power below receiver sensitivity leaves no link budget")
 

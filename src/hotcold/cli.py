@@ -34,6 +34,18 @@ QUICK_RUNS = 2
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12")
 
+# grid figures in output order: figure -> (metric, writer)
+GRID_FIGURES = {
+    "fig5": ("average_distance_m", write_sws_difference_csv),
+    "fig6": ("cycles_in_range_pct", write_sws_difference_csv),
+    "fig7": ("cycles_in_halt_pct", write_sws_difference_csv),
+    "fig8": ("average_distance_m", write_sigma_comparison_csv),
+    "fig9": ("cycles_in_range_pct", write_sigma_comparison_csv),
+    "fig10": ("cycles_in_halt_pct", write_sigma_comparison_csv),
+}
+# the SWS-difference figures need hotcold points
+SWS_FIGURES = {f for f, (_, writer) in GRID_FIGURES.items() if writer is write_sws_difference_csv}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -113,23 +125,36 @@ def _cmd_simulate(args, out: Path) -> None:
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
 
 
-def _cmd_grid(args, out: Path) -> None:
+def _cmd_grid(args, out: Path) -> int:
     cfg = _load(args)
     grid = build_grid(cfg, build_world(cfg))
     result = run_grid(grid, workers=args.workers)
-    paths = [write_grid_runs_csv(result, out)]
-    if "hotcold" in grid.trackers:
-        paths.append(write_sws_difference_csv(result, "average_distance_m", "fig5.csv", out))
-        paths.append(write_sws_difference_csv(result, "cycles_in_range_pct", "fig6.csv", out))
-        paths.append(write_sws_difference_csv(result, "cycles_in_halt_pct", "fig7.csv", out))
-    paths.append(write_sigma_comparison_csv(result, "average_distance_m", "fig8.csv", out))
-    paths.append(write_sigma_comparison_csv(result, "cycles_in_range_pct", "fig9.csv", out))
-    paths.append(write_sigma_comparison_csv(result, "cycles_in_halt_pct", "fig10.csv", out))
-    for failure in result.failures:
-        print(f"warning: run failed: {failure}", file=sys.stderr)
+    figures = GRID_FIGURES.keys()
+    if "hotcold" not in grid.trackers:
+        figures -= SWS_FIGURES
+    paths = [write_grid_runs_csv(result, out), *_write_grid_figures(result, figures, out)]
     print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
     for p in paths:
         print(f"wrote {p}")
+    return _exit_on_failures(result)
+
+
+def _write_grid_figures(result, figures, out: Path) -> list[Path]:
+    return [
+        writer(result, metric, f"{fig}.csv", out)
+        for fig, (metric, writer) in GRID_FIGURES.items()
+        if fig in figures
+    ]
+
+
+def _exit_on_failures(result) -> int:
+    """Exit status 1 when grid runs failed; their points read nan."""
+    for failure in result.failures:
+        print(f"warning: run failed: {failure}", file=sys.stderr)
+    if result.failures:
+        print(f"error: {len(result.failures)} grid runs failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_rotation_sweep(args, out: Path) -> None:
@@ -148,7 +173,7 @@ def _cmd_exhaustive_sweep(args, out: Path) -> None:
           f"mean steps {result.overall_means[result.best_phi]:.5f}, cap hits {result.cap_hits}")
 
 
-def _cmd_verify_lemmas(args, out: Path) -> None:
+def _cmd_verify_lemmas(args, out: Path) -> int:
     import numpy as np
 
     seed = args.seed if args.seed is not None else 0
@@ -158,8 +183,7 @@ def _cmd_verify_lemmas(args, out: Path) -> None:
           f"(hot {report.hot_mode_violations}, first {report.first_rotation_violations}, "
           f"second {report.second_rotation_violations}, overall {report.overall_gain_violations}, "
           f"ordering {report.ordering_violations}), boundary skips {report.boundary_skips}")
-    if report.total_violations:
-        sys.exit(1)
+    return 1 if report.total_violations else 0
 
 
 def _cmd_scenario(args, out: Path) -> None:
@@ -172,7 +196,7 @@ def _cmd_scenario(args, out: Path) -> None:
               f"in halt {m.cycles_in_halt_pct:.1f}%")
 
 
-def _cmd_report(args, out: Path) -> None:
+def _cmd_report(args, out: Path) -> int:
     wanted = {f.strip() for f in args.figures.split(",") if f.strip()}
     unknown = wanted - set(FIGURE_NAMES)
     if unknown:
@@ -188,21 +212,14 @@ def _cmd_report(args, out: Path) -> None:
     if "fig4" in wanted:
         exhaustive = exhaustive_sweep()
         print(f"wrote {write_exhaustive_csv(exhaustive, out)}")
-    if wanted & {"fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}:
+    if wanted & GRID_FIGURES.keys():
         grid = build_grid(cfg, build_world(cfg))
+        if wanted & SWS_FIGURES and "hotcold" not in grid.trackers:
+            raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
         grid_result = run_grid(grid, workers=args.workers)
         print(f"wrote {write_grid_runs_csv(grid_result, out)}")
-        mapping = {
-            "fig5": ("average_distance_m", write_sws_difference_csv),
-            "fig6": ("cycles_in_range_pct", write_sws_difference_csv),
-            "fig7": ("cycles_in_halt_pct", write_sws_difference_csv),
-            "fig8": ("average_distance_m", write_sigma_comparison_csv),
-            "fig9": ("cycles_in_range_pct", write_sigma_comparison_csv),
-            "fig10": ("cycles_in_halt_pct", write_sigma_comparison_csv),
-        }
-        for fig in sorted(wanted & mapping.keys(), key=lambda f: int(f[3:])):
-            metric, writer = mapping[fig]
-            print(f"wrote {writer(grid_result, metric, f'{fig}.csv', out)}")
+        for p in _write_grid_figures(grid_result, wanted, out):
+            print(f"wrote {p}")
     if "fig12" in wanted:
         iterations = args.runs if args.runs is not None else (QUICK_RUNS if args.quick else 4)
         seed = args.seed if args.seed is not None else 1
@@ -210,6 +227,7 @@ def _cmd_report(args, out: Path) -> None:
             result = run_scenario(name, iterations=iterations, master_seed=seed)
             print(f"wrote {write_scenario_csv(result, out)}")
     print(f"wrote {write_summary_json(out, rotation, exhaustive, grid_result)}")
+    return 0 if grid_result is None else _exit_on_failures(grid_result)
 
 
 COMMANDS = {
@@ -226,11 +244,10 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        COMMANDS[args.command](args, _out_dir(args))
+        return COMMANDS[args.command](args, _out_dir(args)) or 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

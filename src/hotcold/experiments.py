@@ -95,11 +95,20 @@ class GridPoint:
     runs: tuple[MetricsReport, ...]
 
     def mean(self, metric: str) -> float:
+        """Mean over the runs; NaN when every run of the point failed."""
+        if not self.runs:
+            return math.nan
         return statistics.fmean(getattr(r, metric) for r in self.runs)
 
     def std(self, metric: str) -> float:
-        values = [getattr(r, metric) for r in self.runs]
-        return statistics.stdev(values) if len(values) > 1 else 0.0
+        return _std([getattr(r, metric) for r in self.runs])
+
+
+def _std(values: list[float]) -> float:
+    """Sample std; 0 for one value, NaN for none or when any value is NaN."""
+    if not values or any(math.isnan(v) for v in values):
+        return math.nan
+    return statistics.stdev(values) if len(values) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -328,7 +337,8 @@ def write_grid_runs_csv(result: GridResult, out_dir: Path) -> Path:
 def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out_dir: Path) -> Path:
     """fig5/6/7-style: per (sws, sigma), the hotcold mean KPI and its gap to the
     best SWS at that sigma (minimum for distance, maximum otherwise), plus the
-    per-SWS mean and std of the gap across sigma."""
+    per-SWS mean and std of the gap across sigma. A point whose runs all
+    failed prints nan and is not a candidate for the best SWS."""
     hc = [p for p in result.points if p.tracker == "hotcold"]
     if not hc:
         raise ValueError("grid has no hotcold points")
@@ -340,8 +350,8 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
     stds = {(p.sws, p.sigma): p.std(metric) for p in hc}
     diffs: dict[tuple[int, float], float] = {}
     for sigma in sigmas:
-        column = [means[(sws, sigma)] for sws in sws_values]
-        best = min(column) if best_is_min else max(column)
+        column = [m for m in (means[(sws, sigma)] for sws in sws_values) if not math.isnan(m)]
+        best = (min(column) if best_is_min else max(column)) if column else math.nan
         for sws in sws_values:
             diffs[(sws, sigma)] = (
                 means[(sws, sigma)] - best if best_is_min else best - means[(sws, sigma)]
@@ -358,8 +368,7 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
     lines.append("sws,mean_diff_across_sigma,std_diff_across_sigma")
     for sws in sws_values:
         gaps = [diffs[(sws, sigma)] for sigma in sigmas]
-        std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0
-        lines.append(f"{sws},{_fmt(statistics.fmean(gaps))},{_fmt(std)}")
+        lines.append(f"{sws},{_fmt(statistics.fmean(gaps))},{_fmt(_std(gaps))}")
     path = Path(out_dir) / filename
     _write_lines(path, lines)
     return path
@@ -367,7 +376,8 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
 
 def write_sigma_comparison_csv(result: GridResult, metric: str, filename: str, out_dir: Path) -> Path:
     """fig8/9/10-style: KPI against sigma for the comparison-SWS hotcold curves,
-    trilateration, and the static control, with std across runs."""
+    trilateration, and the static control, with std across runs; nan for a
+    point whose runs all failed."""
     sigmas = sorted({p.sigma for p in result.points})
     curves: list[tuple[str, str, int | None]] = []
     for sws in result.grid.comparison_sws:
@@ -439,9 +449,12 @@ def write_summary_json(
             for p in hc:
                 by_sws.setdefault(p.sws, []).append(p.mean("average_distance_m"))
             mean_ad = {sws: statistics.fmean(v) for sws, v in by_sws.items()}
+            mean_ad = {sws: m for sws, m in mean_ad.items() if not math.isnan(m)}
             summary["grid"] = {
                 "sigma_values": sigmas,
-                "best_sws_by_mean_average_distance": min(mean_ad, key=mean_ad.get),
+                "best_sws_by_mean_average_distance": (
+                    min(mean_ad, key=mean_ad.get) if mean_ad else None
+                ),
             }
     report = verify_convergence(convergence_trials)
     summary["convergence"] = {

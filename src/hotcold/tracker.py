@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .geometry import require_finite_fields
 
@@ -28,6 +29,11 @@ class DecisionKind(Enum):
     HALT = "halt"
 
 
+# bound once: an Enum member lookup costs about as much as a whole decision
+_CCW = RotationDirection.CCW
+_ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
+
+
 @dataclass(frozen=True)
 class TrackerDecision:
     """One cycle's movement command; rotation_deg is signed, CCW positive."""
@@ -41,7 +47,7 @@ HALT = TrackerDecision(DecisionKind.HALT)
 
 
 def rotate_then_move(angle_deg: float) -> TrackerDecision:
-    return TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle_deg)
+    return TrackerDecision(_ROTATE_THEN_MOVE, angle_deg)
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,13 @@ class HotColdConfig:
 
     @property
     def signed_rotation_deg(self) -> float:
-        sign = 1.0 if self.rotation_direction is RotationDirection.CCW else -1.0
+        sign = 1.0 if self.rotation_direction is _CCW else -1.0
         return sign * self.rotation_angle_deg
+
+    @cached_property
+    def cold_turn(self) -> TrackerDecision:
+        """The decision after a "Cold" comparison, built once per config."""
+        return rotate_then_move(self.signed_rotation_deg)
 
     def require_halt_threshold(self) -> float:
         if self.halt_threshold_dbm is None:
@@ -114,7 +125,7 @@ def window_average(samples: list[float]) -> float:
 def decide(avg_first: float, avg_second: float, cfg: HotColdConfig) -> TrackerDecision:
     """Compare the two window averages; only a strict drop ("Cold") rotates."""
     if avg_first > avg_second:
-        return rotate_then_move(cfg.signed_rotation_deg)
+        return cfg.cold_turn
     return MOVE_FORWARD
 
 
@@ -129,7 +140,9 @@ def ingest_sample(state: HotColdState, reading_dbm: float, cfg: HotColdConfig) -
     """
     if not math.isfinite(reading_dbm):
         raise ValueError(f"non-finite RSSI sample {reading_dbm}")
-    threshold = cfg.require_halt_threshold()
+    threshold = cfg.halt_threshold_dbm
+    if threshold is None:
+        cfg.require_halt_threshold()  # raises
 
     if len(state.window_a) < cfg.sws:
         state.window_a.append(reading_dbm)

@@ -4,6 +4,12 @@ These deliberately avoid the solver paths they are checking: position
 recovery is a coarse grid scan (to pick the right basin, thin observation
 triangles leave a near-mirror lobe) followed by a derivative-free simplex
 polish, and the turn-count oracle is a linear scan over candidate counts.
+
+The two sweep kernels at the end are the package's earlier vectorized
+kernels, kept verbatim as references for their replacements:
+sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
+and sweep_one_phi computes every distance with np.hypot and writes every
+crossed tau level with its own scatter.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import math
 
 import numpy as np
 from scipy import optimize
+
+from hotcold.analysis import _COS_DEG, _SIN_DEG
 
 
 def brute_force_position(
@@ -78,3 +86,81 @@ def brute_force_rotations(phi: int, theta: int, epsilon: int) -> int | None:
         if kappa_lo <= kappa_hi and kappa_hi >= 0 and kappa_lo <= phi:
             return omega
     return None
+
+
+def sweep_cell_rotations(phi_deg: int, epsilon_deg: int) -> np.ndarray:
+    """Vectorized rotations_to_reach over all theta; -1 marks no solution."""
+    thetas = np.arange(360, dtype=np.int64)[:, None]
+    kappas = np.arange(phi_deg + 1, dtype=np.int64)[None, :]
+    lo = thetas - epsilon_deg + 360 * kappas
+    hi = thetas + epsilon_deg + 360 * kappas
+    w_min = np.maximum(-((-lo) // phi_deg), 0)
+    w_max = hi // phi_deg
+    feasible = w_min <= w_max
+    has_solution = feasible.any(axis=1)
+    first_kappa = np.argmax(feasible, axis=1)
+    omegas = w_min[np.arange(360), first_kappa]
+    return np.where(has_solution, omegas, -1)
+
+
+def sweep_one_phi(
+    phi_deg: int, rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int
+) -> tuple[np.ndarray, int]:
+    """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
+
+    `taus` must be ascending and distinct; columns follow its order. All tau
+    levels share one trajectory per (rho, beta): tau only decides when
+    counting stops, so each trajectory is stepped once.
+
+    Since d <= tau implies d <= every larger tau, a start crosses its levels
+    from the largest down. Each start therefore carries one threshold, the
+    largest tau it has not crossed yet (-inf once all are crossed), and one
+    `d <= threshold` test per step finds the starts with new crossings; only
+    those rows look up how many levels they now cross. Finished starts keep
+    stepping harmlessly until the live count drops below 3/4 of the state
+    length, when the state is compacted. Starts still live after step_cap
+    steps are the returned cap count.
+    """
+    rho_grid, beta_grid = np.meshgrid(rhos, betas, indexing="ij")
+    target_x = (rho_grid * _COS_DEG[beta_grid]).ravel()
+    target_y = (rho_grid * _SIN_DEG[beta_grid]).ravel()
+    n = target_x.size
+    counts = np.full((n, taus.size), -1, dtype=np.int64)
+    levels = np.arange(taus.size)
+    successor = (np.arange(360) + phi_deg) % 360
+    thresholds = np.concatenate(([-np.inf], taus))  # indexed by levels left
+
+    idx = np.arange(n)
+    x = np.zeros(n)
+    y = np.zeros(n)
+    heading = np.zeros(n, dtype=np.int64)
+    prev_d = np.full(n, np.inf)
+    left = np.full(n, taus.size)  # levels not crossed yet: taus[:left]
+    threshold = thresholds[left]
+    live = n
+
+    for step in range(step_cap + 1):
+        d = np.hypot(x - target_x, y - target_y)
+        rows = np.flatnonzero(d <= threshold)
+        if rows.size:
+            first = np.searchsorted(taus, d[rows])  # lowest level now crossed
+            crossed = (levels >= first[:, None]) & (levels < left[rows, None])
+            hit_rows, hit_levels = np.nonzero(crossed)
+            counts[idx[rows[hit_rows]], hit_levels] = step
+            left[rows] = first
+            threshold[rows] = thresholds[first]
+            live -= int(np.count_nonzero(first == 0))
+            if live == 0:
+                break
+            if live < 0.75 * idx.size:
+                keep = left > 0
+                idx, x, y, heading = idx[keep], x[keep], y[keep], heading[keep]
+                d, prev_d = d[keep], prev_d[keep]
+                target_x, target_y = target_x[keep], target_y[keep]
+                left, threshold = left[keep], threshold[keep]
+        heading = np.where(d > prev_d, successor[heading], heading)
+        prev_d = d
+        x += _COS_DEG[heading]
+        y += _SIN_DEG[heading]
+
+    return counts, live

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_rotations
+from oracles import brute_force_rotations, sweep_cell_rotations, sweep_one_phi
 
+from hotcold import analysis
 from hotcold.analysis import (
     cold_mode_thresholds,
     exhaustive_sweep,
@@ -76,6 +77,25 @@ def test_sweep_rerun_identical():
     for ca, cb in zip(a.cells, b.cells):
         assert ca.mean_rotations == cb.mean_rotations
         assert (ca.per_theta == cb.per_theta).all()
+
+
+def test_rotation_kernel_equals_kappa_scan():
+    for phi in range(121, 144):
+        table = analysis._sweep_phi_rotations(phi)
+        for eps in range(31):
+            assert np.array_equal(table[eps], sweep_cell_rotations(phi, eps)), (phi, eps)
+    for phi in range(1, 360):
+        table = analysis._sweep_phi_rotations(phi)
+        for eps in (0, 1, 15, 30):
+            assert np.array_equal(table[eps], sweep_cell_rotations(phi, eps)), (phi, eps)
+
+
+def test_rotation_sweep_validation():
+    for bad in ((0, 31), (-1,), (1.5,)):
+        with pytest.raises(ValueError):
+            rotation_sweep(range(135, 136), bad)
+    with pytest.raises(ValueError):
+        rotation_sweep(range(0, 2))
 
 
 def test_steps_to_reach_inclusive_boundary():
@@ -184,6 +204,46 @@ def test_exhaustive_sweep_monotone_and_deterministic():
         assert all(a >= b for a, b in zip(means, means[1:]))
     again = exhaustive_sweep(phi_range=range(130, 133), rho_range=range(10, 41, 5))
     assert again.overall_means == result.overall_means
+
+
+@pytest.mark.parametrize("step_cap", [analysis.DEFAULT_STEP_CAP, 60])
+def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
+    rhos = np.asarray(analysis.DEFAULT_RHO_RANGE, dtype=np.float64)
+    betas = np.asarray(analysis.DEFAULT_BETA_RANGE, dtype=np.int64)
+    taus = np.asarray(analysis.DEFAULT_TAU_RANGE, dtype=np.float64)
+    for phi in (121, 135, 143):
+        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        assert np.array_equal(counts, expected), phi
+        assert capped == expected_capped
+
+
+def test_exhaustive_kernel_near_ties_and_skipped_levels():
+    # a target half a step ahead is as far after the first step as before it
+    # (an exact tie, so no turn); at phi 72 the starts at bearing 234 meet
+    # near ties that squared distances order differently from np.hypot; a tau
+    # grid finer than a step makes single steps cross several levels at once
+    rhos = np.array([0.5, 2.0, 5.588, 23.752, 23.944, 99.979])
+    betas = np.array([0, 45, 181, 234, 359])
+    taus = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 1.0, 3.0])
+    for phi in (1, 72, 135, 180, 359):
+        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, 200)
+        expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, 200)
+        assert np.array_equal(counts, expected), phi
+        assert capped == expected_capped
+        starts = [(rho, beta) for rho in rhos for beta in betas]
+        for (rho, beta), row in zip(starts, counts):
+            scalar = [steps_to_reach(phi, rho, beta, tau, step_cap=200) for tau in taus]
+            assert row.tolist() == [-1 if c is None else c for c in scalar], (phi, rho, beta)
+
+
+def test_exhaustive_sweep_rejects_unbounded_inputs():
+    grid = dict(phi_range=(135,), beta_range=(0,))
+    for bad in (dict(tau_range=(1, math.inf)), dict(tau_range=(math.nan,)),
+                dict(rho_range=(10, math.inf)), dict(rho_range=(1e200,)),
+                dict(rho_range=(10,), step_cap=2**400)):
+        with pytest.raises(ValueError):
+            exhaustive_sweep(**{**grid, **bad})
 
 
 def test_cold_thresholds_right_angle_case():

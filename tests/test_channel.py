@@ -158,6 +158,20 @@ def test_params_validation():
         ChannelParams(shadowing_sigma_db=-0.5)
     with pytest.raises(ValueError):
         ChannelParams(tx_power_dbm=-100.0)
+    for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "rx_sensitivity_dbm"):
+        with pytest.raises(ValueError, match=name):
+            ChannelParams(**{name: 1000.5})
+        with pytest.raises(ValueError, match=name):
+            ChannelParams(**{name: -1000.5})
+    for value in (0.49, 10.01):
+        with pytest.raises(ValueError, match="path-loss exponent"):
+            ChannelParams(path_loss_exponent=value)
+    with pytest.raises(ValueError, match="shadowing sigma"):
+        ChannelParams(shadowing_sigma_db=100.5)
+    # the bounds themselves are accepted
+    ChannelParams(tx_power_dbm=1000.0, tx_gain_dbi=-1000.0, rx_gain_dbi=1000.0,
+                  rx_sensitivity_dbm=-1000.0, path_loss_exponent=0.5, shadowing_sigma_db=100.0)
+    ChannelParams(path_loss_exponent=10.0)
 
 
 def test_rssi_reading_is_an_immutable_named_tuple():

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hotcold import experiments
 from hotcold.cli import main
+from hotcold.config import DEFAULTS
+from hotcold.tracker import HotColdConfig
 
 
 def run_cli(args):
@@ -146,8 +156,54 @@ def test_report_grid_figures(tmp_path):
     assert summary["grid"]["best_sws_by_mean_average_distance"] in (3, 4)
 
 
+TINY_GRID = [
+    "--seed", "5", "--runs", "2", "--set", "world.duration_s=10", "--set", "grid.sws_values=3,4",
+    "--set", "grid.sigma_values=0,2", "--set", "grid.comparison_sws=3,4",
+]
+
+
+@pytest.mark.parametrize("command", [["grid"], ["report", "--figures", "fig5,fig8"]])
+def test_failed_grid_runs_exit_1_after_writing(tmp_path, capsys, monkeypatch, command):
+    real = experiments.run_simulation
+
+    def run_simulation(config):
+        if isinstance(config.tracker, HotColdConfig) and config.tracker.sws == 3:
+            raise RuntimeError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(experiments, "run_simulation", run_simulation)
+    out = tmp_path / "failed"
+    assert run_cli(TINY_GRID + ["--out-dir", str(out)] + command) == 1
+    err = capsys.readouterr().err
+    assert err.count("warning: run failed:") == 4
+    assert "error: 4 grid runs failed" in err
+    assert "3,0.000000,nan,nan,nan" in (out / "fig5.csv").read_text()
+    assert "hotcold_sws3,2.000000,nan,nan" in (out / "fig8.csv").read_text()
+    assert len((out / "grid_runs.csv").read_text().splitlines()) == 1 + 2 * 2 * 3
+
+
+def test_grid_without_hotcold_skips_the_sws_figures(tmp_path):
+    args = TINY_GRID + ["--set", "grid.trackers=static", "--out-dir", str(tmp_path), "grid"]
+    assert run_cli(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig10.csv", "fig8.csv", "fig9.csv", "grid_runs.csv"
+    ]
+
+
+def test_grid_and_report_write_the_same_figures(tmp_path):
+    figures = ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
+    assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "grid"), "grid"]) == 0
+    report = ["report", "--figures", ",".join(figures)]
+    assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "report")] + report) == 0
+    for name in ["grid_runs"] + figures:
+        grid_bytes = (tmp_path / "grid" / f"{name}.csv").read_bytes()
+        assert grid_bytes == (tmp_path / "report" / f"{name}.csv").read_bytes(), name
+
+
 def test_bad_inputs_exit_nonzero(tmp_path):
     assert run_cli(["--out-dir", str(tmp_path), "report", "--figures", "fig99"]) == 2
+    no_hotcold = ["--set", "grid.trackers=static", "report", "--figures", "fig5"]
+    assert run_cli(["--out-dir", str(tmp_path)] + no_hotcold) == 2
     assert (
         run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
@@ -175,3 +231,41 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HOTCOLD_OUT_DIR", str(tmp_path / "envout"))
     assert run_cli(["--seed", "1", "--set", "world.duration_s=5", "simulate"]) == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+
+
+_TRACKER_KEYS = [
+    f"{section}.{key}"
+    for section in ("channel", "hotcold", "trilateration")
+    for key in DEFAULTS[section]
+]
+_any_value = st.one_of(st.floats().map(repr), st.integers().map(str), st.text())
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    tracker=st.sampled_from(["hotcold", "trilateration"]),
+    overrides=st.dictionaries(st.sampled_from(_TRACKER_KEYS), _any_value, min_size=1, max_size=3),
+)
+@example(tracker="hotcold", overrides={"channel.shadowing_sigma_db": "1e308"})  # infinite sample
+@example(tracker="trilateration", overrides={"channel.shadowing_sigma_db": "14195"})  # range 0.0
+@example(  # the widest accepted noise
+    tracker="trilateration",
+    overrides={"channel.path_loss_exponent": "0.5", "channel.shadowing_sigma_db": "100"},
+)
+def test_any_set_value_exits_0_with_finite_metrics_or_2(tracker, overrides):
+    args = ["--set", "world.duration_s=5", "--set", f"world.tracker={tracker}"]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(args + ["--out-dir", out, "simulate"])
+        assert code in (0, 2)
+        if code == 0:
+            metrics = json.loads((Path(out) / "metrics.json").read_text())
+            assert _finite_numbers(metrics), metrics

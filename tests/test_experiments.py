@@ -12,6 +12,7 @@ from hotcold.config import (
     load_config,
     write_default_config,
 )
+from hotcold import experiments
 from hotcold.engine import FixedPath, StaticControl, StaticTarget, WorldConfig, distance
 from hotcold.experiments import (
     ExperimentGrid,
@@ -126,6 +127,63 @@ def test_miniature_grid_golden_file(tmp_path):
         hashlib.sha256(data).hexdigest()
         == "db8812171fe3ad158cc5f304d05002a2f74cfc2c6bf9a29f61d61436dfc82692"
     )
+
+
+def _failing_runs(monkeypatch, fails):
+    """Make run_simulation raise for every world config that `fails` picks."""
+    real = experiments.run_simulation
+
+    def run_simulation(config):
+        if fails(config):
+            raise RuntimeError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(experiments, "run_simulation", run_simulation)
+
+
+def test_failed_points_write_nan_and_leave_the_best_sws(tmp_path, monkeypatch):
+    # every run of hotcold SWS 2 at 2 dB fails and so does every
+    # trilateration run at 0 dB; one run of static at 2 dB fails
+    def fails(config):
+        sigma = config.channel.shadowing_sigma_db
+        tracker = config.tracker
+        if isinstance(tracker, HotColdConfig):
+            return tracker.sws == 2 and sigma == 2.0
+        if isinstance(tracker, TrilaterationConfig):
+            return sigma == 0.0
+        return sigma == 2.0 and config.seed == derive_seed(99, "static", None, 2.0, 1)
+
+    _failing_runs(monkeypatch, fails)
+    result = run_grid(MINI_GRID)
+    assert len(result.failures) == 2 + 2 + 1
+    assert math.isnan(result.point("hotcold", 2, 2.0).mean("average_distance_m"))
+    assert math.isnan(result.point("hotcold", 2, 2.0).std("average_distance_m"))
+    assert result.point("static", None, 2.0).std("average_distance_m") == 0.0
+
+    runs = write_grid_runs_csv(result, tmp_path).read_text().splitlines()
+    assert len(runs) == 1 + (4 + 2 + 2) * 2 - 5
+    fig5 = write_sws_difference_csv(result, "average_distance_m", "fig5.csv", tmp_path)
+    rows = fig5.read_text().splitlines()
+    assert rows[2] == "2,2.000000,nan,nan,nan"
+    assert rows[4].startswith("4,2.000000,") and rows[4].endswith(",0.000000")
+    assert rows[7].startswith("2,") and rows[7].endswith(",nan,nan")
+    fig8 = write_sigma_comparison_csv(result, "average_distance_m", "fig8.csv", tmp_path)
+    rows = fig8.read_text().splitlines()
+    assert "trilateration,0.000000,nan,nan" in rows
+    assert any(r.startswith("static,2.000000,") and r.endswith(",0.000000") for r in rows)
+    path = write_summary_json(tmp_path, grid=result, convergence_trials=10)
+    summary = json.loads(path.read_text())
+    assert summary["grid"]["best_sws_by_mean_average_distance"] == 4
+
+
+def test_every_hotcold_point_failed_has_no_best_sws(tmp_path, monkeypatch):
+    _failing_runs(monkeypatch, lambda config: isinstance(config.tracker, HotColdConfig))
+    result = run_grid(MINI_GRID)
+    fig6 = write_sws_difference_csv(result, "cycles_in_range_pct", "fig6.csv", tmp_path)
+    assert all(row.endswith("nan,nan,nan") for row in fig6.read_text().splitlines()[1:5])
+    path = write_summary_json(tmp_path, grid=result, convergence_trials=10)
+    summary = json.loads(path.read_text())
+    assert summary["grid"]["best_sws_by_mean_average_distance"] is None
 
 
 def test_scenario_presets_geometry():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hotcold.tracker import (
     HotColdConfig,
     HotColdState,
     RotationDirection,
+    TrackerDecision,
     TrackerPhase,
     decide,
     ingest_sample,
@@ -108,6 +111,18 @@ def test_decision_sequence_invariant_to_constant_offset():
     base = feed(HotColdState(), cfg, samples)
     shifted = feed(HotColdState(), cfg, [s + 7.5 for s in samples])
     assert [d.kind for d in base] == [d.kind for d in shifted]
+
+
+def test_cold_turn_is_built_once_per_config():
+    cw = HotColdConfig(sws=1, halt_threshold_dbm=-50.0, rotation_direction=RotationDirection.CW)
+    for cfg, angle in ((CFG1, 137.0), (cw, -137.0)):
+        turns = [d for d in feed(HotColdState(), cfg, [-58.0, -60.0] * 3) if d.rotation_deg]
+        assert len(turns) == 3
+        assert all(d is cfg.cold_turn for d in turns)
+        assert cfg.cold_turn == TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle)
+    # the cached decision is no field: equality, replace and pickling ignore it
+    assert dataclasses.replace(CFG1, rotation_angle_deg=120.0).cold_turn.rotation_deg == 120.0
+    assert pickle.loads(pickle.dumps(CFG1)) == CFG1
 
 
 def test_phase_tracking():
