@@ -445,8 +445,12 @@ def cold_mode_thresholds(step_m: float, horizontal_m: float, phi_deg: float) -> 
         )
     if not 90.0 <= phi_deg <= 180.0:
         raise ValueError(f"turn angle must be in [90, 180] degrees, got {phi_deg}")
-    s, t = step_m, horizontal_m
-    phi = math.radians(phi_deg)
+    first, second, overall = _cold_thresholds(step_m, horizontal_m, math.radians(phi_deg))
+    return ColdModeThresholds(step_m, horizontal_m, phi_deg, first, second, overall)
+
+
+def _cold_thresholds(s, t, phi: float):
+    """`ColdModeThresholds`' three thresholds; s and t are floats or arrays."""
     first = 0.5 * s / math.sin(phi) + t / math.tan(phi)
     sin2 = math.sin(2.0 * phi)
     if sin2 < 0.0:
@@ -463,7 +467,7 @@ def cold_mode_thresholds(step_m: float, horizontal_m: float, phi_deg: float) -> 
         ) / sum_sines
     else:
         overall = math.nan
-    return ColdModeThresholds(s, t, phi_deg, first, second, overall)
+    return first, second, overall
 
 
 @dataclass(frozen=True)
@@ -528,13 +532,7 @@ def verify_convergence(
     s = rng.uniform(0.1, 2.0, trials)
     t = s * rng.uniform(0.5 + 1e-6, 3.0, trials)
     r = rng.uniform(-6.0, 6.0, trials) * s
-    first = 0.5 * s / math.sin(phi) + t / math.tan(phi)
-    second = (4.0 * s * math.cos(phi / 2.0) ** 2 + 2.0 * t * math.cos(2.0 * phi) - s) / (
-        2.0 * math.sin(2.0 * phi)
-    )
-    overall = (2.0 * s * math.cos(phi / 2.0) ** 2 + t * (math.cos(phi) + math.cos(2.0 * phi))) / (
-        math.sin(phi) + math.sin(2.0 * phi)
-    )
+    first, second, overall = _cold_thresholds(s, t, phi)
 
     dx = s * math.cos(phi)
     dy = s * math.sin(phi)

@@ -31,6 +31,7 @@ from .experiments import (
 
 QUICK_DURATION_S = 200.0
 QUICK_RUNS = 2
+SCENARIO_SIGMA_DB = 2.0  # `scenario --sigma` default; `report` runs fig12 at it
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12")
 
@@ -81,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify-lemmas", help="randomized convergence checks")
     scenario = sub.add_parser("scenario", help="gym-scale preset: fig12_<name>.csv")
     scenario.add_argument("--preset", choices=SCENARIO_NAMES, required=True)
-    scenario.add_argument("--sigma", type=float, default=2.0, help="shadowing sigma in dB")
+    scenario.add_argument(
+        "--sigma", type=float, default=SCENARIO_SIGMA_DB, help="shadowing sigma in dB"
+    )
     report = sub.add_parser("report", help="emit requested figure CSVs plus summary.json")
     report.add_argument(
         "--figures",
@@ -125,26 +128,24 @@ def _cmd_simulate(args, out: Path) -> None:
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
 
 
+def _grid(args, grid, figures, out: Path):
+    """Run the grid and write grid_runs.csv plus the wanted grid figures;
+    the SWS figures are dropped when the grid has no hotcold."""
+    if "hotcold" not in grid.tracker_names:
+        figures = figures - SWS_FIGURES
+    result = run_grid(grid, workers=args.workers)
+    print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
+    print(f"wrote {write_grid_runs_csv(result, out)}")
+    for fig, (metric, writer) in GRID_FIGURES.items():
+        if fig in figures:
+            print(f"wrote {writer(result, metric, f'{fig}.csv', out)}")
+    return result
+
+
 def _cmd_grid(args, out: Path) -> int:
     cfg = _load(args)
-    grid = build_grid(cfg, build_world(cfg))
-    result = run_grid(grid, workers=args.workers)
-    figures = GRID_FIGURES.keys()
-    if "hotcold" not in grid.trackers:
-        figures -= SWS_FIGURES
-    paths = [write_grid_runs_csv(result, out), *_write_grid_figures(result, figures, out)]
-    print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
-    for p in paths:
-        print(f"wrote {p}")
+    result = _grid(args, build_grid(cfg, build_world(cfg)), GRID_FIGURES.keys(), out)
     return _exit_on_failures(result)
-
-
-def _write_grid_figures(result, figures, out: Path) -> list[Path]:
-    return [
-        writer(result, metric, f"{fig}.csv", out)
-        for fig, (metric, writer) in GRID_FIGURES.items()
-        if fig in figures
-    ]
 
 
 def _exit_on_failures(result) -> int:
@@ -157,20 +158,30 @@ def _exit_on_failures(result) -> int:
     return 0
 
 
-def _cmd_rotation_sweep(args, out: Path) -> None:
+def _rotation_sweep(out: Path):
     result = rotation_sweep()
     best = result.summary(result.best_phi)
     for p in write_rotation_sweep_csvs(result, out):
         print(f"wrote {p}")
     print(f"rotation-sweep: best angle {result.best_phi} deg, "
           f"mean rotations {best.overall_mean:.2f}, valid {best.percent_valid:.0f}%")
+    return result
 
 
-def _cmd_exhaustive_sweep(args, out: Path) -> None:
+def _cmd_rotation_sweep(args, out: Path) -> None:
+    _rotation_sweep(out)
+
+
+def _exhaustive_sweep(out: Path):
     result = exhaustive_sweep()
     print(f"wrote {write_exhaustive_csv(result, out)}")
     print(f"exhaustive-sweep: {result.total_runs} runs, best angle {result.best_phi} deg, "
           f"mean steps {result.overall_means[result.best_phi]:.5f}, cap hits {result.cap_hits}")
+    return result
+
+
+def _cmd_exhaustive_sweep(args, out: Path) -> None:
+    _exhaustive_sweep(out)
 
 
 def _cmd_verify_lemmas(args, out: Path) -> int:
@@ -186,14 +197,18 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
     return 1 if report.total_violations else 0
 
 
-def _cmd_scenario(args, out: Path) -> None:
+def _scenario(args, preset: str, sigma_db: float, out: Path) -> None:
     iterations = args.runs if args.runs is not None else (QUICK_RUNS if args.quick else 4)
     seed = args.seed if args.seed is not None else 1
-    result = run_scenario(args.preset, iterations=iterations, sigma_db=args.sigma, master_seed=seed)
+    result = run_scenario(preset, iterations=iterations, sigma_db=sigma_db, master_seed=seed)
     print(f"wrote {write_scenario_csv(result, out)}")
     for i, m in enumerate(result.metrics):
-        print(f"{args.preset} iteration {i}: average distance {m.average_distance_m:.2f} m, "
+        print(f"{preset} iteration {i}: average distance {m.average_distance_m:.2f} m, "
               f"in halt {m.cycles_in_halt_pct:.1f}%")
+
+
+def _cmd_scenario(args, out: Path) -> None:
+    _scenario(args, args.preset, args.sigma, out)
 
 
 def _cmd_report(args, out: Path) -> int:
@@ -202,30 +217,15 @@ def _cmd_report(args, out: Path) -> int:
     if unknown:
         raise ConfigError(f"unknown figures {sorted(unknown)}; choose from {FIGURE_NAMES}")
     cfg = _load(args)
-    rotation = None
-    exhaustive = None
-    grid_result = None
-    if wanted & {"fig2", "fig3"}:
-        rotation = rotation_sweep()
-        for p in write_rotation_sweep_csvs(rotation, out):
-            print(f"wrote {p}")
-    if "fig4" in wanted:
-        exhaustive = exhaustive_sweep()
-        print(f"wrote {write_exhaustive_csv(exhaustive, out)}")
-    if wanted & GRID_FIGURES.keys():
-        grid = build_grid(cfg, build_world(cfg))
-        if wanted & SWS_FIGURES and "hotcold" not in grid.trackers:
-            raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
-        grid_result = run_grid(grid, workers=args.workers)
-        print(f"wrote {write_grid_runs_csv(grid_result, out)}")
-        for p in _write_grid_figures(grid_result, wanted, out):
-            print(f"wrote {p}")
+    grid = build_grid(cfg, build_world(cfg)) if wanted & GRID_FIGURES.keys() else None
+    if wanted & SWS_FIGURES and "hotcold" not in grid.tracker_names:
+        raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
+    rotation = _rotation_sweep(out) if wanted & {"fig2", "fig3"} else None
+    exhaustive = _exhaustive_sweep(out) if "fig4" in wanted else None
+    grid_result = _grid(args, grid, wanted, out) if grid else None
     if "fig12" in wanted:
-        iterations = args.runs if args.runs is not None else (QUICK_RUNS if args.quick else 4)
-        seed = args.seed if args.seed is not None else 1
         for name in SCENARIO_NAMES:
-            result = run_scenario(name, iterations=iterations, master_seed=seed)
-            print(f"wrote {write_scenario_csv(result, out)}")
+            _scenario(args, name, SCENARIO_SIGMA_DB, out)
     print(f"wrote {write_summary_json(out, rotation, exhaustive, grid_result)}")
     return 0 if grid_result is None else _exit_on_failures(grid_result)
 

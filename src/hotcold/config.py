@@ -172,22 +172,16 @@ def _parse_points(raw: str, what: str, parts: int) -> list[tuple[float, ...]]:
 
 
 def build_channel(cfg) -> ChannelParams:
+    # every [channel] key is a ChannelParams field of the same name
     try:
-        return ChannelParams(
-            tx_power_dbm=_get_float(cfg, "channel", "tx_power_dbm"),
-            tx_gain_dbi=_get_float(cfg, "channel", "tx_gain_dbi"),
-            rx_gain_dbi=_get_float(cfg, "channel", "rx_gain_dbi"),
-            frequency_hz=_get_float(cfg, "channel", "frequency_hz"),
-            path_loss_exponent=_get_float(cfg, "channel", "path_loss_exponent"),
-            shadowing_sigma_db=_get_float(cfg, "channel", "shadowing_sigma_db"),
-            rx_sensitivity_dbm=_get_float(cfg, "channel", "rx_sensitivity_dbm"),
-        )
+        return ChannelParams(**{key: _get_float(cfg, "channel", key) for key in cfg["channel"]})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def build_tracker(cfg):
-    name = cfg["world"]["tracker"].strip().lower()
+def build_tracker(cfg, name: str, key: str = "world.tracker"):
+    """The config of the tracker called `name`, from that tracker's section."""
+    name = name.strip().lower()
     try:
         if name == "hotcold":
             direction = cfg["hotcold"]["rotation_direction"].strip().lower()
@@ -211,7 +205,7 @@ def build_tracker(cfg):
             return StaticControl()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"world.tracker must be hotcold, trilateration, or static, got {name!r}")
+    raise ConfigError(f"{key} must be hotcold, trilateration, or static, got {name!r}")
 
 
 def build_mobility(cfg):
@@ -260,7 +254,7 @@ def build_world(cfg) -> WorldConfig:
             target_speed_kmh=_get_float(cfg, "world", "target_speed_kmh"),
             halt_distance_m=_get_float(cfg, "world", "halt_distance_m"),
             channel=build_channel(cfg),
-            tracker=build_tracker(cfg),
+            tracker=build_tracker(cfg, cfg["world"]["tracker"]),
             mobility=build_mobility(cfg),
             obstacles=obstacles,
             seed=_get_int(cfg, "world", "seed"),
@@ -270,9 +264,9 @@ def build_world(cfg) -> WorldConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_list(raw: str, section: str, key: str, kind):
+def _parse_list(cfg, section: str, key: str, kind):
     values = []
-    for chunk in raw.split(","):
+    for chunk in cfg[section][key].split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -288,18 +282,15 @@ def _parse_list(raw: str, section: str, key: str, kind):
 def build_grid(cfg, base: WorldConfig) -> ExperimentGrid:
     try:
         return ExperimentGrid(
-            sws_values=tuple(_parse_list(cfg["grid"]["sws_values"], "grid", "sws_values", int)),
-            sigma_values=tuple(
-                _parse_list(cfg["grid"]["sigma_values"], "grid", "sigma_values", float)
-            ),
+            sws_values=tuple(_parse_list(cfg, "grid", "sws_values", int)),
+            sigma_values=tuple(_parse_list(cfg, "grid", "sigma_values", float)),
             trackers=tuple(
-                t.strip().lower() for t in cfg["grid"]["trackers"].split(",") if t.strip()
+                build_tracker(cfg, name, "grid.trackers")
+                for name in _parse_list(cfg, "grid", "trackers", str)
             ),
             runs_per_point=_get_int(cfg, "grid", "runs_per_point"),
             master_seed=_get_int(cfg, "grid", "master_seed"),
-            comparison_sws=tuple(
-                _parse_list(cfg["grid"]["comparison_sws"], "grid", "comparison_sws", int)
-            ),
+            comparison_sws=tuple(_parse_list(cfg, "grid", "comparison_sws", int)),
             base=base,
         )
     except ValueError as exc:

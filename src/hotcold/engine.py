@@ -18,11 +18,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .channel import MIN_DISTANCE_M, ChannelParams, noiseless_rssi, rssi
+from .channel import MIN_DISTANCE_M, ChannelParams, RssiReading, noiseless_rssi, rssi
 from .geometry import (
     Pose,
     Vec2,
@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .tracker import (
     DecisionKind,
+    FollowerConfig,
     HotColdConfig,
     HotColdState,
     TrackerDecision,
@@ -50,6 +51,11 @@ from .trilateration import (
 
 KMH_TO_MS = 1.0 / 3.6
 
+# Bounds far beyond any tracking scene. They keep every position, step and
+# distance sum of a run finite.
+MAX_EXTENT_M = 1e6
+MAX_SPEED_KMH = 1e4
+
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
 SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
@@ -63,12 +69,28 @@ SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
 class StaticControl:
     """Tracker placeholder for the control case: the robot never moves."""
 
+    name: ClassVar[str] = "static"  # the INI name, as on every tracker config
+
+
+# Each mobility model places the target, returning its start pose and first
+# waypoint (None if it has none), and moves it for the cycle ending at t_end.
+
 
 @dataclass(frozen=True)
 class RandomWaypoint:
     """Walk at constant speed to uniformly drawn points; zero pause on arrival."""
 
     start: Vec2 | None = None  # None: drawn uniformly in the space
+
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
+        # draw order is fixed: start point first (when not given), then waypoint
+        start = self.start or _uniform_point(config, rng)
+        return Pose(_clamp_to_space(start, config), 0.0), _uniform_point(config, rng)
+
+    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
+        state.target, state.target_waypoint = random_waypoint_step(
+            state.target, state.target_waypoint, config, state.mobility_rng
+        )
 
 
 @dataclass(frozen=True)
@@ -87,6 +109,8 @@ class FixedPath:
             raise ValueError(f"fixed path times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"fixed path times must strictly increase, got {times}")
+        if any(max(abs(p.x), abs(p.y)) > MAX_EXTENT_M for _, p in self.waypoints):
+            raise ValueError(f"fixed path waypoints must lie within +-{MAX_EXTENT_M:g} m")
 
     def position_at(self, time_s: float) -> Vec2:
         points = self.waypoints
@@ -98,10 +122,28 @@ class FixedPath:
                 return Vec2(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
         return points[-1][1]
 
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
+        return Pose(_clamp_to_space(self.position_at(0.0), config), 0.0), None
+
+    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
+        new_pos = _clamp_to_space(self.position_at(t_end), config)
+        moved = distance(state.target.position, new_pos) > 0.0
+        heading = bearing(state.target.position, new_pos) if moved else state.target.heading_rad
+        state.target = Pose(new_pos, heading)
+
 
 @dataclass(frozen=True)
 class StaticTarget:
     point: Vec2
+
+    def position_at(self, time_s: float) -> Vec2:
+        return self.point
+
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
+        return Pose(_clamp_to_space(self.point, config), 0.0), None
+
+    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
+        """The target never moves."""
 
 
 Mobility = Union[RandomWaypoint, FixedPath, StaticTarget]
@@ -141,8 +183,9 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.width_m <= 0.0 or self.height_m <= 0.0:
-            raise ValueError(f"space must have positive extent, got {self.width_m}x{self.height_m}")
+        if not (0.0 < self.width_m <= MAX_EXTENT_M and 0.0 < self.height_m <= MAX_EXTENT_M):
+            size = f"{self.width_m}x{self.height_m}"
+            raise ValueError(f"space sides must be in (0, {MAX_EXTENT_M:g}] m, got {size}")
         if self.cycle_period_s <= 0.0:
             raise ValueError(f"cycle period must be positive, got {self.cycle_period_s}")
         if self.duration_s < 0.0:
@@ -152,10 +195,19 @@ class WorldConfig:
             raise ValueError(
                 f"duration {self.duration_s} is not a multiple of the cycle period {self.cycle_period_s}"
             )
-        if self.robot_speed_kmh < 0.0 or self.target_speed_kmh < 0.0:
-            raise ValueError("speeds must be non-negative")
+        for name in ("robot_speed_kmh", "target_speed_kmh"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= MAX_SPEED_KMH:
+                raise ValueError(f"{name} must be in [0, {MAX_SPEED_KMH:g}] km/h, got {value}")
+        if self.robot_step_m <= 0.0:  # a follower needs a positive step
+            raise ValueError(f"robot speed {self.robot_speed_kmh} km/h gives no step per cycle")
         if self.halt_distance_m < MIN_DISTANCE_M:
             raise ValueError(f"halt distance below the {MIN_DISTANCE_M} m channel floor")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        start = self.robot_start
+        if start is not None and max(abs(start.position.x), abs(start.position.y)) > MAX_EXTENT_M:
+            raise ValueError(f"robot start {start.position} is beyond +-{MAX_EXTENT_M:g} m")
 
     @property
     def total_cycles(self) -> int:
@@ -173,20 +225,18 @@ class WorldConfig:
     def halt_threshold_dbm(self) -> float:
         """Tracker halt threshold: explicit when given, else the signal level
         at the configured halt distance."""
-        if isinstance(self.tracker, (HotColdConfig, TrilaterationConfig)):
-            if self.tracker.halt_threshold_dbm is not None:
-                return self.tracker.halt_threshold_dbm
-        return noiseless_rssi(self.halt_distance_m, self.channel)
+        explicit = getattr(self.tracker, "halt_threshold_dbm", None)
+        return noiseless_rssi(self.halt_distance_m, self.channel) if explicit is None else explicit
 
     def resolved_tracker(self) -> Tracker:
         """Tracker config with the halt threshold and step size filled in."""
-        if isinstance(self.tracker, (HotColdConfig, TrilaterationConfig)):
-            return replace(
-                self.tracker,
-                halt_threshold_dbm=self.halt_threshold_dbm(),
-                step_size_m=self.tracker.step_size_m or self.robot_step_m,
-            )
-        return self.tracker
+        if not isinstance(self.tracker, FollowerConfig):
+            return self.tracker  # the static control has nothing to fill in
+        return replace(
+            self.tracker,
+            halt_threshold_dbm=self.halt_threshold_dbm(),
+            step_size_m=self.tracker.step_size_m or self.robot_step_m,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +253,10 @@ class CycleRecord(NamedTuple):
     decision: str
 
 
+# a tracker's in-range decision from this cycle's sample; None: never moves
+Decide = Callable[["WorldState", RssiReading, "WorldConfig"], Union[TrackerDecision, None]]
+
+
 @dataclass
 class WorldState:
     time_s: float
@@ -211,11 +265,17 @@ class WorldState:
     target_waypoint: Vec2 | None
     tracker_cfg: Tracker
     tracker_state: HotColdState | TrilaterationState | None
+    decide: Decide
     halt_threshold_dbm: float
     channel_rng: np.random.Generator
     mobility_rng: np.random.Generator
     last_decision: TrackerDecision | None = None
     trace: list[CycleRecord] = field(default_factory=list)
+
+
+def _uniform_point(config: WorldConfig, rng: np.random.Generator) -> Vec2:
+    """A point drawn uniformly in the space, x first."""
+    return Vec2(float(rng.uniform(0.0, config.width_m)), float(rng.uniform(0.0, config.height_m)))
 
 
 def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
@@ -226,45 +286,43 @@ def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
     return Vec2(x, y)
 
 
+def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
+    return ingest_sample(state.tracker_state, reading.value_dbm, state.tracker_cfg)
+
+
+def _trilateration_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
+    cfg = state.tracker_cfg
+    record_observation(
+        state.tracker_state, state.robot.position, reading.value_dbm, config.channel, cfg
+    )
+    update_estimate(state.tracker_state, cfg)
+    return trilateration_decide(state.tracker_state, state.robot, reading.value_dbm, cfg)
+
+
+# tracker config type -> (fresh per-run tracker state, in-range decision)
+TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
+    HotColdConfig: (HotColdState, _hotcold_decide),
+    TrilaterationConfig: (TrilaterationState, _trilateration_decide),
+    StaticControl: (lambda: None, lambda state, reading, config: None),
+}
+
+
 def init_world(config: WorldConfig) -> WorldState:
     channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
     mobility_rng = np.random.default_rng(mobility_ss)
 
     robot = config.robot_start or Pose(Vec2(config.width_m / 2.0, config.height_m / 2.0), 0.0)
-
-    waypoint: Vec2 | None = None
-    if isinstance(config.mobility, RandomWaypoint):
-        # draw order is fixed: start point first (when not given), then waypoint
-        start = config.mobility.start or Vec2(
-            float(mobility_rng.uniform(0.0, config.width_m)),
-            float(mobility_rng.uniform(0.0, config.height_m)),
-        )
-        waypoint = Vec2(
-            float(mobility_rng.uniform(0.0, config.width_m)),
-            float(mobility_rng.uniform(0.0, config.height_m)),
-        )
-        target = Pose(_clamp_to_space(start, config), 0.0)
-    elif isinstance(config.mobility, FixedPath):
-        target = Pose(_clamp_to_space(config.mobility.position_at(0.0), config), 0.0)
-    else:
-        target = Pose(_clamp_to_space(config.mobility.point, config), 0.0)
-
-    tracker_cfg = config.resolved_tracker()
-    tracker_state: HotColdState | TrilaterationState | None
-    if isinstance(tracker_cfg, HotColdConfig):
-        tracker_state = HotColdState()
-    elif isinstance(tracker_cfg, TrilaterationConfig):
-        tracker_state = TrilaterationState()
-    else:
-        tracker_state = None
+    target, waypoint = config.mobility.place(config, mobility_rng)
+    new_state, decide = TRACKERS[type(config.tracker)]
 
     return WorldState(
         time_s=0.0,
         robot=robot,
         target=target,
         target_waypoint=waypoint,
-        tracker_cfg=tracker_cfg,
-        tracker_state=tracker_state,
+        tracker_cfg=config.resolved_tracker(),
+        tracker_state=new_state(),
+        decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),
         channel_rng=np.random.default_rng(channel_ss),
         mobility_rng=mobility_rng,
@@ -292,29 +350,12 @@ def random_waypoint_step(
     dy = waypoint.y - position.y
     gap = math.hypot(dx, dy)
     if gap <= step:
-        new_waypoint = Vec2(
-            float(rng.uniform(0.0, config.width_m)),
-            float(rng.uniform(0.0, config.height_m)),
-        )
+        new_waypoint = _uniform_point(config, rng)
         heading = normalize_heading(math.atan2(dy, dx)) if gap > 0.0 else target.heading_rad
         return Pose(waypoint, heading), new_waypoint
     heading = normalize_heading(math.atan2(dy, dx))
     moved = Vec2(position.x + step * math.cos(heading), position.y + step * math.sin(heading))
     return Pose(moved, heading), waypoint
-
-
-def _move_target(state: WorldState, config: WorldConfig, t_end: float) -> None:
-    if isinstance(config.mobility, RandomWaypoint):
-        assert state.target_waypoint is not None
-        state.target, state.target_waypoint = random_waypoint_step(
-            state.target, state.target_waypoint, config, state.mobility_rng
-        )
-    elif isinstance(config.mobility, FixedPath):
-        new_pos = _clamp_to_space(config.mobility.position_at(t_end), config)
-        moved = distance(state.target.position, new_pos) > 0.0
-        heading = bearing(state.target.position, new_pos) if moved else state.target.heading_rad
-        state.target = Pose(new_pos, heading)
-    # StaticTarget: nothing moves
 
 
 # ---------------------------------------------------------------------------
@@ -406,26 +447,12 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
         raise ValueError("simulation already ran for its full duration")
     t_end = state.time_s + config.cycle_period_s
 
-    _move_target(state, config, t_end)
+    config.mobility.move(state, config, t_end)
 
     reading = rssi(state.target.position, state.robot.position, config.channel, state.channel_rng)
 
     if reading.in_range:
-        cfg = state.tracker_cfg
-        if isinstance(cfg, HotColdConfig):
-            assert isinstance(state.tracker_state, HotColdState)
-            decision = ingest_sample(state.tracker_state, reading.value_dbm, cfg)
-            state.last_decision = decision
-        elif isinstance(cfg, TrilaterationConfig):
-            assert isinstance(state.tracker_state, TrilaterationState)
-            record_observation(
-                state.tracker_state, state.robot.position, reading.value_dbm, config.channel, cfg
-            )
-            update_estimate(state.tracker_state, cfg)
-            decision = trilateration_decide(state.tracker_state, state.robot, reading.value_dbm, cfg)
-            state.last_decision = decision
-        else:
-            decision = None
+        decision = state.last_decision = state.decide(state, reading, config)
     else:
         decision = state.last_decision  # out of range: repeat the last decision
 

@@ -22,14 +22,13 @@ from .engine import (
     MetricsReport,
     StaticControl,
     StaticTarget,
+    Tracker,
     WorldConfig,
     run_simulation,
 )
 from .geometry import Pose, Vec2, distance
 from .tracker import HotColdConfig
 from .trilateration import TrilaterationConfig
-
-TRACKER_NAMES = ("hotcold", "trilateration", "static")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -45,11 +44,12 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """SWS x sigma x tracker sweep around a base world."""
+    """SWS x sigma x tracker sweep around a base world; each tracker config
+    runs as given, the Hot-Cold one at every SWS of the axis."""
 
     sws_values: tuple[int, ...] = tuple(range(1, 11))
     sigma_values: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    trackers: tuple[str, ...] = TRACKER_NAMES
+    trackers: tuple[Tracker, ...] = (HotColdConfig(), TrilaterationConfig(), StaticControl())
     runs_per_point: int = 5
     master_seed: int = 1
     comparison_sws: tuple[int, ...] = (3, 4, 5, 6, 7)
@@ -60,14 +60,17 @@ class ExperimentGrid:
             raise ValueError("grid axes must be non-empty")
         if self.runs_per_point < 1:
             raise ValueError(f"runs_per_point must be >= 1, got {self.runs_per_point}")
-        unknown = set(self.trackers) - set(TRACKER_NAMES)
-        if unknown:
-            raise ValueError(f"unknown trackers {sorted(unknown)}")
+        if len(set(self.tracker_names)) < len(self.trackers):
+            raise ValueError(f"grid trackers repeat a name: {self.tracker_names}")
+
+    @property
+    def tracker_names(self) -> tuple[str, ...]:
+        return tuple(t.name for t in self.trackers)
 
     def points(self) -> list[tuple[str, int | None, float]]:
         """Grid points as (tracker, sws, sigma); sws only varies for hotcold."""
         pts: list[tuple[str, int | None, float]] = []
-        for tracker in self.trackers:
+        for tracker in self.tracker_names:
             sws_axis = self.sws_values if tracker == "hotcold" else (None,)
             for sws in sws_axis:
                 for sigma in self.sigma_values:
@@ -77,12 +80,9 @@ class ExperimentGrid:
 
 def grid_world_config(grid: ExperimentGrid, tracker: str, sws: int | None, sigma: float, seed: int) -> WorldConfig:
     channel = replace(grid.base.channel, shadowing_sigma_db=sigma)
-    if tracker == "hotcold":
-        tracker_cfg = HotColdConfig(sws=sws if sws is not None else 4)
-    elif tracker == "trilateration":
-        tracker_cfg = TrilaterationConfig()
-    else:
-        tracker_cfg = StaticControl()
+    tracker_cfg = grid.trackers[grid.tracker_names.index(tracker)]
+    if sws is not None:
+        tracker_cfg = replace(tracker_cfg, sws=sws)
     return replace(grid.base, channel=channel, tracker=tracker_cfg, seed=seed)
 
 
@@ -124,8 +124,7 @@ class GridResult:
         raise KeyError((tracker, sws, sigma))
 
 
-def _run_point(args) -> tuple[MetricsReport, None] | tuple[None, str]:
-    config = args
+def _run_point(config: WorldConfig) -> tuple[MetricsReport, None] | tuple[None, str]:
     try:
         report, _ = run_simulation(config)
         return report, None
@@ -169,8 +168,6 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
 
 SCENARIO_NAMES = ("scenario1", "scenario2", "scenario3")
 
-_SCENARIO_CHANNEL = ChannelParams(shadowing_sigma_db=2.0)
-
 
 def scenario_preset(name: str, sigma_db: float = 2.0, seed: int = 1) -> WorldConfig:
     """Gym-scale presets: static, straight-line, and zigzag target paths.
@@ -180,7 +177,7 @@ def scenario_preset(name: str, sigma_db: float = 2.0, seed: int = 1) -> WorldCon
     space is sized to cover every declared waypoint (the straight-line
     scenario ends outside the nominal 35x40 room), keeping the paths intact.
     """
-    channel = replace(_SCENARIO_CHANNEL, shadowing_sigma_db=sigma_db)
+    channel = ChannelParams(shadowing_sigma_db=sigma_db)
     common = dict(
         width_m=55.0,
         height_m=45.0,
@@ -383,8 +380,8 @@ def write_sigma_comparison_csv(result: GridResult, metric: str, filename: str, o
     for sws in result.grid.comparison_sws:
         if any(p.tracker == "hotcold" and p.sws == sws for p in result.points):
             curves.append((f"hotcold_sws{sws}", "hotcold", sws))
-    for name in ("trilateration", "static"):
-        if any(p.tracker == name for p in result.points):
+    for name in result.grid.tracker_names:
+        if name != "hotcold":
             curves.append((name, name, None))
 
     lines = [f"curve,sigma_db,mean_{metric},std_{metric}"]
@@ -402,15 +399,8 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
     time-zero row for the initial separation."""
     lines = ["iteration,time_s,distance_m"]
     for i, (cfg, trace) in enumerate(zip(result.configs, result.traces)):
-        state0 = cfg.robot_start
-        assert state0 is not None
-        if isinstance(cfg.mobility, StaticTarget):
-            start_target = cfg.mobility.point
-        elif isinstance(cfg.mobility, FixedPath):
-            start_target = cfg.mobility.position_at(0.0)
-        else:
-            raise ValueError("scenario mobility must be a preset path")
-        lines.append(f"{i},{_fmt(0.0)},{_fmt(distance(state0.position, start_target))}")
+        start_gap = distance(cfg.robot_start.position, cfg.mobility.position_at(0.0))
+        lines.append(f"{i},{_fmt(0.0)},{_fmt(start_gap)}")
         for rec in trace:
             lines.append(f"{i},{_fmt(rec.time_s)},{_fmt(distance(rec.robot.position, rec.target))}")
     path = Path(out_dir) / f"fig12_{result.name}.csv"

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import ClassVar
 
 from .geometry import require_finite_fields
 
@@ -50,44 +51,46 @@ def rotate_then_move(angle_deg: float) -> TrackerDecision:
     return TrackerDecision(_ROTATE_THEN_MOVE, angle_deg)
 
 
-@dataclass(frozen=True)
-class HotColdConfig:
-    """Tunables of the double-window differential decision rule.
+@dataclass(frozen=True, kw_only=True)
+class FollowerConfig:
+    """Halt threshold and step size of a following tracker; left as None in a
+    world config, the engine derives them from the halt distance and speed."""
 
-    halt_threshold_dbm and step_size_m may be left as None when the config is
-    used inside a world config; the engine fills them in from the halt
-    distance and the robot speed.
-    """
-
-    sws: int = 4
-    rotation_angle_deg: float = 137.0
-    rotation_direction: RotationDirection = RotationDirection.CCW
     halt_threshold_dbm: float | None = None
     step_size_m: float | None = None
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.sws < 1:
-            raise ValueError(f"samples window size must be >= 1, got {self.sws}")
-        if not 0.0 < self.rotation_angle_deg < 360.0:
-            raise ValueError(f"rotation angle must be in (0, 360), got {self.rotation_angle_deg}")
         if self.step_size_m is not None and self.step_size_m <= 0.0:
             raise ValueError(f"step size must be positive, got {self.step_size_m}")
-
-    @property
-    def signed_rotation_deg(self) -> float:
-        sign = 1.0 if self.rotation_direction is _CCW else -1.0
-        return sign * self.rotation_angle_deg
-
-    @cached_property
-    def cold_turn(self) -> TrackerDecision:
-        """The decision after a "Cold" comparison, built once per config."""
-        return rotate_then_move(self.signed_rotation_deg)
 
     def require_halt_threshold(self) -> float:
         if self.halt_threshold_dbm is None:
             raise ValueError("halt threshold not resolved; set halt_threshold_dbm")
         return self.halt_threshold_dbm
+
+
+@dataclass(frozen=True)
+class HotColdConfig(FollowerConfig):
+    """Tunables of the double-window differential decision rule."""
+
+    name: ClassVar[str] = "hotcold"
+    sws: int = 4
+    rotation_angle_deg: float = 137.0
+    rotation_direction: RotationDirection = RotationDirection.CCW
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.sws < 1:
+            raise ValueError(f"samples window size must be >= 1, got {self.sws}")
+        if not 0.0 < self.rotation_angle_deg < 360.0:
+            raise ValueError(f"rotation angle must be in (0, 360), got {self.rotation_angle_deg}")
+
+    @cached_property
+    def cold_turn(self) -> TrackerDecision:
+        """The decision after a "Cold" comparison, built once per config."""
+        sign = 1.0 if self.rotation_direction is _CCW else -1.0
+        return rotate_then_move(sign * self.rotation_angle_deg)
 
 
 class TrackerPhase(Enum):

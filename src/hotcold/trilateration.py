@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .channel import ChannelParams, invert_rssi_to_distance
-from .geometry import Pose, Vec2, bearing, require_finite_fields, signed_turn
-from .tracker import HALT, MOVE_FORWARD, TrackerDecision, rotate_then_move
+from .geometry import Pose, Vec2, bearing, signed_turn
+from .tracker import HALT, MOVE_FORWARD, FollowerConfig, TrackerDecision, rotate_then_move
 
 
 @dataclass(frozen=True)
-class TrilaterationConfig:
+class TrilaterationConfig(FollowerConfig):
     """Estimator window and steering tunables.
 
     bootstrap_turn_deg bends the path while no estimate exists yet: a robot
@@ -32,15 +33,14 @@ class TrilaterationConfig:
     the solver would stay degenerate forever.
     """
 
+    name: ClassVar[str] = "trilateration"
     k_observations: int = 3
     min_spacing_m: float = 0.5
     condition_threshold: float = 1e6
     bootstrap_turn_deg: float = 20.0
-    halt_threshold_dbm: float | None = None
-    step_size_m: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
+        super().__post_init__()
         if self.k_observations < 3:
             raise ValueError(f"need at least 3 observations, got {self.k_observations}")
         if self.min_spacing_m < 0.0:
@@ -49,13 +49,6 @@ class TrilaterationConfig:
             raise ValueError(f"condition threshold must exceed 1, got {self.condition_threshold}")
         if not 0.0 < abs(self.bootstrap_turn_deg) < 360.0:
             raise ValueError(f"bootstrap turn must be in (0, 360), got {self.bootstrap_turn_deg}")
-        if self.step_size_m is not None and self.step_size_m <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size_m}")
-
-    def require_halt_threshold(self) -> float:
-        if self.halt_threshold_dbm is None:
-            raise ValueError("halt threshold not resolved; set halt_threshold_dbm")
-        return self.halt_threshold_dbm
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from hotcold.cli import main as cli_main
 from hotcold.engine import StaticControl, WorldConfig, run_simulation
 from hotcold.experiments import ExperimentGrid, derive_seed, run_grid
 from hotcold.geometry import Vec2
-from hotcold.trilateration import Observation, estimate_target
+from hotcold.tracker import HotColdConfig
+from hotcold.trilateration import Observation, TrilaterationConfig, estimate_target
 
 PARAMS = ChannelParams()
 
@@ -150,7 +151,7 @@ def test_channel_sanity():
 DESK_GRID = ExperimentGrid(
     sws_values=(4,),
     sigma_values=(0.0, 1.0, 2.0, 3.0, 4.0, 6.0),
-    trackers=("hotcold", "trilateration", "static"),
+    trackers=(HotColdConfig(), TrilaterationConfig(), StaticControl()),
     runs_per_point=5,
     master_seed=1,
     comparison_sws=(4,),

@@ -273,6 +273,20 @@ def test_cold_thresholds_ordering_random_geometries():
         assert th.first_rotation < th.overall_gain
 
 
+def test_verify_convergence_uses_the_exported_thresholds():
+    # verify_convergence evaluates the thresholds on arrays; each element must
+    # be the exact float that cold_mode_thresholds returns for that geometry
+    rng = np.random.default_rng(46)
+    s = rng.uniform(0.1, 2.0, 200)
+    t = s * rng.uniform(0.5 + 1e-6, 3.0, 200)
+    for phi_deg in (121.0, 137.0, 179.0):
+        arrays = analysis._cold_thresholds(s, t, math.radians(phi_deg))
+        for i in range(len(s)):
+            th = cold_mode_thresholds(float(s[i]), float(t[i]), phi_deg)
+            scalars = (th.first_rotation, th.second_rotation, th.overall_gain)
+            assert tuple(float(a[i]) for a in arrays) == scalars
+
+
 def test_cold_thresholds_validation():
     with pytest.raises(ValueError):
         cold_mode_thresholds(1.0, 0.5, 137.0)  # horizontal must exceed s/2

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -233,10 +234,13 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "trace.csv").exists()
 
 
-_TRACKER_KEYS = [
+# every world key but the two whose ratio is the run length: a huge accepted
+# value there is a legitimately long run
+_SET_KEYS = [
     f"{section}.{key}"
-    for section in ("channel", "hotcold", "trilateration")
+    for section in ("world", "channel", "hotcold", "trilateration")
     for key in DEFAULTS[section]
+    if key not in ("duration_s", "cycle_period_s")
 ]
 _any_value = st.one_of(st.floats().map(repr), st.integers().map(str), st.text())
 
@@ -250,13 +254,24 @@ def _finite_numbers(value) -> bool:
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     tracker=st.sampled_from(["hotcold", "trilateration"]),
-    overrides=st.dictionaries(st.sampled_from(_TRACKER_KEYS), _any_value, min_size=1, max_size=3),
+    overrides=st.dictionaries(st.sampled_from(_SET_KEYS), _any_value, min_size=1, max_size=3),
 )
 @example(tracker="hotcold", overrides={"channel.shadowing_sigma_db": "1e308"})  # infinite sample
 @example(tracker="trilateration", overrides={"channel.shadowing_sigma_db": "14195"})  # range 0.0
 @example(  # the widest accepted noise
     tracker="trilateration",
     overrides={"channel.path_loss_exponent": "0.5", "channel.shadowing_sigma_db": "100"},
+)
+@example(tracker="hotcold", overrides={"world.seed": "-5"})  # SeedSequence traceback
+@example(tracker="hotcold", overrides={"world.robot_speed_kmh": "1e308"})  # robot off to inf
+@example(tracker="trilateration", overrides={"world.width_m": "1e308"})  # distance sum inf
+@example(  # distance sum inf
+    tracker="hotcold",
+    overrides={"world.robot_start_x_m": "1e308", "world.robot_start_y_m": "0"},
+)
+@example(  # interpolation overflow
+    tracker="hotcold",
+    overrides={"world.mobility": "fixed_path", "world.fixed_path": "0:1e308:0; 1:-1e308:0"},
 )
 def test_any_set_value_exits_0_with_finite_metrics_or_2(tracker, overrides):
     args = ["--set", "world.duration_s=5", "--set", f"world.tracker={tracker}"]
@@ -269,3 +284,49 @@ def test_any_set_value_exits_0_with_finite_metrics_or_2(tracker, overrides):
         if code == 0:
             metrics = json.loads((Path(out) / "metrics.json").read_text())
             assert _finite_numbers(metrics), metrics
+
+
+def _files_digest(out: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+QUICK_GRID = [
+    "--quick", "--runs", "1", "--set", "world.duration_s=20", "--set", "grid.sws_values=3,4",
+    "--set", "grid.sigma_values=0,2", "--set", "grid.comparison_sws=3,4",
+]
+PINNED_COMMANDS = {
+    "grid": QUICK_GRID + ["grid"],
+    **{name: ["--runs", "1", "scenario", "--preset", name] for name in experiments.SCENARIO_NAMES},
+}
+# sha256 over the name and bytes of every file each command writes. Any change
+# to seeding, stepping, tracker or mobility dispatch, or the CSV writers
+# changes a digest; a refactor must leave all four alone.
+PINNED_COMMAND_DIGESTS = {
+    "grid": "93ee8278ad0e7333d39afac6a6495b1904311cb4ccb1eac51f9df2f2d11837c6",
+    "scenario1": "bb17d9c6d997fa3593d0c4ed44de18e87058f5f7f59eacb1600ab27e8a8999ea",
+    "scenario2": "098270538e9a2ed9fd4e134991ef8a9e9f468e6d8a03469041d6b650919238bd",
+    "scenario3": "69d348d68eb790807a874d1d509b727c3b587c73630bed72ab8df65f637df46c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_command_output_bytes_pinned(tmp_path, capsys, name):
+    assert run_cli(["--out-dir", str(tmp_path)] + PINNED_COMMANDS[name]) == 0
+    assert _files_digest(tmp_path) == PINNED_COMMAND_DIGESTS[name]
+
+
+def test_grid_honours_the_tracker_sections(tmp_path, capsys):
+    keys = ["--set", "hotcold.rotation_angle_deg=90", "--set", "trilateration.k_observations=5"]
+    assert run_cli(QUICK_GRID + ["--out-dir", str(tmp_path / "default"), "grid"]) == 0
+    assert run_cli(QUICK_GRID + keys + ["--out-dir", str(tmp_path / "keys"), "grid"]) == 0
+    rows = {
+        name: (tmp_path / name / "grid_runs.csv").read_text().splitlines()
+        for name in ("default", "keys")
+    }
+    for tracker, changed in (("hotcold", True), ("trilateration", True), ("static", False)):
+        default, keyed = ([r for r in rows[n] if r.startswith(f"{tracker},")] for n in rows)
+        assert len(default) == len(keyed) > 0
+        assert (default != keyed) is changed, tracker

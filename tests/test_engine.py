@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from hypothesis import strategies as st
 
 from hotcold.channel import ChannelParams, noiseless_rssi
 from hotcold.engine import (
+    MAX_EXTENT_M,
+    MAX_SPEED_KMH,
+    TRACKERS,
     CycleRecord,
     FixedPath,
+    RandomWaypoint,
     Rect,
     StaticControl,
     StaticTarget,
+    Tracker,
     WorldConfig,
     init_world,
     obstacle_avoidance,
@@ -66,6 +72,64 @@ def test_config_validation():
             Rect(0.0, 0.0, bad, 1.0)
         with pytest.raises(ValueError, match="must be finite"):
             FixedPath(((0.0, Vec2(0.0, 0.0)), (bad, Vec2(1.0, 0.0))))
+
+
+def test_world_bounds():
+    # each of these crashed a run with a traceback or made its average
+    # distance infinite before the bounds existed
+    over = MAX_EXTENT_M * 1.5
+    for bad in (
+        dict(seed=-5),
+        dict(robot_speed_kmh=MAX_SPEED_KMH * 2),
+        dict(target_speed_kmh=MAX_SPEED_KMH * 2),
+        dict(robot_speed_kmh=0.0),
+        dict(robot_speed_kmh=5e-324),  # the step underflows to zero
+        dict(width_m=over),
+        dict(height_m=1e308),
+        dict(robot_start=Pose(Vec2(0.0, -over), 0.0)),
+    ):
+        with pytest.raises(ValueError):
+            WorldConfig(**bad)
+    with pytest.raises(ValueError, match="within"):
+        FixedPath(((0.0, Vec2(1e308, 0.0)), (1.0, Vec2(-1e308, 0.0))))
+    edge = WorldConfig(
+        width_m=MAX_EXTENT_M,
+        height_m=MAX_EXTENT_M,
+        robot_speed_kmh=MAX_SPEED_KMH,
+        target_speed_kmh=0.0,
+        robot_start=Pose(Vec2(-MAX_EXTENT_M, MAX_EXTENT_M), 0.0),
+        seed=0,
+        duration_s=5.0,
+    )
+    assert math.isfinite(run_simulation(edge)[0].average_distance_m)
+
+
+def test_every_tracker_type_has_one_table_entry():
+    assert set(TRACKERS) == set(typing.get_args(Tracker))
+    for config in (HotColdConfig(), TrilaterationConfig(), StaticControl()):
+        state = init_world(WorldConfig(tracker=config, duration_s=1.0))
+        new_state, decide = TRACKERS[type(config)]
+        assert state.decide is decide
+        assert type(state.tracker_state) is type(new_state())
+
+
+def test_mobility_models_place_and_move_the_target():
+    cfg = WorldConfig(width_m=50.0, height_m=50.0)
+    rng = np.random.default_rng(0)
+    target, waypoint = StaticTarget(Vec2(80.0, 10.0)).place(cfg, rng)
+    assert (target.position, waypoint) == (Vec2(50.0, 10.0), None)  # clamped to the space
+    assert StaticTarget(Vec2(80.0, 10.0)).position_at(123.0) == Vec2(80.0, 10.0)
+    path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
+    assert path.place(cfg, rng) == (Pose(Vec2(1.0, 2.0), 0.0), None)
+    target, waypoint = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
+    assert target.position == Vec2(5.0, 6.0)
+    assert 0.0 <= waypoint.x <= 50.0 and 0.0 <= waypoint.y <= 50.0
+    for mobility in (StaticTarget(Vec2(7.0, 8.0)), path):
+        config = WorldConfig(mobility=mobility, duration_s=5.0)
+        state = init_world(config)
+        for _ in range(config.total_cycles):
+            step_world(state, config)
+        assert state.target.position == mobility.position_at(state.time_s)
 
 
 def test_random_waypoint_step_toward_waypoint():

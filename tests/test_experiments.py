@@ -33,7 +33,7 @@ MINI_BASE = WorldConfig(duration_s=20.0)
 MINI_GRID = ExperimentGrid(
     sws_values=(2, 4),
     sigma_values=(0.0, 2.0),
-    trackers=("hotcold", "trilateration", "static"),
+    trackers=(HotColdConfig(), TrilaterationConfig(), StaticControl()),
     runs_per_point=2,
     master_seed=99,
     comparison_sws=(2, 4),
@@ -295,6 +295,28 @@ def test_override_errors():
     apply_overrides(cfg, ["world.duration_s=abc"])
     with pytest.raises(ConfigError):
         build_world(cfg)
+
+
+def test_grid_trackers_are_built_from_their_sections():
+    cfg = default_config()
+    apply_overrides(cfg, ["hotcold.rotation_angle_deg=90", "trilateration.k_observations=5"])
+    grid = build_grid(cfg, build_world(cfg))
+    assert grid.trackers == (
+        HotColdConfig(rotation_angle_deg=90.0),
+        TrilaterationConfig(k_observations=5),
+        StaticControl(),
+    )
+    assert grid.tracker_names == ("hotcold", "trilateration", "static")
+    world = experiments.grid_world_config(grid, "hotcold", 7, 2.0, 11)
+    assert world.tracker == HotColdConfig(sws=7, rotation_angle_deg=90.0)
+    assert world.channel.shadowing_sigma_db == 2.0 and world.seed == 11
+    apply_overrides(cfg, ["grid.trackers=hotcold,bogus"])
+    with pytest.raises(ConfigError, match="grid.trackers"):
+        build_grid(cfg, build_world(cfg))
+    # a repeated tracker would run each of its points twice on the same seeds
+    apply_overrides(cfg, ["grid.trackers=static,hotcold,Static"])
+    with pytest.raises(ConfigError, match="repeat"):
+        build_grid(cfg, build_world(cfg))
 
 
 def test_fixed_path_and_static_mobility_from_config():
