@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .geometry import Vec2, require_finite_fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -103,29 +101,18 @@ def path_loss(distance_m: float, params: ChannelParams, shadow_db: float = 0.0) 
     )
 
 
-def sample_shadowing(rng: np.random.Generator, sigma_db: float) -> float:
-    """Draw one N(0, sigma^2) shadowing sample; exactly 0 when sigma is 0.
+def rssi(target_pos: Vec2, robot_pos: Vec2, params: ChannelParams, normal: float) -> RssiReading:
+    """Sample the signal indicator for one broadcast from target to robot.
 
-    The underlying standard-normal draw is consumed regardless of sigma, so
-    runs that differ only in sigma share the same noise shape.
+    `normal` is the broadcast's standard-normal draw; the shadowing sample is
+    sigma times it, exactly 0 when sigma is 0. A run draws one per broadcast
+    whatever sigma is, so runs that differ only in sigma share the same noise
+    shape.
     """
-    if sigma_db < 0.0:
-        raise ValueError(f"negative shadowing sigma {sigma_db}")
-    return sigma_db * float(rng.standard_normal())
-
-
-def rssi(
-    target_pos: Vec2,
-    robot_pos: Vec2,
-    params: ChannelParams,
-    rng: np.random.Generator,
-) -> RssiReading:
-    """Sample the signal indicator for one broadcast from target to robot."""
     d = math.hypot(target_pos.x - robot_pos.x, target_pos.y - robot_pos.y)
     if d < MIN_DISTANCE_M:
         d = MIN_DISTANCE_M
-    shadow = sample_shadowing(rng, params.shadowing_sigma_db)
-    value = params.link_budget_dbm - path_loss(d, params, shadow)
+    value = params.link_budget_dbm - path_loss(d, params, params.shadowing_sigma_db * normal)
     return RssiReading(value, value >= params.rx_sensitivity_dbm)
 
 

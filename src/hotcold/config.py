@@ -68,7 +68,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "rotation_angle_deg": "137.0",
         "rotation_direction": "ccw",
         "halt_threshold_dbm": "",  # blank: derived from halt_distance_m
-        "step_size_m": "",  # blank: robot_speed * cycle_period
     },
     "trilateration": {
         "k_observations": "3",
@@ -192,7 +191,6 @@ def build_tracker(cfg, name: str, key: str = "world.tracker"):
                 rotation_angle_deg=_get_float(cfg, "hotcold", "rotation_angle_deg"),
                 rotation_direction=RotationDirection(direction),
                 halt_threshold_dbm=_get_opt_float(cfg, "hotcold", "halt_threshold_dbm"),
-                step_size_m=_get_opt_float(cfg, "hotcold", "step_size_m"),
             )
         if name == "trilateration":
             return TrilaterationConfig(

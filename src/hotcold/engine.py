@@ -9,14 +9,15 @@ robot is free to leave it.
 
 Determinism: a run is fully determined by its config. The seed feeds two
 independent streams (channel shadowing, target mobility) so that runs
-differing only in tracker behavior see the same world.
+differing only in tracker behavior see the same world. The shadowing stream
+is drawn up front, one standard normal per cycle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
 
@@ -35,7 +36,6 @@ from .geometry import (
 )
 from .tracker import (
     DecisionKind,
-    FollowerConfig,
     HotColdConfig,
     HotColdState,
     TrackerDecision,
@@ -209,11 +209,12 @@ class WorldConfig:
         if start is not None and max(abs(start.position.x), abs(start.position.y)) > MAX_EXTENT_M:
             raise ValueError(f"robot start {start.position} is beyond +-{MAX_EXTENT_M:g} m")
 
-    @property
+    # The cycle count and step lengths are read every cycle, so each is
+    # computed once.
+    @cached_property
     def total_cycles(self) -> int:
         return round(self.duration_s / self.cycle_period_s)
 
-    # The step lengths are read every cycle, so each is computed once.
     @cached_property
     def robot_step_m(self) -> float:
         return self.robot_speed_kmh * KMH_TO_MS * self.cycle_period_s
@@ -227,16 +228,6 @@ class WorldConfig:
         at the configured halt distance."""
         explicit = getattr(self.tracker, "halt_threshold_dbm", None)
         return noiseless_rssi(self.halt_distance_m, self.channel) if explicit is None else explicit
-
-    def resolved_tracker(self) -> Tracker:
-        """Tracker config with the halt threshold and step size filled in."""
-        if not isinstance(self.tracker, FollowerConfig):
-            return self.tracker  # the static control has nothing to fill in
-        return replace(
-            self.tracker,
-            halt_threshold_dbm=self.halt_threshold_dbm(),
-            step_size_m=self.tracker.step_size_m or self.robot_step_m,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +254,10 @@ class WorldState:
     robot: Pose
     target: Pose
     target_waypoint: Vec2 | None
-    tracker_cfg: Tracker
     tracker_state: HotColdState | TrilaterationState | None
     decide: Decide
     halt_threshold_dbm: float
-    channel_rng: np.random.Generator
+    shadowing_normals: list[float]  # the standard normal of each cycle's broadcast
     mobility_rng: np.random.Generator
     last_decision: TrackerDecision | None = None
     trace: list[CycleRecord] = field(default_factory=list)
@@ -287,16 +277,21 @@ def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
 
 
 def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
-    return ingest_sample(state.tracker_state, reading.value_dbm, state.tracker_cfg)
+    return ingest_sample(
+        state.tracker_state, reading.value_dbm, config.tracker, state.halt_threshold_dbm
+    )
 
 
 def _trilateration_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
-    cfg = state.tracker_cfg
+    cfg = config.tracker
     record_observation(
         state.tracker_state, state.robot.position, reading.value_dbm, config.channel, cfg
     )
     update_estimate(state.tracker_state, cfg)
-    return trilateration_decide(state.tracker_state, state.robot, reading.value_dbm, cfg)
+    return trilateration_decide(
+        state.tracker_state, state.robot, reading.value_dbm, cfg,
+        state.halt_threshold_dbm, config.robot_step_m,
+    )
 
 
 # tracker config type -> (fresh per-run tracker state, in-range decision)
@@ -310,6 +305,7 @@ TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
 def init_world(config: WorldConfig) -> WorldState:
     channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
     mobility_rng = np.random.default_rng(mobility_ss)
+    shadowing_rng = np.random.default_rng(channel_ss)
 
     robot = config.robot_start or Pose(Vec2(config.width_m / 2.0, config.height_m / 2.0), 0.0)
     target, waypoint = config.mobility.place(config, mobility_rng)
@@ -320,11 +316,11 @@ def init_world(config: WorldConfig) -> WorldState:
         robot=robot,
         target=target,
         target_waypoint=waypoint,
-        tracker_cfg=config.resolved_tracker(),
         tracker_state=new_state(),
         decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),
-        channel_rng=np.random.default_rng(channel_ss),
+        # one batch gives the same bits as one scalar draw per cycle
+        shadowing_normals=shadowing_rng.standard_normal(config.total_cycles).tolist(),
         mobility_rng=mobility_rng,
     )
 
@@ -443,13 +439,16 @@ def _execute_decision(robot: Pose, decision: TrackerDecision | None, step_m: flo
 
 def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     """Advance the world by one broadcast cycle."""
-    if state.time_s >= config.duration_s:
+    cycle = len(state.trace)
+    if cycle >= config.total_cycles:
         raise ValueError("simulation already ran for its full duration")
     t_end = state.time_s + config.cycle_period_s
 
     config.mobility.move(state, config, t_end)
 
-    reading = rssi(state.target.position, state.robot.position, config.channel, state.channel_rng)
+    reading = rssi(
+        state.target.position, state.robot.position, config.channel, state.shadowing_normals[cycle]
+    )
 
     if reading.in_range:
         decision = state.last_decision = state.decide(state, reading, config)
@@ -585,6 +584,8 @@ def write_trace_csv(trace: list[CycleRecord], path) -> None:
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
+    """Strict JSON: the NaN KPIs of an empty run are written as null."""
+    row = {k: None if math.isnan(v) else v for k, v in report.to_dict().items()}
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(row, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -80,10 +80,10 @@ class ExperimentGrid:
 
 def grid_world_config(grid: ExperimentGrid, tracker: str, sws: int | None, sigma: float, seed: int) -> WorldConfig:
     channel = replace(grid.base.channel, shadowing_sigma_db=sigma)
-    tracker_cfg = grid.trackers[grid.tracker_names.index(tracker)]
+    config = grid.trackers[grid.tracker_names.index(tracker)]
     if sws is not None:
-        tracker_cfg = replace(tracker_cfg, sws=sws)
-    return replace(grid.base, channel=channel, tracker=tracker_cfg, seed=seed)
+        config = replace(config, sws=sws)
+    return replace(grid.base, channel=channel, tracker=config, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -455,6 +455,6 @@ def write_summary_json(
     path = Path(out_dir) / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path

@@ -53,21 +53,13 @@ def rotate_then_move(angle_deg: float) -> TrackerDecision:
 
 @dataclass(frozen=True, kw_only=True)
 class FollowerConfig:
-    """Halt threshold and step size of a following tracker; left as None in a
-    world config, the engine derives them from the halt distance and speed."""
+    """Optional halt threshold of a following tracker; left as None, the
+    engine derives it from the halt distance."""
 
     halt_threshold_dbm: float | None = None
-    step_size_m: float | None = None
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.step_size_m is not None and self.step_size_m <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size_m}")
-
-    def require_halt_threshold(self) -> float:
-        if self.halt_threshold_dbm is None:
-            raise ValueError("halt threshold not resolved; set halt_threshold_dbm")
-        return self.halt_threshold_dbm
 
 
 @dataclass(frozen=True)
@@ -93,25 +85,14 @@ class HotColdConfig(FollowerConfig):
         return rotate_then_move(sign * self.rotation_angle_deg)
 
 
-class TrackerPhase(Enum):
-    FILLING_FIRST = "filling_first"
-    FILLING_SECOND = "filling_second"
-
-
 @dataclass
 class HotColdState:
-    """Mutable per-run tracker state: the two sample windows and halt flag."""
+    """Mutable per-run tracker state: the two sample windows and a count of
+    window comparisons."""
 
     window_a: list[float] = field(default_factory=list)
     window_b: list[float] = field(default_factory=list)
-    is_halt: bool = False
-    last_averages: tuple[float, float] | None = None
     comparisons: int = 0
-
-    def phase(self, cfg: HotColdConfig) -> TrackerPhase:
-        if len(self.window_a) < cfg.sws:
-            return TrackerPhase.FILLING_FIRST
-        return TrackerPhase.FILLING_SECOND
 
     def reset_windows(self) -> None:
         self.window_a.clear()
@@ -132,7 +113,9 @@ def decide(avg_first: float, avg_second: float, cfg: HotColdConfig) -> TrackerDe
     return MOVE_FORWARD
 
 
-def ingest_sample(state: HotColdState, reading_dbm: float, cfg: HotColdConfig) -> TrackerDecision:
+def ingest_sample(
+    state: HotColdState, reading_dbm: float, cfg: HotColdConfig, halt_threshold_dbm: float
+) -> TrackerDecision:
     """Feed one in-range sample and return the movement for this cycle.
 
     Every sample is appended to the active window, halting cycles included.
@@ -143,18 +126,14 @@ def ingest_sample(state: HotColdState, reading_dbm: float, cfg: HotColdConfig) -
     """
     if not math.isfinite(reading_dbm):
         raise ValueError(f"non-finite RSSI sample {reading_dbm}")
-    threshold = cfg.halt_threshold_dbm
-    if threshold is None:
-        cfg.require_halt_threshold()  # raises
 
     if len(state.window_a) < cfg.sws:
         state.window_a.append(reading_dbm)
     else:
         state.window_b.append(reading_dbm)
-    state.is_halt = reading_dbm > threshold
     period_complete = len(state.window_b) == cfg.sws
 
-    if state.is_halt:
+    if reading_dbm > halt_threshold_dbm:
         if period_complete:
             state.reset_windows()
         return HALT
@@ -163,7 +142,6 @@ def ingest_sample(state: HotColdState, reading_dbm: float, cfg: HotColdConfig) -
 
     avg_first = window_average(state.window_a)
     avg_second = window_average(state.window_b)
-    state.last_averages = (avg_first, avg_second)
     state.comparisons += 1
     state.reset_windows()
     return decide(avg_first, avg_second, cfg)

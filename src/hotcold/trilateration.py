@@ -145,21 +145,24 @@ def trilateration_decide(
     pose: Pose,
     latest_rssi_dbm: float,
     cfg: TrilaterationConfig,
+    halt_threshold_dbm: float,
+    step_m: float,
 ) -> TrackerDecision:
     """Steer straight at the current estimate; halt when the signal says close.
 
-    Reaching the estimated position without the signal confirming proximity
-    means the estimate is stale or wrong; it is dropped so the bootstrap arc
-    can gather fresh, spread-out observations for the next solve.
+    Reaching the estimated position (within one step_m robot step) without
+    the signal confirming proximity means the estimate is stale or wrong; it
+    is dropped so the bootstrap arc can gather fresh, spread-out observations
+    for the next solve.
     """
-    if latest_rssi_dbm > cfg.require_halt_threshold():
+    if latest_rssi_dbm > halt_threshold_dbm:
         return HALT
     if state.current_estimate is not None:
         gap = math.hypot(
             state.current_estimate.x - pose.position.x,
             state.current_estimate.y - pose.position.y,
         )
-        if cfg.step_size_m is not None and gap <= cfg.step_size_m:
+        if gap <= step_m:
             state.current_estimate = None
         else:
             turn = signed_turn(pose.heading_rad, bearing(pose.position, state.current_estimate))

@@ -13,8 +13,8 @@ from hotcold.channel import (
     noiseless_rssi,
     path_loss,
     rssi,
-    sample_shadowing,
 )
+from hotcold.engine import WorldConfig, init_world
 from hotcold.geometry import Vec2
 
 PARAMS = ChannelParams()  # 0 dBm, 0/2 dBi, 2.4 GHz, n=2.8, -94 dBm
@@ -64,15 +64,13 @@ def test_rssi_at_halt_distance():
 
 def test_rssi_near_sensitivity_boundary():
     assert noiseless_rssi(99.6, PARAMS) == pytest.approx(-94.0, abs=0.01)
-    rng = np.random.default_rng(0)
-    assert rssi(Vec2(0.0, 0.0), Vec2(99.5, 0.0), PARAMS, rng).in_range
-    assert not rssi(Vec2(0.0, 0.0), Vec2(99.7, 0.0), PARAMS, rng).in_range
-    assert not rssi(Vec2(0.0, 0.0), Vec2(150.0, 0.0), PARAMS, rng).in_range
+    assert rssi(Vec2(0.0, 0.0), Vec2(99.5, 0.0), PARAMS, 0.3).in_range
+    assert not rssi(Vec2(0.0, 0.0), Vec2(99.7, 0.0), PARAMS, -1.2).in_range
+    assert not rssi(Vec2(0.0, 0.0), Vec2(150.0, 0.0), PARAMS, 0.0).in_range
 
 
 def test_rssi_clamps_tiny_distances():
-    rng = np.random.default_rng(0)
-    at_zero = rssi(Vec2(0.0, 0.0), Vec2(0.0, 0.0), PARAMS, rng)
+    at_zero = rssi(Vec2(0.0, 0.0), Vec2(0.0, 0.0), PARAMS, 0.7)
     assert at_zero.value_dbm == noiseless_rssi(MIN_DISTANCE_M, PARAMS)
 
 
@@ -101,38 +99,38 @@ def test_monotone_in_distance_without_shadowing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_sample_shadowing_zero_sigma_is_exactly_zero():
-    rng = np.random.default_rng(7)
-    assert sample_shadowing(rng, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        sample_shadowing(rng, -1.0)
+def test_rssi_zero_sigma_ignores_the_normal():
+    for normal in (-3.0, 0.0, 2.5):
+        assert rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, normal).value_dbm == noiseless_rssi(
+            10.0, PARAMS
+        )
 
 
-def test_sample_shadowing_statistics():
-    rng = np.random.default_rng(11)
-    samples = np.array([sample_shadowing(rng, 3.0) for _ in range(10**6)])
+def test_rssi_shadowing_is_sigma_times_the_normal():
+    params = ChannelParams(shadowing_sigma_db=3.0)
+    base = noiseless_rssi(10.0, params)
+    for normal in (-2.1, 0.4, 1.3):
+        value = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, normal).value_dbm
+        assert value == params.link_budget_dbm - path_loss(10.0, params, 3.0 * normal)
+        assert value - base == pytest.approx(-3.0 * normal, abs=1e-9)
+
+
+def test_run_shadowing_statistics():
+    # a run's shadowing samples are sigma times the normals init_world draws
+    samples = 3.0 * np.array(init_world(WorldConfig(duration_s=5e5, seed=11)).shadowing_normals)
+    assert samples.size == 10**6
     assert abs(samples.mean()) < 0.02
     assert abs(samples.std() - 3.0) < 0.02
-
-
-def test_sample_shadowing_deterministic_stream():
-    a = [sample_shadowing(np.random.default_rng(5), 2.0) for _ in range(1)]
-    b = [sample_shadowing(np.random.default_rng(5), 2.0) for _ in range(1)]
-    assert a == b
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    assert [sample_shadowing(rng1, 4.0) for _ in range(100)] == [
-        sample_shadowing(rng2, 4.0) for _ in range(100)
-    ]
 
 
 def test_shadowing_distribution_kolmogorov_smirnov():
     from scipy import stats
 
     params = ChannelParams(shadowing_sigma_db=3.0)
-    rng = np.random.default_rng(13)
+    normals = np.random.default_rng(13).standard_normal(10**5).tolist()
     base = noiseless_rssi(10.0, params)
     deviates = np.array(
-        [rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, rng).value_dbm - base for _ in range(10**5)]
+        [rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, n).value_dbm - base for n in normals]
     )
     assert stats.kstest(deviates / 3.0, "norm").pvalue > 0.01
 
@@ -175,7 +173,7 @@ def test_params_validation():
 
 
 def test_rssi_reading_is_an_immutable_named_tuple():
-    reading = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, np.random.default_rng(0))
+    reading = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, 0.5)
     assert reading == RssiReading(value_dbm=reading.value_dbm, in_range=True)
     assert reading._fields == ("value_dbm", "in_range")
     with pytest.raises(AttributeError):

@@ -209,6 +209,8 @@ def test_bad_inputs_exit_nonzero(tmp_path):
         run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
     assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
+    # Hot-Cold always moves the world's robot step: no step size key
+    assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
 
@@ -330,3 +332,101 @@ def test_grid_honours_the_tracker_sections(tmp_path, capsys):
         default, keyed = ([r for r in rows[n] if r.startswith(f"{tracker},")] for n in rows)
         assert len(default) == len(keyed) > 0
         assert (default != keyed) is changed, tracker
+
+
+def test_empty_run_writes_strict_json(tmp_path, capsys):
+    assert run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=0", "simulate"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    metrics = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=refuse)
+    assert metrics == {
+        "average_distance_m": None,
+        "cycles_in_halt": 0,
+        "cycles_in_halt_pct": None,
+        "cycles_in_range": 0,
+        "cycles_in_range_pct": None,
+        "total_cycles": 0,
+    }
+
+
+# key -> (a non-default value, companion settings applied with and without
+# it). The companions make the key matter (a tracker's section needs that
+# tracker) or give it a working baseline where its blank default alone is
+# refused or unread.
+LIVE_KEYS = {
+    "world.width_m": ("80", {}),
+    "world.height_m": ("80", {}),
+    "world.duration_s": ("40", {}),
+    "world.cycle_period_s": ("0.25", {}),
+    "world.robot_speed_kmh": ("5", {}),
+    "world.target_speed_kmh": ("5", {}),
+    "world.halt_distance_m": ("40", {}),
+    "world.seed": ("2", {}),
+    "world.tracker": ("trilateration", {}),
+    "world.mobility": (
+        "static", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
+    ),
+    "world.robot_start_x_m": (
+        "20", {"world.robot_start_x_m": "50", "world.robot_start_y_m": "50"}
+    ),
+    "world.robot_start_y_m": (
+        "20", {"world.robot_start_x_m": "50", "world.robot_start_y_m": "50"}
+    ),
+    "world.robot_heading_deg": (
+        "90", {"world.robot_start_x_m": "50", "world.robot_start_y_m": "50"}
+    ),
+    "world.target_start_x_m": (
+        "80", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
+    ),
+    "world.target_start_y_m": (
+        "80", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
+    ),
+    "world.fixed_path": (
+        "0:10:10; 30:90:90", {"world.mobility": "fixed_path", "world.fixed_path": "0:10:10"}
+    ),
+    "world.obstacles": ("51:40:53:60", {}),
+    "channel.tx_power_dbm": ("5", {}),
+    "channel.tx_gain_dbi": ("1", {}),
+    "channel.rx_gain_dbi": ("3", {}),
+    "channel.frequency_hz": ("5e9", {}),
+    "channel.path_loss_exponent": ("3", {}),
+    "channel.shadowing_sigma_db": ("2", {}),
+    "channel.rx_sensitivity_dbm": ("-60", {}),
+    "hotcold.sws": ("2", {}),
+    "hotcold.rotation_angle_deg": ("90", {}),
+    "hotcold.rotation_direction": ("cw", {}),
+    "hotcold.halt_threshold_dbm": ("-80", {}),
+    **{
+        f"trilateration.{key}": (value, {"world.tracker": "trilateration"})
+        for key, value in (
+            ("k_observations", "4"),
+            ("min_spacing_m", "3"),
+            ("condition_threshold", "1.5"),
+            ("bootstrap_turn_deg", "45"),
+        )
+    },
+}
+
+
+def _simulate_bytes(settings: dict[str, str]) -> str:
+    args = ["--set", "world.duration_s=50"]
+    for key, value in settings.items():
+        args += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(args + ["--out-dir", out, "simulate"]) == 0, settings
+        return _files_digest(Path(out))
+
+
+def test_every_world_and_tracker_key_changes_the_output():
+    sections = ("world", "channel", "hotcold", "trilateration")
+    assert set(LIVE_KEYS) == {f"{s}.{key}" for s in sections for key in DEFAULTS[s]}
+    dead = []
+    for key, (value, companions) in LIVE_KEYS.items():
+        section, name = key.split(".")
+        assert value != DEFAULTS[section][name], key
+        if _simulate_bytes(companions) == _simulate_bytes(companions | {key: value}):
+            dead.append(key)
+    assert dead == []

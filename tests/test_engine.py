@@ -132,6 +132,27 @@ def test_mobility_models_place_and_move_the_target():
         assert state.target.position == mobility.position_at(state.time_s)
 
 
+def test_step_world_stops_after_total_cycles():
+    # ten additions of 0.1 s leave the clock at 0.9999999999999999 s, short
+    # of the 1 s duration: the cycle count, not the clock, ends the run
+    config = WorldConfig(duration_s=1.0, cycle_period_s=0.1, seed=19)
+    state = init_world(config)
+    for _ in range(config.total_cycles):
+        step_world(state, config)
+    assert len(state.trace) == 10 and state.time_s < config.duration_s
+    with pytest.raises(ValueError, match="full duration"):
+        step_world(state, config)
+    assert len(state.trace) == 10
+
+
+def test_shadowing_normals_are_the_channel_stream_drawn_up_front():
+    config = WorldConfig(duration_s=2000.5, seed=5)
+    channel_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
+    scalar = [float(channel_rng.standard_normal()) for _ in range(config.total_cycles)]
+    assert init_world(config).shadowing_normals == scalar
+    assert len(scalar) == 4001
+
+
 def test_random_waypoint_step_toward_waypoint():
     cfg = WorldConfig()
     rng = np.random.default_rng(0)

@@ -11,18 +11,18 @@ from hotcold.tracker import (
     HotColdState,
     RotationDirection,
     TrackerDecision,
-    TrackerPhase,
     decide,
     ingest_sample,
     window_average,
 )
 
-CFG1 = HotColdConfig(sws=1, halt_threshold_dbm=-51.41)
-CFG4 = HotColdConfig(sws=4, halt_threshold_dbm=-51.41)
+HALT_DBM = -51.41
+CFG1 = HotColdConfig(sws=1)
+CFG4 = HotColdConfig(sws=4)
 
 
-def feed(state, cfg, samples):
-    return [ingest_sample(state, s, cfg) for s in samples]
+def feed(state, cfg, samples, halt_dbm=HALT_DBM):
+    return [ingest_sample(state, s, cfg, halt_dbm) for s in samples]
 
 
 def test_window_average_examples():
@@ -41,7 +41,7 @@ def test_decide_examples():
 
 
 def test_decide_clockwise_direction():
-    cfg = HotColdConfig(sws=1, halt_threshold_dbm=-50.0, rotation_direction=RotationDirection.CW)
+    cfg = HotColdConfig(sws=1, rotation_direction=RotationDirection.CW)
     assert decide(-50.0, -55.0, cfg).rotation_deg == -137.0
 
 
@@ -50,7 +50,7 @@ def test_sws1_increasing_power_moves_forward():
     decisions = feed(state, CFG1, [-60.0, -58.0])
     assert decisions[0].kind is DecisionKind.MOVE_FORWARD  # first window filling
     assert decisions[1].kind is DecisionKind.MOVE_FORWARD  # comparison: not Cold
-    assert state.last_averages == (-60.0, -58.0)
+    assert state.comparisons == 1
 
 
 def test_sws1_decreasing_power_rotates():
@@ -62,9 +62,8 @@ def test_sws1_decreasing_power_rotates():
 
 def test_halt_sample_freezes_cycle():
     state = HotColdState()
-    decision = ingest_sample(state, -45.0, CFG4)
+    decision = ingest_sample(state, -45.0, CFG4, HALT_DBM)
     assert decision.kind is DecisionKind.HALT
-    assert state.is_halt
     # the halting sample still entered the window
     assert state.window_a == [-45.0]
 
@@ -80,7 +79,7 @@ def test_halt_at_period_end_resets_windows_without_decision():
 def test_one_comparison_per_double_window():
     rng = np.random.default_rng(21)
     for sws in (1, 2, 4, 7):
-        cfg = HotColdConfig(sws=sws, halt_threshold_dbm=-51.41)
+        cfg = HotColdConfig(sws=sws)
         state = HotColdState()
         periods = 9
         samples = list(rng.uniform(-90.0, -60.0, periods * 2 * sws))
@@ -96,25 +95,24 @@ def test_one_comparison_per_double_window():
 
 def test_never_rotates_while_halted():
     rng = np.random.default_rng(22)
-    cfg = HotColdConfig(sws=3, halt_threshold_dbm=-70.0)
+    cfg = HotColdConfig(sws=3)
     state = HotColdState()
     for s in rng.uniform(-90.0, -50.0, 600):
-        decision = ingest_sample(state, float(s), cfg)
-        if state.is_halt:
-            assert decision.kind is DecisionKind.HALT
+        decision = ingest_sample(state, float(s), cfg, -70.0)
+        assert (decision.kind is DecisionKind.HALT) == (s > -70.0)
 
 
 def test_decision_sequence_invariant_to_constant_offset():
     rng = np.random.default_rng(23)
     samples = list(rng.uniform(-90.0, -60.0, 240))
-    cfg = HotColdConfig(sws=4, halt_threshold_dbm=-10.0)  # no halts either way
-    base = feed(HotColdState(), cfg, samples)
-    shifted = feed(HotColdState(), cfg, [s + 7.5 for s in samples])
+    cfg = HotColdConfig(sws=4)
+    base = feed(HotColdState(), cfg, samples, -10.0)  # no halts either way
+    shifted = feed(HotColdState(), cfg, [s + 7.5 for s in samples], -10.0)
     assert [d.kind for d in base] == [d.kind for d in shifted]
 
 
 def test_cold_turn_is_built_once_per_config():
-    cw = HotColdConfig(sws=1, halt_threshold_dbm=-50.0, rotation_direction=RotationDirection.CW)
+    cw = HotColdConfig(sws=1, rotation_direction=RotationDirection.CW)
     for cfg, angle in ((CFG1, 137.0), (cw, -137.0)):
         turns = [d for d in feed(HotColdState(), cfg, [-58.0, -60.0] * 3) if d.rotation_deg]
         assert len(turns) == 3
@@ -127,16 +125,17 @@ def test_cold_turn_is_built_once_per_config():
 
 def test_phase_tracking():
     state = HotColdState()
-    assert state.phase(CFG4) is TrackerPhase.FILLING_FIRST
-    feed(state, CFG4, [-60.0] * 4)
-    assert state.phase(CFG4) is TrackerPhase.FILLING_SECOND
-    feed(state, CFG4, [-60.0] * 4)  # period completes, windows reset
-    assert state.phase(CFG4) is TrackerPhase.FILLING_FIRST
+    feed(state, CFG4, [-60.0] * 3)
+    assert (len(state.window_a), len(state.window_b)) == (3, 0)  # filling the first window
+    feed(state, CFG4, [-60.0] * 2)
+    assert (len(state.window_a), len(state.window_b)) == (4, 1)  # filling the second
+    feed(state, CFG4, [-60.0] * 3)  # period completes, windows reset
+    assert (state.window_a, state.window_b) == ([], [])
 
 
 def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
-        for name in ("rotation_angle_deg", "halt_threshold_dbm", "step_size_m"):
+        for name in ("rotation_angle_deg", "halt_threshold_dbm"):
             with pytest.raises(ValueError):
                 HotColdConfig(**{name: bad})
     with pytest.raises(ValueError):
@@ -145,9 +144,7 @@ def test_config_validation():
         HotColdConfig(rotation_angle_deg=0.0)
     with pytest.raises(ValueError):
         HotColdConfig(rotation_angle_deg=360.0)
+    with pytest.raises(TypeError):  # Hot-Cold always moves the world's robot step
+        HotColdConfig(step_size_m=1.0)
     with pytest.raises(ValueError):
-        HotColdConfig(step_size_m=0.0)
-    with pytest.raises(ValueError):
-        ingest_sample(HotColdState(), math.nan, CFG4)
-    with pytest.raises(ValueError):
-        ingest_sample(HotColdState(), -60.0, HotColdConfig(sws=1))  # unresolved threshold
+        ingest_sample(HotColdState(), math.nan, CFG4, HALT_DBM)

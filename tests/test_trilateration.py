@@ -19,7 +19,13 @@ from hotcold.trilateration import (
 )
 
 PARAMS = ChannelParams()
-CFG = TrilaterationConfig(halt_threshold_dbm=-51.41, step_size_m=1.0)
+CFG = TrilaterationConfig()
+HALT_DBM = -51.41
+STEP_M = 1.0
+
+
+def steer(state, pose, rssi_dbm):
+    return trilateration_decide(state, pose, rssi_dbm, CFG, HALT_DBM, STEP_M)
 
 
 def obs_at(x, y, target=(5.0, 5.0)):
@@ -136,18 +142,18 @@ def test_recorded_distance_comes_from_inversion():
 
 def test_decide_steers_toward_estimate():
     state = TrilaterationState(current_estimate=Vec2(0.0, 10.0))
-    decision = trilateration_decide(state, Pose(Vec2(0.0, 0.0), 0.0), -70.0, CFG)
+    decision = steer(state, Pose(Vec2(0.0, 0.0), 0.0), -70.0)
     assert decision.kind is DecisionKind.ROTATE_THEN_MOVE
     assert decision.rotation_deg == pytest.approx(90.0, abs=1e-9)
 
 
 def test_decide_bootstrap_and_halt():
     assert (
-        trilateration_decide(TrilaterationState(), Pose(Vec2(0.0, 0.0), 0.0), -70.0, CFG).kind
+        steer(TrilaterationState(), Pose(Vec2(0.0, 0.0), 0.0), -70.0).kind
         is DecisionKind.MOVE_FORWARD
     )
     assert (
-        trilateration_decide(TrilaterationState(), Pose(Vec2(0.0, 0.0), 0.0), -45.0, CFG).kind
+        steer(TrilaterationState(), Pose(Vec2(0.0, 0.0), 0.0), -45.0).kind
         is DecisionKind.HALT
     )
 
@@ -158,16 +164,21 @@ def test_decide_arcs_when_window_full_but_degenerate():
     )
     update_estimate(state, CFG)
     assert state.current_estimate is None
-    decision = trilateration_decide(state, Pose(Vec2(2.0, 0.0), 0.0), -70.0, CFG)
+    decision = steer(state, Pose(Vec2(2.0, 0.0), 0.0), -70.0)
     assert decision.kind is DecisionKind.ROTATE_THEN_MOVE
     assert decision.rotation_deg == CFG.bootstrap_turn_deg
 
 
 def test_reaching_the_estimate_without_halt_drops_it():
     state = TrilaterationState(current_estimate=Vec2(0.5, 0.0))
-    decision = trilateration_decide(state, Pose(Vec2(0.0, 0.0), 0.0), -70.0, CFG)
+    decision = steer(state, Pose(Vec2(0.0, 0.0), 0.0), -70.0)
     assert state.current_estimate is None
     assert decision.kind is DecisionKind.MOVE_FORWARD  # window not full yet
+    # more than one robot step away, the estimate is kept and steered at
+    kept = TrilaterationState(current_estimate=Vec2(0.5, 0.0))
+    decision = trilateration_decide(kept, Pose(Vec2(0.0, 0.0), 0.0), -70.0, CFG, HALT_DBM, 0.4)
+    assert kept.current_estimate == Vec2(0.5, 0.0)
+    assert decision.kind is DecisionKind.ROTATE_THEN_MOVE
 
 
 def test_degenerate_solve_keeps_previous_estimate():
@@ -186,7 +197,6 @@ def test_config_validation():
             "condition_threshold",
             "bootstrap_turn_deg",
             "halt_threshold_dbm",
-            "step_size_m",
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 TrilaterationConfig(**{name: bad})
