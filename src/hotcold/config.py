@@ -1,30 +1,29 @@
 """INI experiment configuration: defaults, loading, and key=value overrides.
 
 One flat, versioned schema with sections [meta], [world], [channel],
-[hotcold], [trilateration], and [grid]. Any key can be overridden on the
-command line as section.key=value. Blank values mean "derive a default"
-where the schema says so.
+[hotcold], [trilateration], and [grid]. Each config dataclass is the schema
+of its section: every field of a type read from one value (int, float,
+float | None, an Enum, a tuple of numbers) is the key of the same name,
+with the field's default. The composite [world] keys (tracker, mobility,
+starts, fixed path, obstacles) and grid.trackers are read by hand. Any key
+can be overridden on the command line as section.key=value. Blank values
+mean "derive a default" where the schema says so.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import fields
+from enum import Enum
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .channel import ChannelParams
-from .engine import (
-    FixedPath,
-    RandomWaypoint,
-    Rect,
-    StaticControl,
-    StaticTarget,
-    WorldConfig,
-)
+from .engine import TRACKERS, FixedPath, RandomWaypoint, Rect, StaticTarget, WorldConfig
 from .experiments import ExperimentGrid
 from .geometry import Pose, Vec2
-from .tracker import HotColdConfig, RotationDirection
-from .trilateration import TrilaterationConfig
 
 SCHEMA_VERSION = 1
 
@@ -33,17 +32,73 @@ class ConfigError(ValueError):
     """Invalid or unparsable experiment configuration."""
 
 
+# scalar field type -> (parser of one INI value, what the value must be)
+_SCALARS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    float | None: (lambda raw: float(raw) if raw.strip() else None, "a number or blank"),
+    str: (str.strip, "text"),
+}
+
+
+@cache
+def _reader(tp):
+    """read(raw, key) of one INI value as a field of type `tp`: a tuple
+    type reads a non-empty comma list, an Enum its value in any case. None
+    when no INI key has that type."""
+    if get_origin(tp) is tuple:
+        item = _reader(get_args(tp)[0])
+
+        def read_items(raw: str, key: str) -> tuple:
+            values = tuple(item(c, f"{key} entry") for c in map(str.strip, raw.split(",")) if c)
+            if not values:
+                raise ConfigError(f"{key} must not be empty")
+            return values
+
+        return read_items if item else None
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        parse, what = lambda raw: tp(raw.strip().lower()), " or ".join(m.value for m in tp)
+    elif tp in _SCALARS:
+        parse, what = _SCALARS[tp]
+    else:
+        return None
+
+    def read(raw: str, key: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be {what}, got {raw!r}") from exc
+
+    return read
+
+
+@cache
+def _keys(cls) -> dict[str, object]:
+    """Key -> reader of every INI key of config dataclass `cls`."""
+    hints = get_type_hints(cls)
+    return {f.name: read for f in fields(cls) if (read := _reader(hints[f.name]))}
+
+
+def _default_str(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _section(cls) -> dict[str, str]:
+    """The INI keys of config dataclass `cls`, with its defaults."""
+    default = cls()
+    return {key: _default_str(getattr(default, key)) for key in _keys(cls)}
+
+
 DEFAULTS: dict[str, dict[str, str]] = {
     "meta": {"version": str(SCHEMA_VERSION)},
     "world": {
-        "width_m": "100.0",
-        "height_m": "100.0",
-        "duration_s": "1000.0",
-        "cycle_period_s": "0.5",
-        "robot_speed_kmh": "7.2",
-        "target_speed_kmh": "3.6",
-        "halt_distance_m": "3.0",
-        "seed": "1",
+        **_section(WorldConfig),
         "tracker": "hotcold",  # hotcold | trilateration | static
         "mobility": "random_waypoint",  # random_waypoint | static | fixed_path
         "robot_start_x_m": "",  # blank: space center
@@ -54,35 +109,10 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "fixed_path": "",  # "t:x:y; t:x:y; ..." for mobility=fixed_path
         "obstacles": "",  # "xmin:ymin:xmax:ymax; ..." axis-aligned rectangles
     },
-    "channel": {
-        "tx_power_dbm": "0.0",
-        "tx_gain_dbi": "0.0",
-        "rx_gain_dbi": "2.0",
-        "frequency_hz": "2.4e9",
-        "path_loss_exponent": "2.8",
-        "shadowing_sigma_db": "0.0",
-        "rx_sensitivity_dbm": "-94.0",
-    },
-    "hotcold": {
-        "sws": "4",
-        "rotation_angle_deg": "137.0",
-        "rotation_direction": "ccw",
-        "halt_threshold_dbm": "",  # blank: derived from halt_distance_m
-    },
-    "trilateration": {
-        "k_observations": "3",
-        "min_spacing_m": "0.5",
-        "condition_threshold": "1e6",
-        "bootstrap_turn_deg": "20.0",
-    },
-    "grid": {
-        "sws_values": "1,2,3,4,5,6,7,8,9,10",
-        "sigma_values": "0,1,2,3,4,5,6",
-        "trackers": "hotcold,trilateration,static",
-        "runs_per_point": "5",
-        "master_seed": "1",
-        "comparison_sws": "3,4,5,6,7",
-    },
+    "channel": _section(ChannelParams),
+    # a tracker with no tunables (static) has no section
+    **{cls.name: _section(cls) for cls in TRACKERS if _keys(cls)},
+    "grid": {**_section(ExperimentGrid), "trackers": ",".join(ExperimentGrid().tracker_names)},
 }
 
 
@@ -128,30 +158,16 @@ def apply_overrides(cfg: dict[str, dict[str, str]], overrides: list[str]) -> Non
         cfg[section][key] = value
 
 
-def _get_float(cfg, section, key) -> float:
-    raw = cfg[section][key]
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
+def _get(cfg, section: str, key: str, tp):
+    """INI value section.key read as a field of type `tp`."""
+    return _reader(tp)(cfg[section][key], f"{section}.{key}")
 
 
-def _get_int(cfg, section, key) -> int:
-    raw = cfg[section][key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _get_opt_float(cfg, section, key) -> float | None:
-    raw = cfg[section][key].strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number or blank, got {raw!r}") from exc
+def _read(cfg, section: str, cls, **composite):
+    """Config dataclass `cls` from its INI section; `composite` gives the
+    fields that are not INI keys."""
+    keys = _keys(cls).items()
+    return cls(**{key: read(cfg[section][key], f"{section}.{key}") for key, read in keys}, **composite)
 
 
 def _parse_points(raw: str, what: str, parts: int) -> list[tuple[float, ...]]:
@@ -170,55 +186,39 @@ def _parse_points(raw: str, what: str, parts: int) -> list[tuple[float, ...]]:
     return rows
 
 
-def build_channel(cfg) -> ChannelParams:
-    # every [channel] key is a ChannelParams field of the same name
-    try:
-        return ChannelParams(**{key: _get_float(cfg, "channel", key) for key in cfg["channel"]})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_tracker(cfg, name: str, key: str = "world.tracker"):
-    """The config of the tracker called `name`, from that tracker's section."""
+    """The config of the tracker called `name`, from that tracker's section;
+    its own checks raise ValueError."""
     name = name.strip().lower()
-    try:
-        if name == "hotcold":
-            direction = cfg["hotcold"]["rotation_direction"].strip().lower()
-            if direction not in ("ccw", "cw"):
-                raise ConfigError(f"hotcold.rotation_direction must be ccw or cw, got {direction!r}")
-            return HotColdConfig(
-                sws=_get_int(cfg, "hotcold", "sws"),
-                rotation_angle_deg=_get_float(cfg, "hotcold", "rotation_angle_deg"),
-                rotation_direction=RotationDirection(direction),
-                halt_threshold_dbm=_get_opt_float(cfg, "hotcold", "halt_threshold_dbm"),
-            )
-        if name == "trilateration":
-            return TrilaterationConfig(
-                k_observations=_get_int(cfg, "trilateration", "k_observations"),
-                min_spacing_m=_get_float(cfg, "trilateration", "min_spacing_m"),
-                condition_threshold=_get_float(cfg, "trilateration", "condition_threshold"),
-                bootstrap_turn_deg=_get_float(cfg, "trilateration", "bootstrap_turn_deg"),
-            )
-        if name == "static":
-            return StaticControl()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"{key} must be hotcold, trilateration, or static, got {name!r}")
+    trackers = {cls.name: cls for cls in TRACKERS}
+    if name not in trackers:
+        raise ConfigError(f"{key} must be one of {', '.join(trackers)}, got {name!r}")
+    return _read(cfg, name, trackers[name])
+
+
+def _start(cfg, what: str) -> Vec2 | None:
+    """The world.<what>_start_x_m/y_m point; None when both are blank."""
+    x = _get(cfg, "world", f"{what}_start_x_m", float | None)
+    y = _get(cfg, "world", f"{what}_start_y_m", float | None)
+    if (x is None) != (y is None):
+        raise ConfigError(f"set both or neither of world.{what}_start_x_m / {what}_start_y_m")
+    return None if x is None else Vec2(x, y)
 
 
 def build_mobility(cfg):
     name = cfg["world"]["mobility"].strip().lower()
-    tx = _get_opt_float(cfg, "world", "target_start_x_m")
-    ty = _get_opt_float(cfg, "world", "target_start_y_m")
     try:
+        start = _start(cfg, "target")
         if name == "random_waypoint":
-            start = Vec2(tx, ty) if tx is not None and ty is not None else None
             return RandomWaypoint(start=start)
         if name == "static":
-            if tx is None or ty is None:
+            if start is None:
                 raise ConfigError("mobility=static requires world.target_start_x_m/y_m")
-            return StaticTarget(Vec2(tx, ty))
+            return StaticTarget(start)
         if name == "fixed_path":
+            if start is not None:
+                raise ConfigError("mobility=fixed_path starts at its first waypoint; "
+                                  "leave world.target_start_x_m/y_m blank")
             rows = _parse_points(cfg["world"]["fixed_path"], "world.fixed_path", 3)
             if not rows:
                 raise ConfigError("mobility=fixed_path requires world.fixed_path waypoints")
@@ -231,66 +231,32 @@ def build_mobility(cfg):
 
 
 def build_world(cfg) -> WorldConfig:
-    rx = _get_opt_float(cfg, "world", "robot_start_x_m")
-    ry = _get_opt_float(cfg, "world", "robot_start_y_m")
-    if (rx is None) != (ry is None):
-        raise ConfigError("set both or neither of world.robot_start_x_m / robot_start_y_m")
     try:
-        robot_start = None
-        if rx is not None and ry is not None:
-            heading = math.radians(_get_float(cfg, "world", "robot_heading_deg"))
-            robot_start = Pose(Vec2(rx, ry), heading)
+        start = _start(cfg, "robot")
+        heading = math.radians(_get(cfg, "world", "robot_heading_deg", float))
+        robot_start = None if start is None else Pose(start, heading)
         obstacles = tuple(
             Rect(*row) for row in _parse_points(cfg["world"]["obstacles"], "world.obstacles", 4)
         )
-        return WorldConfig(
-            width_m=_get_float(cfg, "world", "width_m"),
-            height_m=_get_float(cfg, "world", "height_m"),
-            duration_s=_get_float(cfg, "world", "duration_s"),
-            cycle_period_s=_get_float(cfg, "world", "cycle_period_s"),
-            robot_speed_kmh=_get_float(cfg, "world", "robot_speed_kmh"),
-            target_speed_kmh=_get_float(cfg, "world", "target_speed_kmh"),
-            halt_distance_m=_get_float(cfg, "world", "halt_distance_m"),
-            channel=build_channel(cfg),
+        return _read(
+            cfg,
+            "world",
+            WorldConfig,
+            channel=_read(cfg, "channel", ChannelParams),
             tracker=build_tracker(cfg, cfg["world"]["tracker"]),
             mobility=build_mobility(cfg),
             obstacles=obstacles,
-            seed=_get_int(cfg, "world", "seed"),
             robot_start=robot_start,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_list(cfg, section: str, key: str, kind):
-    values = []
-    for chunk in cfg[section][key].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            values.append(kind(chunk))
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} entry {chunk!r} is not a {kind.__name__}") from exc
-    if not values:
-        raise ConfigError(f"{section}.{key} must not be empty")
-    return values
-
-
 def build_grid(cfg, base: WorldConfig) -> ExperimentGrid:
     try:
-        return ExperimentGrid(
-            sws_values=tuple(_parse_list(cfg, "grid", "sws_values", int)),
-            sigma_values=tuple(_parse_list(cfg, "grid", "sigma_values", float)),
-            trackers=tuple(
-                build_tracker(cfg, name, "grid.trackers")
-                for name in _parse_list(cfg, "grid", "trackers", str)
-            ),
-            runs_per_point=_get_int(cfg, "grid", "runs_per_point"),
-            master_seed=_get_int(cfg, "grid", "master_seed"),
-            comparison_sws=tuple(_parse_list(cfg, "grid", "comparison_sws", int)),
-            base=base,
-        )
+        names = _get(cfg, "grid", "trackers", tuple[str, ...])
+        trackers = tuple(build_tracker(cfg, name, "grid.trackers") for name in names)
+        return _read(cfg, "grid", ExperimentGrid, trackers=trackers, base=base)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -30,6 +30,7 @@ from .geometry import (
     advance,
     bearing,
     distance,
+    left_sum,
     normalize_heading,
     require_finite_fields,
     rotate,
@@ -522,7 +523,7 @@ def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
     if not trace:
         return MetricsReport(math.nan, 0, 0, 0)
     total = len(trace)
-    avg = sum(distance(rec.robot.position, rec.target) for rec in trace) / total
+    avg = left_sum(distance(rec.robot.position, rec.target) for rec in trace) / total
     return MetricsReport(
         average_distance_m=avg,
         cycles_in_range=sum(rec.in_range for rec in trace),

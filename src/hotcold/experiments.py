@@ -62,6 +62,12 @@ class ExperimentGrid:
             raise ValueError(f"runs_per_point must be >= 1, got {self.runs_per_point}")
         if len(set(self.tracker_names)) < len(self.trackers):
             raise ValueError(f"grid trackers repeat a name: {self.tracker_names}")
+        # every point's channel and tracker config must build: their own checks
+        for sigma in self.sigma_values:
+            replace(self.base.channel, shadowing_sigma_db=sigma)
+        for config in self.trackers:
+            for sws in self.sws_values if hasattr(config, "sws") else ():
+                replace(config, sws=sws)
 
     @property
     def tracker_names(self) -> tuple[str, ...]:

@@ -8,7 +8,9 @@ counter-clockwise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from functools import reduce
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +22,12 @@ def normalize_heading(angle_rad: float) -> float:
         # float modulo of a tiny negative can round up to exactly 2*pi
         wrapped -= TWO_PI
     return wrapped
+
+
+def left_sum(values) -> float:
+    """Plain left-to-right float sum: the same bits on every Python (3.12's
+    builtin sum compensates, so its bits differ from earlier versions')."""
+    return reduce(operator.add, values, 0.0)
 
 
 def require_finite_fields(obj) -> None:

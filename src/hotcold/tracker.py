@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import ClassVar
 
-from .geometry import require_finite_fields
+from .geometry import left_sum, require_finite_fields
 
 
 class RotationDirection(Enum):
@@ -51,28 +51,19 @@ def rotate_then_move(angle_deg: float) -> TrackerDecision:
     return TrackerDecision(_ROTATE_THEN_MOVE, angle_deg)
 
 
-@dataclass(frozen=True, kw_only=True)
-class FollowerConfig:
-    """Optional halt threshold of a following tracker; left as None, the
-    engine derives it from the halt distance."""
-
-    halt_threshold_dbm: float | None = None
-
-    def __post_init__(self) -> None:
-        require_finite_fields(self)
-
-
 @dataclass(frozen=True)
-class HotColdConfig(FollowerConfig):
-    """Tunables of the double-window differential decision rule."""
+class HotColdConfig:
+    """Tunables of the double-window differential decision rule. Left as
+    None, the halt threshold is derived from the world's halt distance."""
 
     name: ClassVar[str] = "hotcold"
     sws: int = 4
     rotation_angle_deg: float = 137.0
     rotation_direction: RotationDirection = RotationDirection.CCW
+    halt_threshold_dbm: float | None = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        require_finite_fields(self)
         if self.sws < 1:
             raise ValueError(f"samples window size must be >= 1, got {self.sws}")
         if not 0.0 < self.rotation_angle_deg < 360.0:
@@ -103,7 +94,7 @@ def window_average(samples: list[float]) -> float:
     """Arithmetic mean of raw dBm samples (indicator-domain averaging)."""
     if not samples:
         raise ValueError("empty samples window")
-    return sum(samples) / len(samples)
+    return left_sum(samples) / len(samples)
 
 
 def decide(avg_first: float, avg_second: float, cfg: HotColdConfig) -> TrackerDecision:

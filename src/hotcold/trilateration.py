@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .channel import ChannelParams, invert_rssi_to_distance
-from .geometry import Pose, Vec2, bearing, signed_turn
-from .tracker import HALT, MOVE_FORWARD, FollowerConfig, TrackerDecision, rotate_then_move
+from .geometry import Pose, Vec2, bearing, require_finite_fields, signed_turn
+from .tracker import HALT, MOVE_FORWARD, TrackerDecision, rotate_then_move
 
 
 @dataclass(frozen=True)
-class TrilaterationConfig(FollowerConfig):
+class TrilaterationConfig:
     """Estimator window and steering tunables.
 
     bootstrap_turn_deg bends the path while no estimate exists yet: a robot
@@ -40,7 +40,7 @@ class TrilaterationConfig(FollowerConfig):
     bootstrap_turn_deg: float = 20.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        require_finite_fields(self)
         if self.k_observations < 3:
             raise ValueError(f"need at least 3 observations, got {self.k_observations}")
         if self.min_spacing_m < 0.0:

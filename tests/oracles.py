@@ -2,8 +2,9 @@
 
 These deliberately avoid the solver paths they are checking: position
 recovery is a coarse grid scan (to pick the right basin, thin observation
-triangles leave a near-mirror lobe) followed by a derivative-free simplex
-polish, and the turn-count oracle is a linear scan over candidate counts.
+triangles leave a near-mirror lobe) followed by a Levenberg-Marquardt
+polish on the range residuals, and the turn-count oracle is a linear scan
+over candidate counts.
 
 The two sweep kernels at the end are the package's earlier vectorized
 kernels, kept verbatim as references for their replacements:
@@ -31,11 +32,9 @@ def brute_force_position(
     """Minimize sum((|p - p_i| - d_i)^2) without any linear-algebra shortcut."""
     pos = np.asarray(positions, dtype=float)
     dist = np.asarray(distances, dtype=float)
-    anchors = [(float(px), float(py), float(d)) for (px, py), d in zip(pos, dist)]
 
-    def cost_at(point) -> float:
-        x, y = point
-        return sum((math.hypot(x - px, y - py) - d) ** 2 for px, py, d in anchors)
+    def residuals(point) -> np.ndarray:
+        return np.hypot(point[0] - pos[:, 0], point[1] - pos[:, 1]) - dist
 
     lo = (pos - dist[:, None]).min(axis=0)
     hi = (pos + dist[:, None]).max(axis=0)
@@ -45,7 +44,7 @@ def brute_force_position(
     ys = np.linspace(center[1] - half, center[1] + half, grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     coarse = np.zeros_like(gx)
-    for px, py, d in anchors:
+    for (px, py), d in zip(pos, dist):
         coarse += (np.hypot(gx - px, gy - py) - d) ** 2
 
     seeds = []
@@ -61,14 +60,11 @@ def brute_force_position(
 
     best_point, best_cost = None, math.inf
     for cell in seeds:
-        result = optimize.minimize(
-            cost_at,
-            np.array([gx[cell], gy[cell]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 4000, "maxfev": 4000},
+        result = optimize.least_squares(
+            residuals, np.array([gx[cell], gy[cell]]), method="lm", xtol=1e-15, ftol=1e-15
         )
-        if result.fun < best_cost:
-            best_cost = float(result.fun)
+        if result.cost < best_cost:
+            best_cost = float(result.cost)
             best_point = result.x
     return float(best_point[0]), float(best_point[1])
 

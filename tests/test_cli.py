@@ -211,6 +211,14 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
     # Hot-Cold always moves the world's robot step: no step size key
     assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2
+    # a grid axis value that no point's channel or tracker config accepts
+    for axis in ("grid.sigma_values=-1", "grid.sigma_values=nan", "grid.sws_values=0"):
+        assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--set", axis, "grid"]) == 2
+    # a target start that would be ignored: half set, or under a fixed path
+    fixed = ["--set", "world.mobility=fixed_path", "--set", "world.fixed_path=0:10:10"]
+    for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):
+        args = start + ["--set", "world.target_start_x_m=10", "simulate"]
+        assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -13,7 +14,7 @@ from hotcold.config import (
     write_default_config,
 )
 from hotcold import experiments
-from hotcold.engine import FixedPath, StaticControl, StaticTarget, WorldConfig, distance
+from hotcold.engine import TRACKERS, FixedPath, StaticControl, StaticTarget, WorldConfig, distance
 from hotcold.experiments import (
     ExperimentGrid,
     derive_seed,
@@ -268,6 +269,12 @@ def test_default_config_builds_table_defaults():
     grid = build_grid(cfg, world)
     assert grid.sws_values == tuple(range(1, 11))
     assert grid.sigma_values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    # the INI defaults are the dataclass defaults, and each tracker's
+    # section is exactly its config fields
+    assert world == WorldConfig()
+    assert build_grid(cfg, WorldConfig()) == ExperimentGrid()
+    for tracker in TRACKERS:
+        assert set(cfg.get(tracker.name, {})) == {f.name for f in fields(tracker)}
 
 
 def test_overrides_and_tracker_switch():

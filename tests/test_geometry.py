@@ -11,10 +11,18 @@ from hotcold.geometry import (
     advance,
     bearing,
     distance,
+    left_sum,
     normalize_heading,
     rotate,
     signed_turn,
 )
+
+
+def test_left_sum_adds_left_to_right():
+    # compensated sums (math.fsum, 3.12's builtin sum) give 2.0 here
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0
 
 
 def test_rotate_full_turn_is_identity():

@@ -32,6 +32,12 @@ def test_window_average_examples():
         window_average([])
 
 
+def test_window_average_sums_left_to_right():
+    # a compensated sum (3.12's builtin sum) gives 0.5: the window mean
+    # must keep the same bits on every Python
+    assert window_average([1.0, 1e100, 1.0, -1e100]) == 0.0
+
+
 def test_decide_examples():
     assert decide(-50.0, -55.0, CFG4).kind is DecisionKind.ROTATE_THEN_MOVE
     assert decide(-50.0, -55.0, CFG4).rotation_deg == 137.0

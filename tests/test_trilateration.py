@@ -192,12 +192,7 @@ def test_degenerate_solve_keeps_previous_estimate():
 
 def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
-        for name in (
-            "min_spacing_m",
-            "condition_threshold",
-            "bootstrap_turn_deg",
-            "halt_threshold_dbm",
-        ):
+        for name in ("min_spacing_m", "condition_threshold", "bootstrap_turn_deg"):
             with pytest.raises(ValueError, match="must be finite"):
                 TrilaterationConfig(**{name: bad})
     with pytest.raises(ValueError):
