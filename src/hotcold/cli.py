@@ -133,6 +133,12 @@ def _grid(args, grid, figures, out: Path):
     the SWS figures are dropped when the grid has no hotcold."""
     if "hotcold" not in grid.tracker_names:
         figures = figures - SWS_FIGURES
+    dropped = [s for s in grid.comparison_sws if s not in grid.sws_values]
+    comparisons = [f for f in GRID_FIGURES if f in figures and f not in SWS_FIGURES]
+    if dropped and comparisons and "hotcold" in grid.tracker_names:
+        print(f"warning: grid.comparison_sws {','.join(map(str, dropped))} not in "
+              f"grid.sws_values: no hotcold curve for them in {', '.join(comparisons)}",
+              file=sys.stderr)
     result = run_grid(grid, workers=args.workers)
     print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
     print(f"wrote {write_grid_runs_csv(result, out)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -234,11 +234,10 @@ def build_world(cfg) -> WorldConfig:
     try:
         start = _start(cfg, "robot")
         heading = math.radians(_get(cfg, "world", "robot_heading_deg", float))
-        robot_start = None if start is None else Pose(start, heading)
         obstacles = tuple(
             Rect(*row) for row in _parse_points(cfg["world"]["obstacles"], "world.obstacles", 4)
         )
-        return _read(
+        world = _read(
             cfg,
             "world",
             WorldConfig,
@@ -246,8 +245,12 @@ def build_world(cfg) -> WorldConfig:
             tracker=build_tracker(cfg, cfg["world"]["tracker"]),
             mobility=build_mobility(cfg),
             obstacles=obstacles,
-            robot_start=robot_start,
+            robot_start=None if start is None else Pose(start, heading),
         )
+        if start is None and heading:  # a blank start is the space center
+            center = Vec2(world.width_m / 2.0, world.height_m / 2.0)
+            world = replace(world, robot_start=Pose(center, heading))
+        return world
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -60,6 +60,9 @@ MAX_SPEED_KMH = 1e4
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
 SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
+# Rectangles farther than this along x or y are skipped: the sensor reads its
+# cap from 2.55 m on, and the cull in sensor_reading_cm is exact.
+SENSOR_REACH_M = 2.6
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +367,16 @@ class AvoidanceManeuver:
     back_up_m: float
     turn_deg: float
 
+    @cached_property
+    def label(self) -> str:
+        """The trace label, formatted once per maneuver."""
+        return f"avoid({self.turn_deg:+.4f})"
+
+
+AVOID_BOTH = AvoidanceManeuver(0.10, 45.0)
+AVOID_RIGHT = AvoidanceManeuver(0.10, 10.0)
+AVOID_LEFT = AvoidanceManeuver(0.10, -10.0)
+
 
 def obstacle_avoidance(left_cm: float, right_cm: float) -> AvoidanceManeuver | None:
     """Corner-sensor rules: back off 10 cm and turn away from the blocked side."""
@@ -371,42 +384,72 @@ def obstacle_avoidance(left_cm: float, right_cm: float) -> AvoidanceManeuver | N
         if not 0.0 <= reading <= SENSOR_MAX_CM:
             raise ValueError(f"sensor reading {reading} outside [0, {SENSOR_MAX_CM}] cm")
     if left_cm < SENSOR_TRIGGER_CM and right_cm < SENSOR_TRIGGER_CM:
-        return AvoidanceManeuver(0.10, 45.0)
+        return AVOID_BOTH
     if right_cm < SENSOR_TRIGGER_CM:
-        return AvoidanceManeuver(0.10, 10.0)
+        return AVOID_RIGHT
     if left_cm < SENSOR_TRIGGER_CM:
-        return AvoidanceManeuver(0.10, -10.0)
+        return AVOID_LEFT
     return None
 
 
-def _ray_rect_distance(origin: Vec2, direction_rad: float, rect: Rect) -> float:
-    """Distance along a ray to an axis-aligned rectangle (slab method)."""
-    dx = math.cos(direction_rad)
-    dy = math.sin(direction_rad)
-    t_min, t_max = 0.0, math.inf
-    for o, d, lo, hi in ((origin.x, dx, rect.x_min, rect.x_max), (origin.y, dy, rect.y_min, rect.y_max)):
-        if abs(d) < 1e-15:
-            if o < lo or o > hi:
-                return math.inf
-            continue
-        t1 = (lo - o) / d
-        t2 = (hi - o) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        t_min = max(t_min, t1)
-        t_max = min(t_max, t2)
-        if t_min > t_max:
-            return math.inf
-    return t_min
-
-
 def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> float:
-    """Ultrasonic reading for the left (+1) or right (-1) front sensor, in cm."""
+    """Ultrasonic reading for the left (+1) or right (-1) front sensor, in cm.
+
+    A slab test per rectangle, x slab then y slab; a ray within 1e-15 of
+    parallel to a slab misses unless its origin lies inside that slab.
+
+    Reach cull, exact for every finite coordinate: a rectangle more than
+    SENSOR_REACH_M beyond the origin along x or y is skipped, judged on the
+    very differences the slab divides. Take x_lo = x_min - ox > 2.6 (the
+    other three cases mirror it): a parallel ray misses, dx < 0 gives two
+    negative slab distances and a miss, and for 0 < dx <= 1 the computed
+    entry x_lo / dx is >= x_lo > 2.6 m, rounding being monotone. Either way
+    the reading is the cap. No rounding enters the test; an edge widened by
+    the margin instead (ox < x_min - 2.6) would be exact only while the
+    5 cm margin beats its half-ulp error, for coordinates below 2**49 m.
+    """
     direction = pose.heading_rad + side * SENSOR_RAY_OFFSET_RAD
-    nearest = min(
-        (_ray_rect_distance(pose.position, direction, rect) for rect in obstacles),
-        default=math.inf,
-    )
+    dx, dy = math.cos(direction), math.sin(direction)
+    x_parallel = abs(dx) < 1e-15
+    y_parallel = abs(dy) < 1e-15
+    ox, oy = pose.position.x, pose.position.y
+    nearest = math.inf
+    for rect in obstacles:
+        x_lo = rect.x_min - ox
+        x_hi = rect.x_max - ox
+        y_lo = rect.y_min - oy
+        y_hi = rect.y_max - oy
+        if (x_lo > SENSOR_REACH_M or x_hi < -SENSOR_REACH_M
+                or y_lo > SENSOR_REACH_M or y_hi < -SENSOR_REACH_M):
+            continue
+        # x_lo > 0 is exactly ox < x_min, and x_hi < 0 is ox > x_max
+        if x_parallel:
+            if x_lo > 0.0 or x_hi < 0.0:
+                continue
+            t_min, t_max = 0.0, math.inf
+        else:
+            t1 = x_lo / dx
+            t2 = x_hi / dx
+            if t1 > t2:
+                t1, t2 = t2, t1
+            t_min = t1 if t1 > 0.0 else 0.0
+            t_max = t2
+            if t_min > t_max:
+                continue
+        if y_parallel:
+            if y_lo > 0.0 or y_hi < 0.0:
+                continue
+        else:
+            t1 = y_lo / dy
+            t2 = y_hi / dy
+            if t1 > t2:
+                t1, t2 = t2, t1
+            t_min = t1 if t1 > t_min else t_min
+            t_max = t2 if t2 < t_max else t_max
+            if t_min > t_max:
+                continue
+        if t_min < nearest:
+            nearest = t_min
     return min(nearest * 100.0, SENSOR_MAX_CM)
 
 
@@ -468,20 +511,15 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
             state.robot.position.y - maneuver.back_up_m * math.sin(state.robot.heading_rad),
         )
         state.robot = rotate(Pose(back, state.robot.heading_rad), math.radians(maneuver.turn_deg))
-        label = f"avoid({maneuver.turn_deg:+.4f})"
+        label = maneuver.label
     else:
         state.robot = _execute_decision(state.robot, decision, config.robot_step_m)
         label = _decision_label(decision)
 
     state.trace.append(
         CycleRecord(
-            time_s=t_end,
-            robot=state.robot,
-            target=state.target.position,
-            rssi_dbm=reading.value_dbm,
-            in_range=reading.in_range,
-            in_halt=reading.value_dbm > state.halt_threshold_dbm,
-            decision=label,
+            t_end, state.robot, state.target.position, reading.value_dbm, reading.in_range,
+            reading.value_dbm > state.halt_threshold_dbm, label,
         )
     )
     state.time_s = t_end
@@ -557,25 +595,19 @@ TRACE_COLUMNS = (
 )
 
 
+# a CycleRecord's fields in TRACE_COLUMNS order, the heading in degrees
+_TRACE_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%s"
+
+
 def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
     lines = [",".join(TRACE_COLUMNS)]
-    for rec in trace:
-        lines.append(
-            ",".join(
-                (
-                    f"{rec.time_s:.6f}",
-                    f"{rec.robot.position.x:.6f}",
-                    f"{rec.robot.position.y:.6f}",
-                    f"{math.degrees(rec.robot.heading_rad):.6f}",
-                    f"{rec.target.x:.6f}",
-                    f"{rec.target.y:.6f}",
-                    f"{rec.rssi_dbm:.6f}",
-                    str(int(rec.in_range)),
-                    str(int(rec.in_halt)),
-                    rec.decision,
-                )
-            )
+    lines.extend(
+        _TRACE_ROW % (
+            time_s, robot.position.x, robot.position.y, math.degrees(robot.heading_rad),
+            target.x, target.y, rssi_dbm, in_range, in_halt, decision,
         )
+        for time_s, robot, target, rssi_dbm, in_range, in_halt, decision in trace
+    )
     return lines
 
 

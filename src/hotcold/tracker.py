@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .geometry import left_sum, require_finite_fields
 
@@ -35,9 +35,9 @@ _CCW = RotationDirection.CCW
 _ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
 
 
-@dataclass(frozen=True)
-class TrackerDecision:
-    """One cycle's movement command; rotation_deg is signed, CCW positive."""
+class TrackerDecision(NamedTuple):
+    """One cycle's movement command; rotation_deg is signed, CCW positive.
+    A NamedTuple: the trilateration tracker builds one per steering cycle."""
 
     kind: DecisionKind
     rotation_deg: float = 0.0

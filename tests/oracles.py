@@ -11,6 +11,11 @@ kernels, kept verbatim as references for their replacements:
 sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
 and sweep_one_phi computes every distance with np.hypot and writes every
 crossed tau level with its own scatter.
+
+The engine's earlier obstacle sensor and trace writer close the file, also
+verbatim: _ray_rect_distance recomputes the ray direction per rectangle and
+sensor_reading_cm casts at every rectangle; trace_csv_lines formats each
+field on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 from scipy import optimize
 
 from hotcold.analysis import _COS_DEG, _SIN_DEG
+from hotcold.engine import SENSOR_MAX_CM, SENSOR_RAY_OFFSET_RAD, TRACE_COLUMNS, CycleRecord, Rect
+from hotcold.geometry import Pose, Vec2
 
 
 def brute_force_position(
@@ -160,3 +167,56 @@ def sweep_one_phi(
         y += _SIN_DEG[heading]
 
     return counts, live
+
+
+def _ray_rect_distance(origin: Vec2, direction_rad: float, rect: Rect) -> float:
+    """Distance along a ray to an axis-aligned rectangle (slab method)."""
+    dx = math.cos(direction_rad)
+    dy = math.sin(direction_rad)
+    t_min, t_max = 0.0, math.inf
+    for o, d, lo, hi in ((origin.x, dx, rect.x_min, rect.x_max), (origin.y, dy, rect.y_min, rect.y_max)):
+        if abs(d) < 1e-15:
+            if o < lo or o > hi:
+                return math.inf
+            continue
+        t1 = (lo - o) / d
+        t2 = (hi - o) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_min = max(t_min, t1)
+        t_max = min(t_max, t2)
+        if t_min > t_max:
+            return math.inf
+    return t_min
+
+
+def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> float:
+    """Ultrasonic reading for the left (+1) or right (-1) front sensor, in cm."""
+    direction = pose.heading_rad + side * SENSOR_RAY_OFFSET_RAD
+    nearest = min(
+        (_ray_rect_distance(pose.position, direction, rect) for rect in obstacles),
+        default=math.inf,
+    )
+    return min(nearest * 100.0, SENSOR_MAX_CM)
+
+
+def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
+    lines = [",".join(TRACE_COLUMNS)]
+    for rec in trace:
+        lines.append(
+            ",".join(
+                (
+                    f"{rec.time_s:.6f}",
+                    f"{rec.robot.position.x:.6f}",
+                    f"{rec.robot.position.y:.6f}",
+                    f"{math.degrees(rec.robot.heading_rad):.6f}",
+                    f"{rec.target.x:.6f}",
+                    f"{rec.target.y:.6f}",
+                    f"{rec.rssi_dbm:.6f}",
+                    str(int(rec.in_range)),
+                    str(int(rec.in_halt)),
+                    rec.decision,
+                )
+            )
+        )
+    return lines

@@ -438,3 +438,30 @@ def test_every_world_and_tracker_key_changes_the_output():
         if _simulate_bytes(companions) == _simulate_bytes(companions | {key: value}):
             dead.append(key)
     assert dead == []
+
+
+def test_robot_heading_applies_to_a_blank_start(tmp_path, capsys):
+    args = ["--set", "world.duration_s=20"]
+    assert run_cli(args + ["--out-dir", str(tmp_path / "default"), "simulate"]) == 0
+    turned = args + ["--set", "world.robot_heading_deg=90"]
+    assert run_cli(turned + ["--out-dir", str(tmp_path / "turned"), "simulate"]) == 0
+    centered = turned + ["--set", "world.robot_start_x_m=50", "--set", "world.robot_start_y_m=50"]
+    assert run_cli(centered + ["--out-dir", str(tmp_path / "centered"), "simulate"]) == 0
+    default, turned, centered = (
+        (tmp_path / name / "trace.csv").read_bytes() for name in ("default", "turned", "centered")
+    )
+    assert turned != default
+    assert turned == centered  # a blank start is the space center
+
+
+@pytest.mark.parametrize("command", [["grid"], ["report", "--figures", "fig5,fig8"]])
+def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, command):
+    args = TINY_GRID + ["--set", "grid.comparison_sws=3,9,11", "--out-dir", str(tmp_path)]
+    assert run_cli(args + command) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "grid.comparison_sws 9,11 not in grid.sws_values" in err
+    curves = {line.split(",")[0] for line in (tmp_path / "fig8.csv").read_text().splitlines()[1:]}
+    assert curves == {"hotcold_sws3", "trilateration", "static"}
+    assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "all_in")] + command) == 0
+    assert capsys.readouterr().err == ""
