@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import exhaustive_sweep, rotation_sweep, verify_convergence
+from .channel import MAX_SHADOWING_SIGMA_DB
 from .config import ConfigError, apply_overrides, build_grid, build_world, load_config
 from .engine import run_simulation, write_metrics_json, write_trace_csv
 from .experiments import (
@@ -48,6 +49,13 @@ GRID_FIGURES = {
 SWS_FIGURES = {f for f, (_, writer) in GRID_FIGURES.items() if writer is write_sws_difference_csv}
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hotcold",
@@ -71,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"CI scale: duration {QUICK_DURATION_S:.0f} s and {QUICK_RUNS} runs per point",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    parser.add_argument(
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="parallel grid workers (the pool gets at most one per job and per usable CPU)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,8 +216,14 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
     return 1 if report.total_violations else 0
 
 
-def _scenario(args, preset: str, sigma_db: float, out: Path) -> None:
+def _scenario_iterations(args) -> int:
     iterations = args.runs if args.runs is not None else (QUICK_RUNS if args.quick else 4)
+    if iterations < 1:
+        raise ConfigError(f"--runs must be >= 1 for a scenario, got {iterations}")
+    return iterations
+
+
+def _scenario(args, preset: str, sigma_db: float, iterations: int, out: Path) -> None:
     seed = args.seed if args.seed is not None else 1
     result = run_scenario(preset, iterations=iterations, sigma_db=sigma_db, master_seed=seed)
     print(f"wrote {write_scenario_csv(result, out)}")
@@ -214,7 +233,10 @@ def _scenario(args, preset: str, sigma_db: float, out: Path) -> None:
 
 
 def _cmd_scenario(args, out: Path) -> None:
-    _scenario(args, args.preset, args.sigma, out)
+    sigma = args.sigma
+    if not 0.0 <= sigma <= MAX_SHADOWING_SIGMA_DB:
+        raise ConfigError(f"--sigma must be in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {sigma}")
+    _scenario(args, args.preset, sigma, _scenario_iterations(args), out)
 
 
 def _cmd_report(args, out: Path) -> int:
@@ -226,12 +248,14 @@ def _cmd_report(args, out: Path) -> int:
     grid = build_grid(cfg, build_world(cfg)) if wanted & GRID_FIGURES.keys() else None
     if wanted & SWS_FIGURES and "hotcold" not in grid.tracker_names:
         raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
+    # checked before any figure is written
+    iterations = _scenario_iterations(args) if "fig12" in wanted else None
     rotation = _rotation_sweep(out) if wanted & {"fig2", "fig3"} else None
     exhaustive = _exhaustive_sweep(out) if "fig4" in wanted else None
     grid_result = _grid(args, grid, wanted, out) if grid else None
     if "fig12" in wanted:
         for name in SCENARIO_NAMES:
-            _scenario(args, name, SCENARIO_SIGMA_DB, out)
+            _scenario(args, name, SCENARIO_SIGMA_DB, iterations, out)
     print(f"wrote {write_summary_json(out, rotation, exhaustive, grid_result)}")
     return 0 if grid_result is None else _exit_on_failures(grid_result)
 

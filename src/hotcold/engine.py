@@ -24,17 +24,7 @@ from typing import Callable, ClassVar, NamedTuple, Union
 import numpy as np
 
 from .channel import MIN_DISTANCE_M, ChannelParams, RssiReading, noiseless_rssi, rssi
-from .geometry import (
-    Pose,
-    Vec2,
-    advance,
-    bearing,
-    distance,
-    left_sum,
-    normalize_heading,
-    require_finite_fields,
-    rotate,
-)
+from .geometry import Pose, Vec2, advance, normalize_heading, require_finite_fields, rotate
 from .tracker import (
     DecisionKind,
     HotColdConfig,
@@ -76,7 +66,7 @@ class StaticControl:
     name: ClassVar[str] = "static"  # the INI name, as on every tracker config
 
 
-# Each mobility model places the target, returning its start pose and first
+# Each mobility model places the target, returning its start point and first
 # waypoint (None if it has none), and moves it for the cycle ending at t_end.
 
 
@@ -86,10 +76,10 @@ class RandomWaypoint:
 
     start: Vec2 | None = None  # None: drawn uniformly in the space
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
         # draw order is fixed: start point first (when not given), then waypoint
         start = self.start or _uniform_point(config, rng)
-        return Pose(_clamp_to_space(start, config), 0.0), _uniform_point(config, rng)
+        return _clamp_to_space(start, config), _uniform_point(config, rng)
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         state.target, state.target_waypoint = random_waypoint_step(
@@ -126,14 +116,11 @@ class FixedPath:
                 return Vec2(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
         return points[-1][1]
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
-        return Pose(_clamp_to_space(self.position_at(0.0), config), 0.0), None
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
+        return _clamp_to_space(self.position_at(0.0), config), None
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        new_pos = _clamp_to_space(self.position_at(t_end), config)
-        moved = distance(state.target.position, new_pos) > 0.0
-        heading = bearing(state.target.position, new_pos) if moved else state.target.heading_rad
-        state.target = Pose(new_pos, heading)
+        state.target = _clamp_to_space(self.position_at(t_end), config)
 
 
 @dataclass(frozen=True)
@@ -143,8 +130,8 @@ class StaticTarget:
     def position_at(self, time_s: float) -> Vec2:
         return self.point
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Pose, Vec2 | None]:
-        return Pose(_clamp_to_space(self.point, config), 0.0), None
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
+        return _clamp_to_space(self.point, config), None
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         """The target never moves."""
@@ -252,11 +239,11 @@ class CycleRecord(NamedTuple):
 Decide = Callable[["WorldState", RssiReading, "WorldConfig"], Union[TrackerDecision, None]]
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldState:
     time_s: float
     robot: Pose
-    target: Pose
+    target: Vec2  # the target has no heading: nothing reads one
     target_waypoint: Vec2 | None
     tracker_state: HotColdState | TrilaterationState | None
     decide: Decide
@@ -334,28 +321,24 @@ def init_world(config: WorldConfig) -> WorldState:
 
 
 def random_waypoint_step(
-    target: Pose,
+    position: Vec2,
     waypoint: Vec2,
     config: WorldConfig,
     rng: np.random.Generator,
-) -> tuple[Pose, Vec2]:
+) -> tuple[Vec2, Vec2]:
     """One cycle of waypoint walking; landing on the waypoint draws a new one."""
     step = config.target_step_m
     if step == 0.0:
-        return target, waypoint
-    # distance(), bearing() and advance() spelled out on one dx/dy: the
-    # same float operations, without their intermediate Pose.
-    position = target.position
+        return position, waypoint
     dx = waypoint.x - position.x
     dy = waypoint.y - position.y
-    gap = math.hypot(dx, dy)
-    if gap <= step:
-        new_waypoint = _uniform_point(config, rng)
-        heading = normalize_heading(math.atan2(dy, dx)) if gap > 0.0 else target.heading_rad
-        return Pose(waypoint, heading), new_waypoint
+    if math.hypot(dx, dy) <= step:
+        return waypoint, _uniform_point(config, rng)
+    # the direction is wrapped to [0, 2*pi) as a Pose heading would be:
+    # cos and sin of the unwrapped atan2 can differ in the last bit
     heading = normalize_heading(math.atan2(dy, dx))
     moved = Vec2(position.x + step * math.cos(heading), position.y + step * math.sin(heading))
-    return Pose(moved, heading), waypoint
+    return moved, waypoint
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +447,19 @@ _ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
 _HALT = DecisionKind.HALT
 
 
-def _decision_label(decision: TrackerDecision | None) -> str:
-    if decision is None:
-        return "none"
-    kind = decision.kind
-    if kind is _ROTATE_THEN_MOVE:
-        return f"rotate_then_move({decision.rotation_deg:+.4f})"
-    return kind._value_
-
-
-def _execute_decision(robot: Pose, decision: TrackerDecision | None, step_m: float) -> Pose:
-    if decision is None or decision.kind is _HALT:
-        return robot
-    if decision.kind is _ROTATE_THEN_MOVE:
-        robot = rotate(robot, math.radians(decision.rotation_deg))
-    return advance(robot, step_m)
-
-
 def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     """Advance the world by one broadcast cycle."""
-    cycle = len(state.trace)
+    trace = state.trace
+    cycle = len(trace)
     if cycle >= config.total_cycles:
         raise ValueError("simulation already ran for its full duration")
     t_end = state.time_s + config.cycle_period_s
 
     config.mobility.move(state, config, t_end)
+    target = state.target
+    robot = state.robot
 
-    reading = rssi(
-        state.target.position, state.robot.position, config.channel, state.shadowing_normals[cycle]
-    )
+    reading = rssi(target, robot.position, config.channel, state.shadowing_normals[cycle])
 
     if reading.in_range:
         decision = state.last_decision = state.decide(state, reading, config)
@@ -501,24 +468,32 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
 
     maneuver = None
     if config.obstacles:
-        left = sensor_reading_cm(state.robot, config.obstacles, +1)
-        right = sensor_reading_cm(state.robot, config.obstacles, -1)
+        left = sensor_reading_cm(robot, config.obstacles, +1)
+        right = sensor_reading_cm(robot, config.obstacles, -1)
         maneuver = obstacle_avoidance(left, right)
 
     if maneuver is not None:
+        heading = robot.heading_rad
         back = Vec2(
-            state.robot.position.x - maneuver.back_up_m * math.cos(state.robot.heading_rad),
-            state.robot.position.y - maneuver.back_up_m * math.sin(state.robot.heading_rad),
+            robot.position.x - maneuver.back_up_m * math.cos(heading),
+            robot.position.y - maneuver.back_up_m * math.sin(heading),
         )
-        state.robot = rotate(Pose(back, state.robot.heading_rad), math.radians(maneuver.turn_deg))
+        robot = rotate(Pose(back, heading), math.radians(maneuver.turn_deg))
         label = maneuver.label
+    elif decision is None:
+        label = "none"
+    elif decision.kind is _ROTATE_THEN_MOVE:
+        robot = advance(rotate(robot, math.radians(decision.rotation_deg)), config.robot_step_m)
+        label = f"rotate_then_move({decision.rotation_deg:+.4f})"
     else:
-        state.robot = _execute_decision(state.robot, decision, config.robot_step_m)
-        label = _decision_label(decision)
+        if decision.kind is not _HALT:
+            robot = advance(robot, config.robot_step_m)
+        label = decision.kind._value_
 
-    state.trace.append(
+    state.robot = robot
+    trace.append(
         CycleRecord(
-            t_end, state.robot, state.target.position, reading.value_dbm, reading.in_range,
+            t_end, robot, target, reading.value_dbm, reading.in_range,
             reading.value_dbm > state.halt_threshold_dbm, label,
         )
     )
@@ -560,14 +535,18 @@ def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
     """Per-run KPIs from the cycle trace."""
     if not trace:
         return MetricsReport(math.nan, 0, 0, 0)
+    # one pass; the distances are added left to right from 0.0, the bits
+    # of geometry.left_sum
+    hypot = math.hypot
+    distance_sum = 0.0
+    in_range_count = in_halt_count = 0
+    for _, robot, target, _, in_range, in_halt, _ in trace:
+        position = robot.position
+        distance_sum += hypot(position.x - target.x, position.y - target.y)
+        in_range_count += in_range
+        in_halt_count += in_halt
     total = len(trace)
-    avg = left_sum(distance(rec.robot.position, rec.target) for rec in trace) / total
-    return MetricsReport(
-        average_distance_m=avg,
-        cycles_in_range=sum(rec.in_range for rec in trace),
-        cycles_in_halt=sum(rec.in_halt for rec in trace),
-        total_cycles=total,
-    )
+    return MetricsReport(distance_sum / total, in_range_count, in_halt_count, total)
 
 
 def run_simulation(config: WorldConfig) -> tuple[MetricsReport, list[CycleRecord]]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -138,16 +138,33 @@ def _run_point(config: WorldConfig) -> tuple[MetricsReport, None] | tuple[None, 
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
-    """Run every (tracker, sws, sigma) point of the grid with derived seeds."""
+    """Run every (tracker, sws, sigma) point of the grid with derived seeds.
+
+    The pool gets min(workers, jobs, usable CPUs) processes, all started at
+    the first submit; at one it is skipped and the runs go in-process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs: list[tuple[tuple[str, int | None, float], int, WorldConfig]] = []
     for tracker, sws, sigma in grid.points():
         for run in range(grid.runs_per_point):
             seed = derive_seed(grid.master_seed, tracker, sws, sigma, run)
             jobs.append(((tracker, sws, sigma), seed, grid_world_config(grid, tracker, sws, sigma, seed)))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(jobs), usable_cpus())
+    if pool_size > 1:
+        # imported here: the module costs every command's start-up otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_point, (cfg for _, _, cfg in jobs), chunksize=4))
     else:
         outcomes = [_run_point(cfg) for _, _, cfg in jobs]

@@ -12,10 +12,11 @@ sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
 and sweep_one_phi computes every distance with np.hypot and writes every
 crossed tau level with its own scatter.
 
-The engine's earlier obstacle sensor and trace writer close the file, also
-verbatim: _ray_rect_distance recomputes the ray direction per rectangle and
-sensor_reading_cm casts at every rectangle; trace_csv_lines formats each
-field on its own.
+The engine's earlier obstacle sensor, trace writer and metrics close the
+file, also verbatim: _ray_rect_distance recomputes the ray direction per
+rectangle and sensor_reading_cm casts at every rectangle; trace_csv_lines
+formats each field on its own; compute_metrics sums geometry.distance with
+left_sum and makes one more pass per count.
 """
 
 from __future__ import annotations
@@ -26,8 +27,15 @@ import numpy as np
 from scipy import optimize
 
 from hotcold.analysis import _COS_DEG, _SIN_DEG
-from hotcold.engine import SENSOR_MAX_CM, SENSOR_RAY_OFFSET_RAD, TRACE_COLUMNS, CycleRecord, Rect
-from hotcold.geometry import Pose, Vec2
+from hotcold.engine import (
+    SENSOR_MAX_CM,
+    SENSOR_RAY_OFFSET_RAD,
+    TRACE_COLUMNS,
+    CycleRecord,
+    MetricsReport,
+    Rect,
+)
+from hotcold.geometry import Pose, Vec2, distance, left_sum
 
 
 def brute_force_position(
@@ -220,3 +228,17 @@ def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
             )
         )
     return lines
+
+
+def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
+    """Per-run KPIs from the cycle trace."""
+    if not trace:
+        return MetricsReport(math.nan, 0, 0, 0)
+    total = len(trace)
+    avg = left_sum(distance(rec.robot.position, rec.target) for rec in trace) / total
+    return MetricsReport(
+        average_distance_m=avg,
+        cycles_in_range=sum(rec.in_range for rec in trace),
+        cycles_in_halt=sum(rec.in_halt for rec in trace),
+        total_cycles=total,
+    )

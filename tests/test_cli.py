@@ -465,3 +465,41 @@ def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, command):
     assert curves == {"hotcold_sws3", "trilateration", "static"}
     assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "all_in")] + command) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--runs", "0", "scenario", "--preset", "scenario1"],
+        ["--runs", "-1", "scenario", "--preset", "scenario1"],
+        ["scenario", "--preset", "scenario1", "--sigma", "nan"],
+        ["scenario", "--preset", "scenario1", "--sigma", "-1"],
+        ["scenario", "--preset", "scenario1", "--sigma", "inf"],
+        ["--runs", "0", "report", "--figures", "fig12"],
+        ["--runs", "0", "report", "--figures", "fig2,fig12"],  # checked before fig2 is written
+    ],
+)
+def test_scenario_flags_out_of_bounds_exit_2(tmp_path, capsys, args):
+    assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--workers", workers, "grid"])
+    assert exc.value.code == 2
+    assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "grid_runs.csv").exists()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    import subprocess
+    import sys
+
+    code = "import sys, hotcold.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

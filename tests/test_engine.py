@@ -117,19 +117,19 @@ def test_mobility_models_place_and_move_the_target():
     cfg = WorldConfig(width_m=50.0, height_m=50.0)
     rng = np.random.default_rng(0)
     target, waypoint = StaticTarget(Vec2(80.0, 10.0)).place(cfg, rng)
-    assert (target.position, waypoint) == (Vec2(50.0, 10.0), None)  # clamped to the space
+    assert (target, waypoint) == (Vec2(50.0, 10.0), None)  # clamped to the space
     assert StaticTarget(Vec2(80.0, 10.0)).position_at(123.0) == Vec2(80.0, 10.0)
     path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
-    assert path.place(cfg, rng) == (Pose(Vec2(1.0, 2.0), 0.0), None)
+    assert path.place(cfg, rng) == (Vec2(1.0, 2.0), None)
     target, waypoint = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
-    assert target.position == Vec2(5.0, 6.0)
+    assert target == Vec2(5.0, 6.0)
     assert 0.0 <= waypoint.x <= 50.0 and 0.0 <= waypoint.y <= 50.0
     for mobility in (StaticTarget(Vec2(7.0, 8.0)), path):
         config = WorldConfig(mobility=mobility, duration_s=5.0)
         state = init_world(config)
         for _ in range(config.total_cycles):
             step_world(state, config)
-        assert state.target.position == mobility.position_at(state.time_s)
+        assert state.target == mobility.position_at(state.time_s)
 
 
 def test_step_world_stops_after_total_cycles():
@@ -156,19 +156,17 @@ def test_shadowing_normals_are_the_channel_stream_drawn_up_front():
 def test_random_waypoint_step_toward_waypoint():
     cfg = WorldConfig()
     rng = np.random.default_rng(0)
-    target = Pose(Vec2(10.0, 20.0), 0.0)
-    moved, waypoint = random_waypoint_step(target, Vec2(20.0, 20.0), cfg, rng)
-    assert moved.position.x == pytest.approx(10.5, abs=1e-12)
-    assert moved.position.y == pytest.approx(20.0, abs=1e-12)
+    moved, waypoint = random_waypoint_step(Vec2(10.0, 20.0), Vec2(20.0, 20.0), cfg, rng)
+    assert moved.x == pytest.approx(10.5, abs=1e-12)
+    assert moved.y == pytest.approx(20.0, abs=1e-12)
     assert waypoint == Vec2(20.0, 20.0)
 
 
 def test_random_waypoint_arrival_draws_new_waypoint():
     cfg = WorldConfig()
     rng = np.random.default_rng(1)
-    target = Pose(Vec2(10.0, 20.0), 0.0)
-    moved, waypoint = random_waypoint_step(target, Vec2(10.3, 20.0), cfg, rng)
-    assert moved.position == Vec2(10.3, 20.0)
+    moved, waypoint = random_waypoint_step(Vec2(10.0, 20.0), Vec2(10.3, 20.0), cfg, rng)
+    assert moved == Vec2(10.3, 20.0)
     assert waypoint != Vec2(10.3, 20.0)
     assert 0.0 <= waypoint.x <= cfg.width_m and 0.0 <= waypoint.y <= cfg.height_m
 
@@ -176,7 +174,7 @@ def test_random_waypoint_arrival_draws_new_waypoint():
 def test_random_waypoint_zero_speed_is_static():
     cfg = WorldConfig(target_speed_kmh=0.0)
     rng = np.random.default_rng(2)
-    target = Pose(Vec2(10.0, 20.0), 0.5)
+    target = Vec2(10.0, 20.0)
     moved, waypoint = random_waypoint_step(target, Vec2(30.0, 20.0), cfg, rng)
     assert moved == target
     assert waypoint == Vec2(30.0, 20.0)
@@ -189,7 +187,7 @@ def test_waypoints_uniform_chi_square():
     rng = np.random.default_rng(3)
     draws = np.array(
         [
-            random_waypoint_step(Pose(Vec2(50.0, 50.0), 0.0), Vec2(50.0, 50.1), cfg, rng)[1]
+            random_waypoint_step(Vec2(50.0, 50.0), Vec2(50.0, 50.1), cfg, rng)[1]
             for _ in range(10_000)
         ]
     , dtype=object)
@@ -500,8 +498,8 @@ def _old_random_waypoint_step(target, waypoint, config, rng):
     return advance(Pose(target.position, heading), step), waypoint
 
 
-def _bits(pose: Pose, waypoint: Vec2) -> tuple[str, ...]:
-    values = (pose.position.x, pose.position.y, pose.heading_rad, waypoint.x, waypoint.y)
+def _bits(position: Vec2, waypoint: Vec2) -> tuple[str, ...]:
+    values = (position.x, position.y, waypoint.x, waypoint.y)
     return tuple(v.hex() for v in values)
 
 
@@ -520,9 +518,13 @@ _coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 @example(x=1.0, y=2.0, wx=1.0, wy=2.0, heading=3.0, speed_kmh=3.6)  # standing on the waypoint
 @example(x=0.0, y=0.0, wx=-0.25, wy=0.0, heading=0.5, speed_kmh=3.6)  # arrival, heading pi
 def test_random_waypoint_step_matches_pose_formula(x, y, wx, wy, heading, speed_kmh):
+    # the old step also returned a heading; the new one has none to compare
     cfg = WorldConfig(target_speed_kmh=speed_kmh)
-    target, waypoint = Pose(Vec2(x, y), heading), Vec2(wx, wy)
-    fast = random_waypoint_step(target, waypoint, cfg, np.random.default_rng(0))
-    slow = _old_random_waypoint_step(target, waypoint, cfg, np.random.default_rng(0))
+    waypoint = Vec2(wx, wy)
+    fast = random_waypoint_step(Vec2(x, y), waypoint, cfg, np.random.default_rng(0))
+    pose, new_waypoint = _old_random_waypoint_step(
+        Pose(Vec2(x, y), heading), waypoint, cfg, np.random.default_rng(0)
+    )
+    slow = (pose.position, new_waypoint)
     assert fast == slow
     assert _bits(*fast) == _bits(*slow)

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,7 +14,7 @@ from hotcold.config import (
     write_default_config,
 )
 from hotcold import experiments
-from hotcold.engine import TRACKERS, FixedPath, StaticControl, StaticTarget, WorldConfig, distance
+from hotcold.engine import TRACKERS, FixedPath, StaticControl, StaticTarget, WorldConfig
 from hotcold.experiments import (
     ExperimentGrid,
     derive_seed,
@@ -27,6 +27,7 @@ from hotcold.experiments import (
     write_summary_json,
     write_sws_difference_csv,
 )
+from hotcold.geometry import distance
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
@@ -69,6 +70,64 @@ def test_run_grid_structure():
     )
     assert all(r.total_cycles == 40 for r in point.runs)
     assert point.mean("average_distance_m") > 0.0
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+# (workers, usable CPUs, jobs, pool size or None for in-process runs)
+@pytest.mark.parametrize(
+    "workers, cpus, jobs, size",
+    [
+        (3, 2, 16, 2),  # bounded by the CPUs
+        (2, 8, 16, 2),  # by the workers asked for
+        (64, 64, 2, 2),  # by the jobs
+        (8, 1, 16, None),  # one CPU: in-process
+        (64, 64, 1, None),  # one job: in-process
+        (1, 8, 16, None),
+    ],
+)
+def test_run_grid_pool_size(monkeypatch, workers, cpus, jobs, size):
+    import concurrent.futures
+    import concurrent.futures.process
+
+    # no real pool may start here, whatever module path the code imports from
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    grid = MINI_GRID if jobs == 16 else replace(
+        MINI_GRID, trackers=(StaticControl(),), sigma_values=(0.0, 2.0)[:jobs], runs_per_point=1
+    )
+    result = run_grid(grid, workers=workers)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    assert sum(len(p.runs) for p in result.points) == jobs
+    assert result.points == run_grid(grid).points
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_grid_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_grid(MINI_GRID, workers=workers)
+
+
+def test_usable_cpus_is_positive():
+    assert experiments.usable_cpus() >= 1
 
 
 def test_run_grid_parallel_matches_serial():
