@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,17 +124,19 @@ class RotationSweepResult:
     summaries: list[RotationSummary]
     best_phi: int  # lowest overall mean among fully valid angles
 
+    @cached_property
+    def _cells(self) -> dict[tuple[int, int], RotationCell]:
+        return {(c.phi_deg, c.epsilon_deg): c for c in self.cells}
+
+    @cached_property
+    def _summaries(self) -> dict[int, RotationSummary]:
+        return {s.phi_deg: s for s in self.summaries}
+
     def cell(self, phi_deg: int, epsilon_deg: int) -> RotationCell:
-        for c in self.cells:
-            if c.phi_deg == phi_deg and c.epsilon_deg == epsilon_deg:
-                return c
-        raise KeyError((phi_deg, epsilon_deg))
+        return self._cells[phi_deg, epsilon_deg]
 
     def summary(self, phi_deg: int) -> RotationSummary:
-        for s in self.summaries:
-            if s.phi_deg == phi_deg:
-                return s
-        raise KeyError(phi_deg)
+        return self._summaries[phi_deg]
 
 
 def rotation_sweep(
@@ -222,21 +225,23 @@ class ExhaustiveSweepResult:
     cap_hits: int
     total_runs: int
 
+    @cached_property
+    def _cells(self) -> dict[tuple[int, int], ExhaustiveCell]:
+        return {(c.phi_deg, c.tau): c for c in self.cells}
+
     def cell(self, phi_deg: int, tau: int) -> ExhaustiveCell:
-        for c in self.cells:
-            if c.phi_deg == phi_deg and c.tau == tau:
-                return c
-        raise KeyError((phi_deg, tau))
+        return self._cells[phi_deg, tau]
 
 
 # The exhaustive kernel decides "d <= tau" and "d > previous d" from squared
-# distances s = dx*dx + dy*dy and hands every near tie to np.hypot, so each
-# decision is the one np.hypot's distances give. Proof, with u = 2**-53,
-# r = sqrt(dx**2 + dy**2) exact and h = np.hypot(dx, dy):
+# distances s = dx*dx + dy*dy and hands every near tie to math.hypot, so each
+# decision is the one math.hypot's distances give, as in steps_to_reach.
+# Proof, with u = 2**-53, r = sqrt(dx**2 + dy**2) exact and
+# h = math.hypot(dx, dy):
 # * s is rounded three times: |s - r*r| <= 2**-51.9 * r*r + 2**-1073 (the
 #   second term covers underflow). Nothing overflows while r < 2**401,
 #   which _MAX_DISTANCE ensures.
-# * Assume only that hypot is within 256 ulp of r (glibc's is within 1):
+# * Assume only that hypot is within 256 ulp of r (math.hypot is within 1):
 #   |h - r| <= 2**-44 * r, or <= 2**-1066 for a subnormal h, so
 #   |h*h - r*r| <= 2**-42.9 * r*r + 2**-2000.
 # * Together |s - h*h| <= A*s + B with A = 2**-42.7 and B = 2**-1072.
@@ -252,6 +257,12 @@ class ExhaustiveSweepResult:
 _NEAR_TIE = 2.0**-40
 _NEAR_TIE_FLOOR = 2.0**-1000
 _MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**401
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """math.hypot per element: np.hypot can differ from it in the last bit
+    (glibc's rounds the rho 10, bearing 239 and 329 distances down to 10.0)."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.size)
 
 
 def _sweep_one_phi(
@@ -270,7 +281,7 @@ def _sweep_one_phi(
     test per step finds the starts with new crossings. Only the lowest level
     crossed is written; the levels between it and the previous crossing were
     crossed in the same step and are filled from the level below after the
-    loop. Distances are squared distances with an exact np.hypot fallback
+    loop. Distances are squared distances with an exact math.hypot fallback
     (see _NEAR_TIE). Each start keeps its heading's cosine and sine, updated
     only when it turns. Finished starts keep stepping harmlessly until the
     live count drops below 3/4 of the state length, when the state is
@@ -307,7 +318,7 @@ def _sweep_one_phi(
         rows = np.flatnonzero(s <= reach)
         if rows.size:
             # most candidates surely cross their threshold's level and surely
-            # not the one below; the rest are decided on np.hypot
+            # not the one below; the rest are decided on math.hypot
             levels = left[rows]
             first = levels - 1  # lowest level now crossed
             candidate_s = s[rows]
@@ -316,7 +327,7 @@ def _sweep_one_phi(
             )
             if unsure.size:
                 u = rows[unsure]
-                d = np.hypot(x[u] - target_x[u], y[u] - target_y[u])
+                d = _hypot(x[u] - target_x[u], y[u] - target_y[u])
                 hit = d <= thresholds[levels[unsure]]
                 first[unsure] = np.where(hit, np.searchsorted(taus, d), levels[unsure])
                 crossed = first < levels
@@ -332,8 +343,8 @@ def _sweep_one_phi(
         near = np.flatnonzero(np.abs(diff, out=diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
         if near.size:
             tx, ty = target_x[near], target_y[near]
-            d = np.hypot(x[near] - tx, y[near] - ty)
-            turn[near] = d > np.hypot(px[near] - tx, py[near] - ty)
+            d = _hypot(x[near] - tx, y[near] - ty)
+            turn[near] = d > _hypot(px[near] - tx, py[near] - ty)
         turning = np.flatnonzero(turn)
         turned = successor[heading[turning]]
         heading[turning] = turned
@@ -369,7 +380,7 @@ def exhaustive_sweep(
     overall mean with no reached start is NaN, and such a phi cannot be
     best_phi. tau_range may come in any order but must not repeat a value.
     Counts equal steps_to_reach exactly: every decision is the one
-    np.hypot's distances give.
+    math.hypot's distances give.
     """
     rhos = np.asarray(list(rho_range), dtype=np.float64)
     betas = np.asarray(list(beta_range), dtype=np.int64)

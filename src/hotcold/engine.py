@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
@@ -50,8 +51,8 @@ MAX_SPEED_KMH = 1e4
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
 SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
-# Rectangles farther than this along x or y are skipped: the sensor reads its
-# cap from 2.55 m on, and the cull in sensor_reading_cm is exact.
+# Rectangles farther than this along x or y are culled: the sensor reads its
+# cap from 2.55 m on, and the cull in obstacles_in_reach is exact.
 SENSOR_REACH_M = 2.6
 
 
@@ -275,13 +276,15 @@ def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig
 
 def _trilateration_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
     cfg = config.tracker
-    record_observation(
-        state.tracker_state, state.robot.position, reading.value_dbm, config.channel, cfg
-    )
-    update_estimate(state.tracker_state, cfg)
+    tracker = state.tracker_state
+    if record_observation(tracker, state.robot.position, reading.value_dbm, config.channel, cfg):
+        update_estimate(tracker, cfg)
+    elif tracker.solved is not None:
+        # the FIFO is the one last solved: its solve would give this estimate
+        # again, restoring it if trilateration_decide dropped it on arrival
+        tracker.current_estimate = tracker.solved
     return trilateration_decide(
-        state.tracker_state, state.robot, reading.value_dbm, cfg,
-        state.halt_threshold_dbm, config.robot_step_m,
+        tracker, state.robot, reading.value_dbm, cfg, state.halt_threshold_dbm, config.robot_step_m
     )
 
 
@@ -355,6 +358,10 @@ class AvoidanceManeuver:
         """The trace label, formatted once per maneuver."""
         return f"avoid({self.turn_deg:+.4f})"
 
+    @cached_property
+    def turn_rad(self) -> float:
+        return math.radians(self.turn_deg)
+
 
 AVOID_BOTH = AvoidanceManeuver(0.10, 45.0)
 AVOID_RIGHT = AvoidanceManeuver(0.10, 10.0)
@@ -375,21 +382,35 @@ def obstacle_avoidance(left_cm: float, right_cm: float) -> AvoidanceManeuver | N
     return None
 
 
-def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> float:
+def obstacles_in_reach(position: Vec2, obstacles: tuple[Rect, ...]) -> list[Rect]:
+    """The obstacles that either sensor at this position could read below its cap.
+
+    Exact for every finite coordinate: a rectangle more than SENSOR_REACH_M
+    beyond the position along x or y reads as the cap to either sensor,
+    judged on the very differences sensor_reading_cm divides. Take
+    x_lo = x_min - ox > 2.6 (the other three cases mirror it): a parallel
+    ray misses, dx < 0 gives two negative slab distances and a miss, and for
+    0 < dx <= 1 the computed entry x_lo / dx is >= x_lo > 2.6 m, rounding
+    being monotone. Either way the reading is the cap. No rounding enters
+    the test; an edge widened by the margin instead (ox < x_min - 2.6) would
+    be exact only while the 5 cm margin beats its half-ulp error, for
+    coordinates below 2**49 m. With no rectangle in reach both sensors read
+    the cap and obstacle_avoidance returns None.
+    """
+    ox, oy = position.x, position.y
+    return [
+        rect for rect in obstacles
+        if not (rect.x_min - ox > SENSOR_REACH_M or rect.x_max - ox < -SENSOR_REACH_M
+                or rect.y_min - oy > SENSOR_REACH_M or rect.y_max - oy < -SENSOR_REACH_M)
+    ]
+
+
+def sensor_reading_cm(pose: Pose, obstacles: Sequence[Rect], side: int) -> float:
     """Ultrasonic reading for the left (+1) or right (-1) front sensor, in cm.
 
     A slab test per rectangle, x slab then y slab; a ray within 1e-15 of
-    parallel to a slab misses unless its origin lies inside that slab.
-
-    Reach cull, exact for every finite coordinate: a rectangle more than
-    SENSOR_REACH_M beyond the origin along x or y is skipped, judged on the
-    very differences the slab divides. Take x_lo = x_min - ox > 2.6 (the
-    other three cases mirror it): a parallel ray misses, dx < 0 gives two
-    negative slab distances and a miss, and for 0 < dx <= 1 the computed
-    entry x_lo / dx is >= x_lo > 2.6 m, rounding being monotone. Either way
-    the reading is the cap. No rounding enters the test; an edge widened by
-    the margin instead (ox < x_min - 2.6) would be exact only while the
-    5 cm margin beats its half-ulp error, for coordinates below 2**49 m.
+    parallel to a slab misses unless its origin lies inside that slab. The
+    step gives it only the rectangles obstacles_in_reach keeps.
     """
     direction = pose.heading_rad + side * SENSOR_RAY_OFFSET_RAD
     dx, dy = math.cos(direction), math.sin(direction)
@@ -402,9 +423,6 @@ def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> flo
         x_hi = rect.x_max - ox
         y_lo = rect.y_min - oy
         y_hi = rect.y_max - oy
-        if (x_lo > SENSOR_REACH_M or x_hi < -SENSOR_REACH_M
-                or y_lo > SENSOR_REACH_M or y_hi < -SENSOR_REACH_M):
-            continue
         # x_lo > 0 is exactly ox < x_min, and x_hi < 0 is ox > x_max
         if x_parallel:
             if x_lo > 0.0 or x_hi < 0.0:
@@ -468,17 +486,20 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
 
     maneuver = None
     if config.obstacles:
-        left = sensor_reading_cm(robot, config.obstacles, +1)
-        right = sensor_reading_cm(robot, config.obstacles, -1)
-        maneuver = obstacle_avoidance(left, right)
+        near = obstacles_in_reach(robot.position, config.obstacles)
+        if near:
+            left = sensor_reading_cm(robot, near, +1)
+            right = sensor_reading_cm(robot, near, -1)
+            maneuver = obstacle_avoidance(left, right)
 
     if maneuver is not None:
+        # back up and turn as one pose: the bits of rotate(Pose(back, heading), turn)
         heading = robot.heading_rad
         back = Vec2(
             robot.position.x - maneuver.back_up_m * math.cos(heading),
             robot.position.y - maneuver.back_up_m * math.sin(heading),
         )
-        robot = rotate(Pose(back, heading), math.radians(maneuver.turn_deg))
+        robot = Pose(back, heading + maneuver.turn_rad)
         label = maneuver.label
     elif decision is None:
         label = "none"

@@ -12,6 +12,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .analysis import ExhaustiveSweepResult, RotationSweepResult, verify_convergence
@@ -123,11 +124,12 @@ class GridResult:
     points: tuple[GridPoint, ...]
     failures: tuple[str, ...] = ()
 
+    @cached_property
+    def _points(self) -> dict[tuple[str, int | None, float], GridPoint]:
+        return {(p.tracker, p.sws, p.sigma): p for p in self.points}
+
     def point(self, tracker: str, sws: int | None, sigma: float) -> GridPoint:
-        for p in self.points:
-            if p.tracker == tracker and p.sws == sws and p.sigma == sigma:
-                return p
-        raise KeyError((tracker, sws, sigma))
+        return self._points[tracker, sws, sigma]
 
 
 def _run_point(config: WorldConfig) -> tuple[MetricsReport, None] | tuple[None, str]:

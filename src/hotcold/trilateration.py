@@ -69,6 +69,7 @@ class TrilaterationState:
 
     observations: list[Observation] = field(default_factory=list)
     current_estimate: Vec2 | None = None
+    solved: Vec2 | None = None  # the last solve's result; None when refused or not yet solved
 
 
 def record_observation(
@@ -135,7 +136,7 @@ def update_estimate(state: TrilaterationState, cfg: TrilaterationConfig) -> None
     """Refresh the estimate when solvable; a degenerate solve keeps the old one."""
     if len(state.observations) < 3:
         return
-    estimate = estimate_target(state.observations, cfg.condition_threshold)
+    estimate = state.solved = estimate_target(state.observations, cfg.condition_threshold)
     if estimate is not None:
         state.current_estimate = estimate
 

@@ -12,11 +12,13 @@ sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
 and sweep_one_phi computes every distance with np.hypot and writes every
 crossed tau level with its own scatter.
 
-The engine's earlier obstacle sensor, trace writer and metrics close the
-file, also verbatim: _ray_rect_distance recomputes the ray direction per
-rectangle and sensor_reading_cm casts at every rectangle; trace_csv_lines
-formats each field on its own; compute_metrics sums geometry.distance with
-left_sum and makes one more pass per count.
+The engine's earlier obstacle sensor, trace writer, metrics and
+trilateration step close the file, also verbatim: _ray_rect_distance
+recomputes the ray direction per rectangle and sensor_reading_cm casts at
+every rectangle; trace_csv_lines formats each field on its own;
+compute_metrics sums geometry.distance with left_sum and makes one more
+pass per count; _trilateration_decide solves the observation FIFO on every
+in-range cycle, changed or not.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from hotcold.engine import (
     Rect,
 )
 from hotcold.geometry import Pose, Vec2, distance, left_sum
+from hotcold.trilateration import record_observation, trilateration_decide, update_estimate
 
 
 def brute_force_position(
@@ -241,4 +244,16 @@ def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
         cycles_in_range=sum(rec.in_range for rec in trace),
         cycles_in_halt=sum(rec.in_halt for rec in trace),
         total_cycles=total,
+    )
+
+
+def _trilateration_decide(state, reading, config):
+    cfg = config.tracker
+    record_observation(
+        state.tracker_state, state.robot.position, reading.value_dbm, config.channel, cfg
+    )
+    update_estimate(state.tracker_state, cfg)
+    return trilateration_decide(
+        state.tracker_state, state.robot, reading.value_dbm, cfg,
+        state.halt_threshold_dbm, config.robot_step_m,
     )

@@ -206,14 +206,28 @@ def test_exhaustive_sweep_monotone_and_deterministic():
     assert again.overall_means == result.overall_means
 
 
+# Starts whose tau-10 count the np.hypot kernel gets wrong: np.hypot (glibc)
+# rounds their exact start distance, just above 10, down to 10.0, so it
+# counts tau 10 as reached at step 0. The kernel decides on math.hypot, as
+# steps_to_reach does.
+_NP_HYPOT_LOW_STARTS = ((10, 239), (10, 329))
+
+
 @pytest.mark.parametrize("step_cap", [analysis.DEFAULT_STEP_CAP, 60])
 def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
     rhos = np.asarray(analysis.DEFAULT_RHO_RANGE, dtype=np.float64)
     betas = np.asarray(analysis.DEFAULT_BETA_RANGE, dtype=np.int64)
     taus = np.asarray(analysis.DEFAULT_TAU_RANGE, dtype=np.float64)
+    column = taus.tolist().index(10.0)
+    rows = [rhos.tolist().index(rho) * betas.size + betas.tolist().index(beta)
+            for rho, beta in _NP_HYPOT_LOW_STARTS]
     for phi in (121, 135, 143):
         counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        for row, (rho, beta) in zip(rows, _NP_HYPOT_LOW_STARTS):
+            scalar = steps_to_reach(phi, rho, beta, 10.0, step_cap=step_cap)
+            assert counts[row, column] == (-1 if scalar is None else scalar), (phi, rho, beta)
+            expected[row, column] = counts[row, column]
         assert np.array_equal(counts, expected), phi
         assert capped == expected_capped
 

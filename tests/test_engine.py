@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotcold.channel import ChannelParams, noiseless_rssi
+import hotcold.trilateration
+import oracles
+from hotcold.channel import ChannelParams, RssiReading, noiseless_rssi
 from hotcold.engine import (
     MAX_EXTENT_M,
     MAX_SPEED_KMH,
@@ -21,6 +23,7 @@ from hotcold.engine import (
     StaticTarget,
     Tracker,
     WorldConfig,
+    _trilateration_decide,
     init_world,
     obstacle_avoidance,
     random_waypoint_step,
@@ -30,7 +33,7 @@ from hotcold.engine import (
     trace_csv_lines,
 )
 from hotcold.geometry import Pose, Vec2, advance, bearing, distance
-from hotcold.tracker import HotColdConfig
+from hotcold.tracker import DecisionKind, HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
 
@@ -431,11 +434,20 @@ PINNED_WORLDS = {
         robot_start=Pose(Vec2(20.0, 80.0), 2.0),
         seed=26,
     ),
+    # avoidance maneuvers, cycles with no obstacle in reach and unchanged
+    # observation FIFOs in one run
+    "trilateration_obstacles": WorldConfig(
+        duration_s=200.0,
+        channel=_SIGMA2,
+        tracker=TrilaterationConfig(),
+        obstacles=(Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0)),
+        seed=27,
+    ),
 }
 
 # sha256 of each world's trace CSV, the exact bits of every record's floats
 # and its metrics JSON. Any change to the cycle loop's arithmetic, draw order
-# or labels changes a digest; a pure speed-up must leave all six alone.
+# or labels changes a digest; a pure speed-up must leave all seven alone.
 PINNED_DIGESTS = {
     "hotcold_sigma2": "cdb7daad090569d9ed17a2f40e385d676d11c194aef190ddd8ebe2128f8228dd",
     "trilateration": "884847f41529d136c9551e63e2a92a6b2cadbb3edd70ae9a68810d1e7a59641b",
@@ -443,6 +455,7 @@ PINNED_DIGESTS = {
     "hotcold_obstacles": "ec1d06a0d962a914ad828b09ae1c225b7c16477e091b0af2733373188416a154",
     "fixed_path": "d713355e9d76ea1487dd21e9f7e55c9a436b3872e79295f964dbc26a9d695f09",
     "static_target": "e402a54865e59c7b932bd8f26a120ea080385a95554b8619c0fd2b2e3c696733",
+    "trilateration_obstacles": "615a08d451caaac2a164541d3c775c4d9639eacc39272574bf7a9087346e495d",
 }
 
 
@@ -528,3 +541,41 @@ def test_random_waypoint_step_matches_pose_formula(x, y, wx, wy, heading, speed_
     slow = (pose.position, new_waypoint)
     assert fast == slow
     assert _bits(*fast) == _bits(*slow)
+
+
+def test_trilateration_reuses_the_solve_of_an_unchanged_fifo(monkeypatch):
+    """An estimate dropped on arrival comes back on the next cycle whose
+    observation FIFO is unchanged, as a re-solve would bring it back, but
+    without solving again."""
+    solves = []
+    estimate_target = hotcold.trilateration.estimate_target
+    monkeypatch.setattr(hotcold.trilateration, "estimate_target",
+                        lambda *args: solves.append(args) or estimate_target(*args))
+    config = WorldConfig(tracker=TrilaterationConfig())
+    target = Vec2(10.0, 10.7)
+    weak = RssiReading(-80.0, True)  # below the halt threshold
+
+    def fix(position: Vec2) -> RssiReading:
+        return RssiReading(noiseless_rssi(distance(position, target), config.channel), True)
+
+    corners = [Vec2(0.0, 0.0), Vec2(20.0, 0.0), Vec2(10.0, 10.0)]
+    cycles = [(Pose(p, 1.0), fix(p)) for p in corners]  # three fixes, the third solved
+    cycles += [
+        (Pose(corners[2], 1.0), weak),  # beside the last fix, within a step of the estimate
+        (Pose(corners[0], 1.0), weak),  # beside the first fix, far from the estimate
+    ]
+    ours, theirs = init_world(config), init_world(config)
+    for i, (robot, reading) in enumerate(cycles):
+        ours.robot = theirs.robot = robot
+        before = len(solves)
+        got = _trilateration_decide(ours, reading, config)
+        solved = len(solves) - before
+        assert got == oracles._trilateration_decide(theirs, reading, config), i
+        assert ours.tracker_state == theirs.tracker_state, i
+        assert solved == (i == 2), i
+        if i == 3:  # dropped on arrival
+            assert ours.tracker_state.current_estimate is None
+        if i == 4:  # restored, and steered at
+            assert ours.tracker_state.current_estimate is not None
+            assert got.kind is DecisionKind.ROTATE_THEN_MOVE
+            assert got.rotation_deg != config.tracker.bootstrap_turn_deg

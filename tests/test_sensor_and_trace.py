@@ -1,6 +1,6 @@
-"""The obstacle sensor and the trace writer against their earlier versions
-in oracles.py, bit for bit: float.hex for readings, string equality for
-trace lines."""
+"""The obstacle sensor, its reach cull and the trace writer against their
+earlier versions in oracles.py, bit for bit: float.hex for readings, string
+equality for trace lines."""
 
 import math
 import operator
@@ -13,11 +13,13 @@ from hotcold.engine import (
     AVOID_BOTH,
     AVOID_LEFT,
     AVOID_RIGHT,
+    SENSOR_MAX_CM,
     SENSOR_RAY_OFFSET_RAD,
     SENSOR_REACH_M,
     CycleRecord,
     Rect,
     obstacle_avoidance,
+    obstacles_in_reach,
     sensor_reading_cm,
     trace_csv_lines,
 )
@@ -77,9 +79,18 @@ def _scenes(draw):
 
 
 def _check_reading(pose: Pose, rects: tuple[Rect, ...], side: int) -> None:
-    got = sensor_reading_cm(pose, rects, side)
+    """The reading from all rectangles and from those in reach, against the
+    oracle's from all; with none in reach both sensors read the cap and no
+    maneuver follows."""
     want = oracles.sensor_reading_cm(pose, rects, side)
-    assert got.hex() == want.hex(), (pose, rects, side)
+    near = obstacles_in_reach(pose.position, rects)
+    for seen in (rects, near):
+        got = sensor_reading_cm(pose, seen, side)
+        assert got.hex() == want.hex(), (pose, seen, side)
+    if not near:
+        other = oracles.sensor_reading_cm(pose, rects, -side)
+        assert (want, other) == (SENSOR_MAX_CM, SENSOR_MAX_CM), (pose, rects)
+        assert obstacle_avoidance(want, other) is None
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
