@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
 
@@ -44,9 +44,10 @@ from .trilateration import (
 KMH_TO_MS = 1.0 / 3.6
 
 # Bounds far beyond any tracking scene. They keep every position, step and
-# distance sum of a run finite.
+# distance sum of a run finite, and a run's per-cycle normals allocatable.
 MAX_EXTENT_M = 1e6
 MAX_SPEED_KMH = 1e4
+MAX_CYCLES = 10**7
 
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
@@ -180,9 +181,9 @@ class WorldConfig:
             raise ValueError(f"space sides must be in (0, {MAX_EXTENT_M:g}] m, got {size}")
         if self.cycle_period_s <= 0.0:
             raise ValueError(f"cycle period must be positive, got {self.cycle_period_s}")
-        if self.duration_s < 0.0:
-            raise ValueError(f"negative duration {self.duration_s}")
         cycles = self.duration_s / self.cycle_period_s
+        if not 0.0 <= cycles <= MAX_CYCLES:
+            raise ValueError(f"duration {self.duration_s} s must run 0 to {MAX_CYCLES:g} cycles")
         if abs(cycles - round(cycles)) > 1e-9:
             raise ValueError(
                 f"duration {self.duration_s} is not a multiple of the cycle period {self.cycle_period_s}"
@@ -252,7 +253,15 @@ class WorldState:
     shadowing_normals: list[float]  # the standard normal of each cycle's broadcast
     mobility_rng: np.random.Generator
     last_decision: TrackerDecision | None = None
-    trace: list[CycleRecord] = field(default_factory=list)
+    trace: list[CycleRecord] | None = None  # None: the run keeps no trace
+    # KPI sums; distances are added left to right from 0.0, geometry.left_sum's bits
+    cycles: int = 0
+    distance_sum: float = 0.0
+    cycles_in_range: int = 0
+    cycles_in_halt: int = 0
+
+    def __len__(self) -> int:  # the cycles run so far
+        return self.cycles
 
 
 def _uniform_point(config: WorldConfig, rng: np.random.Generator) -> Vec2:
@@ -296,7 +305,7 @@ TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
 }
 
 
-def init_world(config: WorldConfig) -> WorldState:
+def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
     channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
     mobility_rng = np.random.default_rng(mobility_ss)
     shadowing_rng = np.random.default_rng(channel_ss)
@@ -316,6 +325,7 @@ def init_world(config: WorldConfig) -> WorldState:
         # one batch gives the same bits as one scalar draw per cycle
         shadowing_normals=shadowing_rng.standard_normal(config.total_cycles).tolist(),
         mobility_rng=mobility_rng,
+        trace=[] if keep_trace else None,
     )
 
 
@@ -458,17 +468,15 @@ def sensor_reading_cm(pose: Pose, obstacles: Sequence[Rect], side: int) -> float
 # stepping
 
 
-# Enum member lookups and the .value property each cost a Python-level call,
-# and the cycle loop needs them every cycle: the members are bound once here
-# and a label reads the member's plain _value_ attribute.
+# An Enum member lookup costs a Python-level call, and the cycle loop needs
+# these every cycle: the members are bound once here.
 _ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
 _HALT = DecisionKind.HALT
 
 
 def step_world(state: WorldState, config: WorldConfig) -> WorldState:
-    """Advance the world by one broadcast cycle."""
-    trace = state.trace
-    cycle = len(trace)
+    """Advance the world by one broadcast cycle and add it to the run's sums."""
+    cycle = state.cycles
     if cycle >= config.total_cycles:
         raise ValueError("simulation already ran for its full duration")
     t_end = state.time_s + config.cycle_period_s
@@ -500,25 +508,22 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
             robot.position.y - maneuver.back_up_m * math.sin(heading),
         )
         robot = Pose(back, heading + maneuver.turn_rad)
-        label = maneuver.label
-    elif decision is None:
-        label = "none"
-    elif decision.kind is _ROTATE_THEN_MOVE:
-        robot = advance(rotate(robot, math.radians(decision.rotation_deg)), config.robot_step_m)
-        label = f"rotate_then_move({decision.rotation_deg:+.4f})"
-    else:
-        if decision.kind is not _HALT:
-            robot = advance(robot, config.robot_step_m)
-        label = decision.kind._value_
+    elif decision is not None and decision.kind is not _HALT:
+        if decision.kind is _ROTATE_THEN_MOVE:
+            robot = rotate(robot, math.radians(decision.rotation_deg))
+        robot = advance(robot, config.robot_step_m)
 
     state.robot = robot
-    trace.append(
-        CycleRecord(
-            t_end, robot, target, reading.value_dbm, reading.in_range,
-            reading.value_dbm > state.halt_threshold_dbm, label,
-        )
-    )
     state.time_s = t_end
+    state.cycles = cycle + 1
+    state.distance_sum += math.hypot(robot.position.x - target.x, robot.position.y - target.y)
+    in_halt = reading.value_dbm > state.halt_threshold_dbm
+    state.cycles_in_range += reading.in_range
+    state.cycles_in_halt += in_halt
+    if state.trace is not None:
+        act = maneuver or decision
+        state.trace.append(CycleRecord(t_end, robot, target, reading.value_dbm, reading.in_range,
+                                       in_halt, "none" if act is None else act.label))
     return state
 
 
@@ -552,30 +557,20 @@ class MetricsReport:
         }
 
 
-def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
-    """Per-run KPIs from the cycle trace."""
-    if not trace:
+def compute_metrics(state: WorldState) -> MetricsReport:
+    """Per-run KPIs from the running sums of the state's len(state) cycles."""
+    total = state.cycles
+    if not total:
         return MetricsReport(math.nan, 0, 0, 0)
-    # one pass; the distances are added left to right from 0.0, the bits
-    # of geometry.left_sum
-    hypot = math.hypot
-    distance_sum = 0.0
-    in_range_count = in_halt_count = 0
-    for _, robot, target, _, in_range, in_halt, _ in trace:
-        position = robot.position
-        distance_sum += hypot(position.x - target.x, position.y - target.y)
-        in_range_count += in_range
-        in_halt_count += in_halt
-    total = len(trace)
-    return MetricsReport(distance_sum / total, in_range_count, in_halt_count, total)
+    return MetricsReport(state.distance_sum / total, state.cycles_in_range, state.cycles_in_halt, total)
 
 
-def run_simulation(config: WorldConfig) -> tuple[MetricsReport, list[CycleRecord]]:
-    """Run the configured world for its whole duration."""
-    state = init_world(config)
+def run_simulation(config: WorldConfig, keep_trace: bool = True) -> tuple[MetricsReport, list | None]:
+    """Run the configured world for its whole duration; without keep_trace, trace is None."""
+    state = init_world(config, keep_trace)
     for _ in range(config.total_cycles):
         step_world(state, config)
-    return compute_metrics(state.trace), state.trace
+    return compute_metrics(state), state.trace
 
 
 # ---------------------------------------------------------------------------

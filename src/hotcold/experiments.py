@@ -134,8 +134,7 @@ class GridResult:
 
 def _run_point(config: WorldConfig) -> tuple[MetricsReport, None] | tuple[None, str]:
     try:
-        report, _ = run_simulation(config)
-        return report, None
+        return run_simulation(config, keep_trace=False)[0], None
     except Exception as exc:  # recorded, never aborts the grid
         return None, f"{type(exc).__name__}: {exc}"
 

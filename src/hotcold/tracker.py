@@ -42,6 +42,12 @@ class TrackerDecision(NamedTuple):
     kind: DecisionKind
     rotation_deg: float = 0.0
 
+    @property
+    def label(self) -> str:  # the trace label, built only for a run that keeps a trace
+        if self.kind is _ROTATE_THEN_MOVE:
+            return f"rotate_then_move({self.rotation_deg:+.4f})"
+        return self.kind._value_  # the plain attribute: Enum.value is a property call
+
 
 MOVE_FORWARD = TrackerDecision(DecisionKind.MOVE_FORWARD)
 HALT = TrackerDecision(DecisionKind.HALT)

@@ -167,10 +167,10 @@ TINY_GRID = [
 def test_failed_grid_runs_exit_1_after_writing(tmp_path, capsys, monkeypatch, command):
     real = experiments.run_simulation
 
-    def run_simulation(config):
+    def run_simulation(config, *args, **kwargs):
         if isinstance(config.tracker, HotColdConfig) and config.tracker.sws == 3:
             raise RuntimeError("forced failure")
-        return real(config)
+        return real(config, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_simulation", run_simulation)
     out = tmp_path / "failed"
@@ -208,6 +208,7 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     assert (
         run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
+    assert run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1e12", "simulate"]) == 2
     assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
     # Hot-Cold always moves the world's robot step: no step size key
     assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2

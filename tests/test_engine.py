@@ -12,6 +12,7 @@ import hotcold.trilateration
 import oracles
 from hotcold.channel import ChannelParams, RssiReading, noiseless_rssi
 from hotcold.engine import (
+    MAX_CYCLES,
     MAX_EXTENT_M,
     MAX_SPEED_KMH,
     TRACKERS,
@@ -55,6 +56,11 @@ def test_config_validation():
         WorldConfig(duration_s=1000.3)  # not a multiple of the cycle period
     with pytest.raises(ValueError):
         WorldConfig(cycle_period_s=0.0)
+    # negative, over the cycle bound, or an infinite count of finite values
+    for duration_s, cycle_period_s in ((-0.5, 0.5), (MAX_CYCLES + 1.0, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="cycles"):
+            WorldConfig(duration_s=duration_s, cycle_period_s=cycle_period_s)
+    assert WorldConfig(duration_s=MAX_CYCLES, cycle_period_s=1.0).total_cycles == MAX_CYCLES
     with pytest.raises(ValueError):
         WorldConfig(robot_speed_kmh=-1.0)
     with pytest.raises(ValueError):
@@ -137,15 +143,18 @@ def test_mobility_models_place_and_move_the_target():
 
 def test_step_world_stops_after_total_cycles():
     # ten additions of 0.1 s leave the clock at 0.9999999999999999 s, short
-    # of the 1 s duration: the cycle count, not the clock, ends the run
+    # of the 1 s duration: the cycle count, not the clock, ends the run, with
+    # or without a trace
     config = WorldConfig(duration_s=1.0, cycle_period_s=0.1, seed=19)
-    state = init_world(config)
-    for _ in range(config.total_cycles):
-        step_world(state, config)
-    assert len(state.trace) == 10 and state.time_s < config.duration_s
-    with pytest.raises(ValueError, match="full duration"):
-        step_world(state, config)
-    assert len(state.trace) == 10
+    for keep_trace in (True, False):
+        state = init_world(config, keep_trace=keep_trace)
+        for _ in range(config.total_cycles):
+            step_world(state, config)
+        assert len(state) == state.cycles == 10 and state.time_s < config.duration_s
+        with pytest.raises(ValueError, match="full duration"):
+            step_world(state, config)
+        assert len(state) == 10
+        assert (len(state.trace) == 10) if keep_trace else state.trace is None
 
 
 def test_shadowing_normals_are_the_channel_stream_drawn_up_front():

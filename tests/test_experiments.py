@@ -13,7 +13,7 @@ from hotcold.config import (
     load_config,
     write_default_config,
 )
-from hotcold import experiments
+from hotcold import engine, experiments
 from hotcold.engine import TRACKERS, FixedPath, StaticControl, StaticTarget, WorldConfig
 from hotcold.experiments import (
     ExperimentGrid,
@@ -189,14 +189,28 @@ def test_miniature_grid_golden_file(tmp_path):
     )
 
 
+def test_grid_runs_build_no_trace(tmp_path, monkeypatch):
+    # the KPIs come from the per-cycle sums: a grid that built a trace record
+    # would fail every run here and lose the golden file's bytes
+    pinned = write_grid_runs_csv(run_grid(MINI_GRID), tmp_path / "pinned").read_bytes()
+
+    def no_records(*args):
+        raise AssertionError("a grid run built a CycleRecord")
+
+    monkeypatch.setattr(engine, "CycleRecord", no_records)
+    result = run_grid(MINI_GRID)
+    assert result.failures == ()
+    assert write_grid_runs_csv(result, tmp_path / "bare").read_bytes() == pinned
+
+
 def _failing_runs(monkeypatch, fails):
     """Make run_simulation raise for every world config that `fails` picks."""
     real = experiments.run_simulation
 
-    def run_simulation(config):
+    def run_simulation(config, *args, **kwargs):
         if fails(config):
             raise RuntimeError("forced failure")
-        return real(config)
+        return real(config, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_simulation", run_simulation)
 
