@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import Vec2, require_finite_fields
+from .geometry import require_finite_fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -101,15 +101,16 @@ def path_loss(distance_m: float, params: ChannelParams, shadow_db: float = 0.0) 
     )
 
 
-def rssi(target_pos: Vec2, robot_pos: Vec2, params: ChannelParams, normal: float) -> RssiReading:
-    """Sample the signal indicator for one broadcast from target to robot.
+def rssi(target_x: float, target_y: float, robot_x: float, robot_y: float,
+         params: ChannelParams, normal: float) -> RssiReading:
+    """Sample the signal indicator for one broadcast from the target to the robot.
 
     `normal` is the broadcast's standard-normal draw; the shadowing sample is
     sigma times it, exactly 0 when sigma is 0. A run draws one per broadcast
     whatever sigma is, so runs that differ only in sigma share the same noise
     shape.
     """
-    d = math.hypot(target_pos.x - robot_pos.x, target_pos.y - robot_pos.y)
+    d = math.hypot(target_x - robot_x, target_y - robot_y)
     if d < MIN_DISTANCE_M:
         d = MIN_DISTANCE_M
     value = params.link_budget_dbm - path_loss(d, params, params.shadowing_sigma_db * normal)

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, NamedTuple, Union
 import numpy as np
 
 from .channel import MIN_DISTANCE_M, ChannelParams, RssiReading, noiseless_rssi, rssi
-from .geometry import Pose, Vec2, advance, normalize_heading, require_finite_fields, rotate
+from .geometry import Pose, Vec2, advance, require_finite_fields, rotate, wrap_heading
 from .tracker import (
     DecisionKind,
     HotColdConfig,
@@ -43,11 +43,17 @@ from .trilateration import (
 
 KMH_TO_MS = 1.0 / 3.6
 
-# Bounds far beyond any tracking scene. They keep every position, step and
-# distance sum of a run finite, and a run's per-cycle normals allocatable.
+# Bounds far beyond any tracking scene. They keep a run's per-cycle normals
+# allocatable and every number of its cycle loop finite, which is why the
+# loop checks none: a step is at most 1e4 / 3.6 * 1e4 < 2.8e7 m (a back-up
+# is 0.1 m), so in 1e7 cycles the robot moves at most 2.8e14 m from a start
+# within 1e6 m, and the target stays in the space. Every coordinate is then
+# below 3e14 m, every distance below 5e14 m, a distance sum below 5e21 m and
+# a squared coordinate (trilateration) below 1e29 m^2.
 MAX_EXTENT_M = 1e6
 MAX_SPEED_KMH = 1e4
 MAX_CYCLES = 10**7
+MAX_CYCLE_PERIOD_S = 1e4
 
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
@@ -69,7 +75,8 @@ class StaticControl:
 
 
 # Each mobility model places the target, returning its start point and first
-# waypoint (None if it has none), and moves it for the cycle ending at t_end.
+# waypoint (None if it has none), and moves it for the cycle ending at t_end:
+# move sets state.target_x and state.target_y.
 
 
 @dataclass(frozen=True)
@@ -80,12 +87,13 @@ class RandomWaypoint:
 
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
         # draw order is fixed: start point first (when not given), then waypoint
-        start = self.start or _uniform_point(config, rng)
-        return _clamp_to_space(start, config), _uniform_point(config, rng)
+        start = self.start or Vec2(*_uniform_point(config, rng))
+        return Vec2(*_clamp_to_space(start.x, start.y, config)), Vec2(*_uniform_point(config, rng))
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        state.target, state.target_waypoint = random_waypoint_step(
-            state.target, state.target_waypoint, config, state.mobility_rng
+        state.target_x, state.target_y, state.waypoint_x, state.waypoint_y = random_waypoint_step(
+            state.target_x, state.target_y, state.waypoint_x, state.waypoint_y, config,
+            state.mobility_rng,
         )
 
 
@@ -109,20 +117,23 @@ class FixedPath:
             raise ValueError(f"fixed path waypoints must lie within +-{MAX_EXTENT_M:g} m")
 
     def position_at(self, time_s: float) -> Vec2:
+        return Vec2(*self._xy_at(time_s))
+
+    def _xy_at(self, time_s: float) -> tuple[float, float]:
         points = self.waypoints
         if time_s <= points[0][0]:
-            return points[0][1]
+            return points[0][1].x, points[0][1].y
         for (t0, p0), (t1, p1) in zip(points, points[1:]):
             if time_s <= t1:
                 frac = (time_s - t0) / (t1 - t0)
-                return Vec2(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
-        return points[-1][1]
+                return p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)
+        return points[-1][1].x, points[-1][1].y
 
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
-        return _clamp_to_space(self.position_at(0.0), config), None
+        return Vec2(*_clamp_to_space(*self._xy_at(0.0), config)), None
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        state.target = _clamp_to_space(self.position_at(t_end), config)
+        state.target_x, state.target_y = _clamp_to_space(*self._xy_at(t_end), config)
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,7 @@ class StaticTarget:
         return self.point
 
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
-        return _clamp_to_space(self.point, config), None
+        return Vec2(*_clamp_to_space(self.point.x, self.point.y, config)), None
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         """The target never moves."""
@@ -179,8 +190,8 @@ class WorldConfig:
         if not (0.0 < self.width_m <= MAX_EXTENT_M and 0.0 < self.height_m <= MAX_EXTENT_M):
             size = f"{self.width_m}x{self.height_m}"
             raise ValueError(f"space sides must be in (0, {MAX_EXTENT_M:g}] m, got {size}")
-        if self.cycle_period_s <= 0.0:
-            raise ValueError(f"cycle period must be positive, got {self.cycle_period_s}")
+        if not 0.0 < (period := self.cycle_period_s) <= MAX_CYCLE_PERIOD_S:
+            raise ValueError(f"cycle period must be in (0, {MAX_CYCLE_PERIOD_S:g}] s, got {period}")
         cycles = self.duration_s / self.cycle_period_s
         if not 0.0 <= cycles <= MAX_CYCLES:
             raise ValueError(f"duration {self.duration_s} s must run 0 to {MAX_CYCLES:g} cycles")
@@ -243,10 +254,14 @@ Decide = Callable[["WorldState", RssiReading, "WorldConfig"], Union[TrackerDecis
 
 @dataclass(slots=True)
 class WorldState:
-    time_s: float
-    robot: Pose
-    target: Vec2  # the target has no heading: nothing reads one
-    target_waypoint: Vec2 | None
+    time_s: float  # positions and heading are floats: no Vec2 or Pose per cycle
+    robot_x: float
+    robot_y: float
+    robot_heading_rad: float  # in [0, 2*pi), as a Pose keeps it
+    target_x: float  # the target has no heading: nothing reads one
+    target_y: float
+    waypoint_x: float  # NaN for a mobility model without waypoints
+    waypoint_y: float
     tracker_state: HotColdState | TrilaterationState | None
     decide: Decide
     halt_threshold_dbm: float
@@ -264,17 +279,13 @@ class WorldState:
         return self.cycles
 
 
-def _uniform_point(config: WorldConfig, rng: np.random.Generator) -> Vec2:
+def _uniform_point(config: WorldConfig, rng: np.random.Generator) -> tuple[float, float]:
     """A point drawn uniformly in the space, x first."""
-    return Vec2(float(rng.uniform(0.0, config.width_m)), float(rng.uniform(0.0, config.height_m)))
+    return float(rng.uniform(0.0, config.width_m)), float(rng.uniform(0.0, config.height_m))
 
 
-def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
-    x = min(max(point.x, 0.0), config.width_m)
-    y = min(max(point.y, 0.0), config.height_m)
-    if x == point.x and y == point.y:
-        return point
-    return Vec2(x, y)
+def _clamp_to_space(x: float, y: float, config: WorldConfig) -> tuple[float, float]:
+    return min(max(x, 0.0), config.width_m), min(max(y, 0.0), config.height_m)
 
 
 def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
@@ -286,15 +297,15 @@ def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig
 def _trilateration_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
     cfg = config.tracker
     tracker = state.tracker_state
-    if record_observation(tracker, state.robot.position, reading.value_dbm, config.channel, cfg):
+    x, y = state.robot_x, state.robot_y
+    if record_observation(tracker, x, y, reading.value_dbm, config.channel, cfg):
         update_estimate(tracker, cfg)
     elif tracker.solved is not None:
         # the FIFO is the one last solved: its solve would give this estimate
         # again, restoring it if trilateration_decide dropped it on arrival
         tracker.current_estimate = tracker.solved
-    return trilateration_decide(
-        tracker, state.robot, reading.value_dbm, cfg, state.halt_threshold_dbm, config.robot_step_m
-    )
+    return trilateration_decide(tracker, x, y, state.robot_heading_rad, reading.value_dbm, cfg,
+                                state.halt_threshold_dbm, config.robot_step_m)
 
 
 # tracker config type -> (fresh per-run tracker state, in-range decision)
@@ -316,9 +327,13 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
 
     return WorldState(
         time_s=0.0,
-        robot=robot,
-        target=target,
-        target_waypoint=waypoint,
+        robot_x=robot.position.x,
+        robot_y=robot.position.y,
+        robot_heading_rad=robot.heading_rad,
+        target_x=target.x,
+        target_y=target.y,
+        waypoint_x=math.nan if waypoint is None else waypoint.x,
+        waypoint_y=math.nan if waypoint is None else waypoint.y,
         tracker_state=new_state(),
         decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),
@@ -334,24 +349,22 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
 
 
 def random_waypoint_step(
-    position: Vec2,
-    waypoint: Vec2,
-    config: WorldConfig,
+    x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
     rng: np.random.Generator,
-) -> tuple[Vec2, Vec2]:
-    """One cycle of waypoint walking; landing on the waypoint draws a new one."""
+) -> tuple[float, float, float, float]:
+    """One cycle of waypoint walking: the new (x, y, waypoint_x, waypoint_y).
+    Landing on the waypoint draws a new one."""
     step = config.target_step_m
     if step == 0.0:
-        return position, waypoint
-    dx = waypoint.x - position.x
-    dy = waypoint.y - position.y
+        return x, y, waypoint_x, waypoint_y
+    dx = waypoint_x - x
+    dy = waypoint_y - y
     if math.hypot(dx, dy) <= step:
-        return waypoint, _uniform_point(config, rng)
+        return (waypoint_x, waypoint_y, *_uniform_point(config, rng))
     # the direction is wrapped to [0, 2*pi) as a Pose heading would be:
     # cos and sin of the unwrapped atan2 can differ in the last bit
-    heading = normalize_heading(math.atan2(dy, dx))
-    moved = Vec2(position.x + step * math.cos(heading), position.y + step * math.sin(heading))
-    return moved, waypoint
+    heading = wrap_heading(math.atan2(dy, dx))
+    return x + step * math.cos(heading), y + step * math.sin(heading), waypoint_x, waypoint_y
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +405,8 @@ def obstacle_avoidance(left_cm: float, right_cm: float) -> AvoidanceManeuver | N
     return None
 
 
-def obstacles_in_reach(position: Vec2, obstacles: tuple[Rect, ...]) -> list[Rect]:
-    """The obstacles that either sensor at this position could read below its cap.
+def obstacles_in_reach(ox: float, oy: float, obstacles: tuple[Rect, ...]) -> list[Rect]:
+    """The obstacles that either sensor at (ox, oy) could read below its cap.
 
     Exact for every finite coordinate: a rectangle more than SENSOR_REACH_M
     beyond the position along x or y reads as the cap to either sensor,
@@ -407,7 +420,6 @@ def obstacles_in_reach(position: Vec2, obstacles: tuple[Rect, ...]) -> list[Rect
     coordinates below 2**49 m. With no rectangle in reach both sensors read
     the cap and obstacle_avoidance returns None.
     """
-    ox, oy = position.x, position.y
     return [
         rect for rect in obstacles
         if not (rect.x_min - ox > SENSOR_REACH_M or rect.x_max - ox < -SENSOR_REACH_M
@@ -415,18 +427,19 @@ def obstacles_in_reach(position: Vec2, obstacles: tuple[Rect, ...]) -> list[Rect
     ]
 
 
-def sensor_reading_cm(pose: Pose, obstacles: Sequence[Rect], side: int) -> float:
-    """Ultrasonic reading for the left (+1) or right (-1) front sensor, in cm.
+def sensor_reading_cm(ox: float, oy: float, heading_rad: float, obstacles: Sequence[Rect],
+                      side: int) -> float:
+    """Ultrasonic reading for the left (+1) or right (-1) front sensor of a
+    robot at (ox, oy), in cm.
 
     A slab test per rectangle, x slab then y slab; a ray within 1e-15 of
     parallel to a slab misses unless its origin lies inside that slab. The
     step gives it only the rectangles obstacles_in_reach keeps.
     """
-    direction = pose.heading_rad + side * SENSOR_RAY_OFFSET_RAD
+    direction = heading_rad + side * SENSOR_RAY_OFFSET_RAD
     dx, dy = math.cos(direction), math.sin(direction)
     x_parallel = abs(dx) < 1e-15
     y_parallel = abs(dy) < 1e-15
-    ox, oy = pose.position.x, pose.position.y
     nearest = math.inf
     for rect in obstacles:
         x_lo = rect.x_min - ox
@@ -482,10 +495,10 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     t_end = state.time_s + config.cycle_period_s
 
     config.mobility.move(state, config, t_end)
-    target = state.target
-    robot = state.robot
+    tx, ty = state.target_x, state.target_y
+    x, y, heading = state.robot_x, state.robot_y, state.robot_heading_rad
 
-    reading = rssi(target, robot.position, config.channel, state.shadowing_normals[cycle])
+    reading = rssi(tx, ty, x, y, config.channel, state.shadowing_normals[cycle])
 
     if reading.in_range:
         decision = state.last_decision = state.decide(state, reading, config)
@@ -494,36 +507,34 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
 
     maneuver = None
     if config.obstacles:
-        near = obstacles_in_reach(robot.position, config.obstacles)
+        near = obstacles_in_reach(x, y, config.obstacles)
         if near:
-            left = sensor_reading_cm(robot, near, +1)
-            right = sensor_reading_cm(robot, near, -1)
+            left = sensor_reading_cm(x, y, heading, near, +1)
+            right = sensor_reading_cm(x, y, heading, near, -1)
             maneuver = obstacle_avoidance(left, right)
 
     if maneuver is not None:
-        # back up and turn as one pose: the bits of rotate(Pose(back, heading), turn)
-        heading = robot.heading_rad
-        back = Vec2(
-            robot.position.x - maneuver.back_up_m * math.cos(heading),
-            robot.position.y - maneuver.back_up_m * math.sin(heading),
-        )
-        robot = Pose(back, heading + maneuver.turn_rad)
+        # back up along the heading, then turn; the heading wraps as rotate wraps it
+        x -= maneuver.back_up_m * math.cos(heading)
+        y -= maneuver.back_up_m * math.sin(heading)
+        heading = wrap_heading(heading + maneuver.turn_rad)
     elif decision is not None and decision.kind is not _HALT:
         if decision.kind is _ROTATE_THEN_MOVE:
-            robot = rotate(robot, math.radians(decision.rotation_deg))
-        robot = advance(robot, config.robot_step_m)
+            heading = rotate(heading, math.radians(decision.rotation_deg))
+        x, y = advance(x, y, heading, config.robot_step_m)
 
-    state.robot = robot
+    state.robot_x, state.robot_y, state.robot_heading_rad = x, y, heading
     state.time_s = t_end
     state.cycles = cycle + 1
-    state.distance_sum += math.hypot(robot.position.x - target.x, robot.position.y - target.y)
+    state.distance_sum += math.hypot(x - tx, y - ty)
     in_halt = reading.value_dbm > state.halt_threshold_dbm
     state.cycles_in_range += reading.in_range
     state.cycles_in_halt += in_halt
     if state.trace is not None:
         act = maneuver or decision
-        state.trace.append(CycleRecord(t_end, robot, target, reading.value_dbm, reading.in_range,
-                                       in_halt, "none" if act is None else act.label))
+        state.trace.append(CycleRecord(t_end, Pose(Vec2(x, y), heading), Vec2(tx, ty),
+                                       reading.value_dbm, reading.in_range, in_halt,
+                                       "none" if act is None else act.label))
     return state
 
 

@@ -2,7 +2,7 @@
 
 Angles are stored in radians internally; degrees are accepted and produced
 only at configuration and output boundaries. Positive rotations are
-counter-clockwise.
+counter-clockwise. The motion primitives take and return plain floats.
 """
 
 from __future__ import annotations
@@ -63,31 +63,34 @@ class Pose:
 
     def __post_init__(self) -> None:
         heading = self.heading_rad
-        if 0.0 < heading < TWO_PI:
-            # already normalized: the wrap would return this exact float.
-            # Zero takes the wrap so that -0.0 becomes 0.0; NaN and the
-            # infinities fail the test and reach the check below.
-            return
-        if not math.isfinite(heading):
-            raise ValueError(f"non-finite heading {heading}")
-        object.__setattr__(self, "heading_rad", normalize_heading(heading))
+        if not 0.0 < heading < TWO_PI:
+            object.__setattr__(self, "heading_rad", wrap_heading(heading))
 
 
-def rotate(pose: Pose, angle_rad: float) -> Pose:
-    """Turn in place by a signed angle (counter-clockwise positive)."""
-    return Pose(pose.position, pose.heading_rad + angle_rad)
+def wrap_heading(angle_rad: float) -> float:
+    """The heading a Pose keeps for this angle, in [0, 2*pi).
+
+    Inside (0, 2*pi) the wrap would return this exact float, so the angle
+    is returned as it is. Zero takes the wrap so that -0.0 becomes 0.0; NaN
+    and the infinities fail the test and raise.
+    """
+    if 0.0 < angle_rad < TWO_PI:
+        return angle_rad
+    if not math.isfinite(angle_rad):
+        raise ValueError(f"non-finite heading {angle_rad}")
+    return normalize_heading(angle_rad)
 
 
-def advance(pose: Pose, step_m: float) -> Pose:
-    """Move forward along the current heading; the heading is unchanged."""
+def rotate(heading_rad: float, angle_rad: float) -> float:
+    """The heading after turning in place by a signed angle (counter-clockwise positive)."""
+    return wrap_heading(heading_rad + angle_rad)
+
+
+def advance(x: float, y: float, heading_rad: float, step_m: float) -> tuple[float, float]:
+    """The position after moving step_m along the heading; the heading is unchanged."""
     if step_m < 0.0:
         raise ValueError(f"negative step {step_m}")
-    heading = pose.heading_rad
-    position = Vec2(
-        pose.position.x + step_m * math.cos(heading),
-        pose.position.y + step_m * math.sin(heading),
-    )
-    return Pose(position, heading)
+    return x + step_m * math.cos(heading_rad), y + step_m * math.sin(heading_rad)
 
 
 def distance(a: Vec2, b: Vec2) -> float:
@@ -95,9 +98,9 @@ def distance(a: Vec2, b: Vec2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def bearing(origin: Vec2, to: Vec2) -> float:
-    """Direction from one point toward another, in [0, 2*pi)."""
-    return normalize_heading(math.atan2(to.y - origin.y, to.x - origin.x))
+def bearing(x: float, y: float, to_x: float, to_y: float) -> float:
+    """Direction from (x, y) toward (to_x, to_y), in [0, 2*pi)."""
+    return normalize_heading(math.atan2(to_y - y, to_x - x))
 
 
 def signed_turn(from_rad: float, to_rad: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .channel import ChannelParams, invert_rssi_to_distance
-from .geometry import Pose, Vec2, bearing, require_finite_fields, signed_turn
+from .geometry import Vec2, bearing, require_finite_fields, signed_turn
 from .tracker import HALT, MOVE_FORWARD, TrackerDecision, rotate_then_move
 
 
@@ -74,7 +74,8 @@ class TrilaterationState:
 
 def record_observation(
     state: TrilaterationState,
-    robot_pos: Vec2,
+    robot_x: float,
+    robot_y: float,
     rssi_dbm: float,
     params: ChannelParams,
     cfg: TrilaterationConfig,
@@ -85,9 +86,10 @@ def record_observation(
     dropped (they add no geometry), and the FIFO is capped at k_observations.
     """
     for obs in state.observations:
-        if math.hypot(obs.position.x - robot_pos.x, obs.position.y - robot_pos.y) < cfg.min_spacing_m:
+        if math.hypot(obs.position.x - robot_x, obs.position.y - robot_y) < cfg.min_spacing_m:
             return False
-    state.observations.append(Observation(robot_pos, invert_rssi_to_distance(rssi_dbm, params)))
+    fix = Observation(Vec2(robot_x, robot_y), invert_rssi_to_distance(rssi_dbm, params))
+    state.observations.append(fix)
     while len(state.observations) > cfg.k_observations:
         state.observations.pop(0)
     return True
@@ -143,7 +145,9 @@ def update_estimate(state: TrilaterationState, cfg: TrilaterationConfig) -> None
 
 def trilateration_decide(
     state: TrilaterationState,
-    pose: Pose,
+    x: float,
+    y: float,
+    heading_rad: float,
     latest_rssi_dbm: float,
     cfg: TrilaterationConfig,
     halt_threshold_dbm: float,
@@ -158,15 +162,12 @@ def trilateration_decide(
     """
     if latest_rssi_dbm > halt_threshold_dbm:
         return HALT
-    if state.current_estimate is not None:
-        gap = math.hypot(
-            state.current_estimate.x - pose.position.x,
-            state.current_estimate.y - pose.position.y,
-        )
-        if gap <= step_m:
+    estimate = state.current_estimate
+    if estimate is not None:
+        if math.hypot(estimate.x - x, estimate.y - y) <= step_m:
             state.current_estimate = None
         else:
-            turn = signed_turn(pose.heading_rad, bearing(pose.position, state.current_estimate))
+            turn = signed_turn(heading_rad, bearing(x, y, estimate.x, estimate.y))
             return rotate_then_move(math.degrees(turn))
     if len(state.observations) >= cfg.k_observations:
         return rotate_then_move(cfg.bootstrap_turn_deg)

@@ -13,32 +13,73 @@ and sweep_one_phi computes every distance with np.hypot and writes every
 crossed tau level with its own scatter.
 
 The engine's earlier obstacle sensor, trace writer, metrics and
-trilateration step close the file, also verbatim: _ray_rect_distance
+trilateration step follow, also verbatim: _ray_rect_distance
 recomputes the ray direction per rectangle and sensor_reading_cm casts at
 every rectangle; trace_csv_lines formats each field on its own;
 compute_metrics sums geometry.distance with left_sum and makes one more
 pass per count; _trilateration_decide solves the observation FIFO on every
-in-range cycle, changed or not.
+in-range cycle, changed or not, and takes its fixes and steering from
+record_observation and trilateration_decide on a Vec2 position and a Pose.
+
+The cycle loop on Vec2 and Pose closes the file: step_world and the
+helpers it called, from before the loop ran on plain floats. The state
+keeps a Pose robot and Vec2 target and waypoint, every position is built
+as a Vec2 (which checks it is finite) and every heading as a Pose (which
+wraps it). It takes its decisions from the trilateration step above and
+the engine's Hot-Cold decision, and its mobility moves from _move.
 """
 
 from __future__ import annotations
 
 import math
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import optimize
 
 from hotcold.analysis import _COS_DEG, _SIN_DEG
+from hotcold.channel import (
+    MIN_DISTANCE_M,
+    ChannelParams,
+    RssiReading,
+    invert_rssi_to_distance,
+    path_loss,
+)
 from hotcold.engine import (
     SENSOR_MAX_CM,
     SENSOR_RAY_OFFSET_RAD,
+    SENSOR_REACH_M,
     TRACE_COLUMNS,
+    TRACKERS,
     CycleRecord,
+    Decide,
+    FixedPath,
     MetricsReport,
+    RandomWaypoint,
     Rect,
+    StaticControl,
+    WorldConfig,
+    _hotcold_decide,
+    obstacle_avoidance,
 )
-from hotcold.geometry import Pose, Vec2, distance, left_sum
-from hotcold.trilateration import record_observation, trilateration_decide, update_estimate
+from hotcold.geometry import Pose, Vec2, distance, left_sum, normalize_heading, signed_turn
+from hotcold.tracker import (
+    HALT,
+    MOVE_FORWARD,
+    DecisionKind,
+    HotColdConfig,
+    HotColdState,
+    TrackerDecision,
+    rotate_then_move,
+)
+from hotcold.trilateration import (
+    Observation,
+    TrilaterationConfig,
+    TrilaterationState,
+    update_estimate,
+)
 
 
 def brute_force_position(
@@ -247,6 +288,49 @@ def compute_metrics(trace: list[CycleRecord]) -> MetricsReport:
     )
 
 
+def record_observation(
+    state: TrilaterationState,
+    robot_pos: Vec2,
+    rssi_dbm: float,
+    params: ChannelParams,
+    cfg: TrilaterationConfig,
+) -> bool:
+    for obs in state.observations:
+        if math.hypot(obs.position.x - robot_pos.x, obs.position.y - robot_pos.y) < cfg.min_spacing_m:
+            return False
+    state.observations.append(Observation(robot_pos, invert_rssi_to_distance(rssi_dbm, params)))
+    while len(state.observations) > cfg.k_observations:
+        state.observations.pop(0)
+    return True
+
+
+def trilateration_decide(
+    state: TrilaterationState,
+    pose: Pose,
+    latest_rssi_dbm: float,
+    cfg: TrilaterationConfig,
+    halt_threshold_dbm: float,
+    step_m: float,
+) -> TrackerDecision:
+    if latest_rssi_dbm > halt_threshold_dbm:
+        return HALT
+    if state.current_estimate is not None:
+        gap = math.hypot(
+            state.current_estimate.x - pose.position.x,
+            state.current_estimate.y - pose.position.y,
+        )
+        if gap <= step_m:
+            state.current_estimate = None
+        else:
+            to = state.current_estimate
+            bearing = normalize_heading(math.atan2(to.y - pose.position.y, to.x - pose.position.x))
+            turn = signed_turn(pose.heading_rad, bearing)
+            return rotate_then_move(math.degrees(turn))
+    if len(state.observations) >= cfg.k_observations:
+        return rotate_then_move(cfg.bootstrap_turn_deg)
+    return MOVE_FORWARD
+
+
 def _trilateration_decide(state, reading, config):
     cfg = config.tracker
     record_observation(
@@ -257,3 +341,206 @@ def _trilateration_decide(state, reading, config):
         state.tracker_state, state.robot, reading.value_dbm, cfg,
         state.halt_threshold_dbm, config.robot_step_m,
     )
+
+
+def rotate(pose: Pose, angle_rad: float) -> Pose:
+    """Turn in place by a signed angle (counter-clockwise positive)."""
+    return Pose(pose.position, pose.heading_rad + angle_rad)
+
+
+def advance(pose: Pose, step_m: float) -> Pose:
+    """Move forward along the current heading; the heading is unchanged."""
+    if step_m < 0.0:
+        raise ValueError(f"negative step {step_m}")
+    heading = pose.heading_rad
+    position = Vec2(
+        pose.position.x + step_m * math.cos(heading),
+        pose.position.y + step_m * math.sin(heading),
+    )
+    return Pose(position, heading)
+
+
+def rssi(target_pos: Vec2, robot_pos: Vec2, params: ChannelParams, normal: float) -> RssiReading:
+    d = math.hypot(target_pos.x - robot_pos.x, target_pos.y - robot_pos.y)
+    if d < MIN_DISTANCE_M:
+        d = MIN_DISTANCE_M
+    value = params.link_budget_dbm - path_loss(d, params, params.shadowing_sigma_db * normal)
+    return RssiReading(value, value >= params.rx_sensitivity_dbm)
+
+
+@dataclass(slots=True)
+class WorldState:
+    time_s: float
+    robot: Pose
+    target: Vec2  # the target has no heading: nothing reads one
+    target_waypoint: Vec2 | None
+    tracker_state: HotColdState | TrilaterationState | None
+    decide: Decide
+    halt_threshold_dbm: float
+    shadowing_normals: list[float]  # the standard normal of each cycle's broadcast
+    mobility_rng: np.random.Generator
+    last_decision: TrackerDecision | None = None
+    trace: list[CycleRecord] | None = None  # None: the run keeps no trace
+    # KPI sums; distances are added left to right from 0.0, geometry.left_sum's bits
+    cycles: int = 0
+    distance_sum: float = 0.0
+    cycles_in_range: int = 0
+    cycles_in_halt: int = 0
+
+    def __len__(self) -> int:  # the cycles run so far
+        return self.cycles
+
+
+def _uniform_point(config: WorldConfig, rng: np.random.Generator) -> Vec2:
+    """A point drawn uniformly in the space, x first."""
+    return Vec2(float(rng.uniform(0.0, config.width_m)), float(rng.uniform(0.0, config.height_m)))
+
+
+def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
+    x = min(max(point.x, 0.0), config.width_m)
+    y = min(max(point.y, 0.0), config.height_m)
+    if x == point.x and y == point.y:
+        return point
+    return Vec2(x, y)
+
+
+def _position_at(path: FixedPath, time_s: float) -> Vec2:
+    points = path.waypoints
+    if time_s <= points[0][0]:
+        return points[0][1]
+    for (t0, p0), (t1, p1) in zip(points, points[1:]):
+        if time_s <= t1:
+            frac = (time_s - t0) / (t1 - t0)
+            return Vec2(p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y))
+    return points[-1][1]
+
+
+def _move(state: WorldState, config: WorldConfig, t_end: float) -> None:
+    """The three mobility models' moves; a static target never moves."""
+    mobility = config.mobility
+    if isinstance(mobility, RandomWaypoint):
+        state.target, state.target_waypoint = random_waypoint_step(
+            state.target, state.target_waypoint, config, state.mobility_rng
+        )
+    elif isinstance(mobility, FixedPath):
+        state.target = _clamp_to_space(_position_at(mobility, t_end), config)
+
+
+# tracker config type -> in-range decision on this file's state
+_DECIDE = {
+    HotColdConfig: _hotcold_decide,
+    TrilaterationConfig: _trilateration_decide,
+    StaticControl: lambda state, reading, config: None,
+}
+
+
+def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
+    channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
+    mobility_rng = np.random.default_rng(mobility_ss)
+    shadowing_rng = np.random.default_rng(channel_ss)
+
+    robot = config.robot_start or Pose(Vec2(config.width_m / 2.0, config.height_m / 2.0), 0.0)
+    target, waypoint = config.mobility.place(config, mobility_rng)
+    new_state, _ = TRACKERS[type(config.tracker)]
+
+    return WorldState(
+        time_s=0.0,
+        robot=robot,
+        target=target,
+        target_waypoint=waypoint,
+        tracker_state=new_state(),
+        decide=_DECIDE[type(config.tracker)],
+        halt_threshold_dbm=config.halt_threshold_dbm(),
+        # one batch gives the same bits as one scalar draw per cycle
+        shadowing_normals=shadowing_rng.standard_normal(config.total_cycles).tolist(),
+        mobility_rng=mobility_rng,
+        trace=[] if keep_trace else None,
+    )
+
+
+def random_waypoint_step(
+    position: Vec2,
+    waypoint: Vec2,
+    config: WorldConfig,
+    rng: np.random.Generator,
+) -> tuple[Vec2, Vec2]:
+    """One cycle of waypoint walking; landing on the waypoint draws a new one."""
+    step = config.target_step_m
+    if step == 0.0:
+        return position, waypoint
+    dx = waypoint.x - position.x
+    dy = waypoint.y - position.y
+    if math.hypot(dx, dy) <= step:
+        return waypoint, _uniform_point(config, rng)
+    # the direction is wrapped to [0, 2*pi) as a Pose heading would be:
+    # cos and sin of the unwrapped atan2 can differ in the last bit
+    heading = normalize_heading(math.atan2(dy, dx))
+    moved = Vec2(position.x + step * math.cos(heading), position.y + step * math.sin(heading))
+    return moved, waypoint
+
+
+def obstacles_in_reach(position: Vec2, obstacles: Sequence[Rect]) -> list[Rect]:
+    """The obstacles that either sensor at this position could read below its cap."""
+    ox, oy = position.x, position.y
+    return [
+        rect for rect in obstacles
+        if not (rect.x_min - ox > SENSOR_REACH_M or rect.x_max - ox < -SENSOR_REACH_M
+                or rect.y_min - oy > SENSOR_REACH_M or rect.y_max - oy < -SENSOR_REACH_M)
+    ]
+
+
+_ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
+_HALT = DecisionKind.HALT
+
+
+def step_world(state: WorldState, config: WorldConfig) -> WorldState:
+    """Advance the world by one broadcast cycle and add it to the run's sums."""
+    cycle = state.cycles
+    if cycle >= config.total_cycles:
+        raise ValueError("simulation already ran for its full duration")
+    t_end = state.time_s + config.cycle_period_s
+
+    _move(state, config, t_end)
+    target = state.target
+    robot = state.robot
+
+    reading = rssi(target, robot.position, config.channel, state.shadowing_normals[cycle])
+
+    if reading.in_range:
+        decision = state.last_decision = state.decide(state, reading, config)
+    else:
+        decision = state.last_decision  # out of range: repeat the last decision
+
+    maneuver = None
+    if config.obstacles:
+        near = obstacles_in_reach(robot.position, config.obstacles)
+        if near:
+            left = sensor_reading_cm(robot, near, +1)
+            right = sensor_reading_cm(robot, near, -1)
+            maneuver = obstacle_avoidance(left, right)
+
+    if maneuver is not None:
+        # back up and turn as one pose: the bits of rotate(Pose(back, heading), turn)
+        heading = robot.heading_rad
+        back = Vec2(
+            robot.position.x - maneuver.back_up_m * math.cos(heading),
+            robot.position.y - maneuver.back_up_m * math.sin(heading),
+        )
+        robot = Pose(back, heading + maneuver.turn_rad)
+    elif decision is not None and decision.kind is not _HALT:
+        if decision.kind is _ROTATE_THEN_MOVE:
+            robot = rotate(robot, math.radians(decision.rotation_deg))
+        robot = advance(robot, config.robot_step_m)
+
+    state.robot = robot
+    state.time_s = t_end
+    state.cycles = cycle + 1
+    state.distance_sum += math.hypot(robot.position.x - target.x, robot.position.y - target.y)
+    in_halt = reading.value_dbm > state.halt_threshold_dbm
+    state.cycles_in_range += reading.in_range
+    state.cycles_in_halt += in_halt
+    if state.trace is not None:
+        act = maneuver or decision
+        state.trace.append(CycleRecord(t_end, robot, target, reading.value_dbm, reading.in_range,
+                                       in_halt, "none" if act is None else act.label))
+    return state

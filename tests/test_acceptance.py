@@ -131,7 +131,7 @@ def test_channel_sanity():
     noisy = ChannelParams(shadowing_sigma_db=sigma)
     base = noiseless_rssi(10.0, noisy)
     deviates = np.array(
-        [rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), noisy, n).value_dbm - base for n in normals]
+        [rssi(0.0, 0.0, 10.0, 0.0, noisy, n).value_dbm - base for n in normals]
     )
     p_value = stats.kstest(deviates / sigma, "norm").pvalue
     range_m = max_range_m(PARAMS)

@@ -15,7 +15,6 @@ from hotcold.channel import (
     rssi,
 )
 from hotcold.engine import WorldConfig, init_world
-from hotcold.geometry import Vec2
 
 PARAMS = ChannelParams()  # 0 dBm, 0/2 dBi, 2.4 GHz, n=2.8, -94 dBm
 
@@ -64,13 +63,13 @@ def test_rssi_at_halt_distance():
 
 def test_rssi_near_sensitivity_boundary():
     assert noiseless_rssi(99.6, PARAMS) == pytest.approx(-94.0, abs=0.01)
-    assert rssi(Vec2(0.0, 0.0), Vec2(99.5, 0.0), PARAMS, 0.3).in_range
-    assert not rssi(Vec2(0.0, 0.0), Vec2(99.7, 0.0), PARAMS, -1.2).in_range
-    assert not rssi(Vec2(0.0, 0.0), Vec2(150.0, 0.0), PARAMS, 0.0).in_range
+    assert rssi(0.0, 0.0, 99.5, 0.0, PARAMS, 0.3).in_range
+    assert not rssi(0.0, 0.0, 99.7, 0.0, PARAMS, -1.2).in_range
+    assert not rssi(0.0, 0.0, 150.0, 0.0, PARAMS, 0.0).in_range
 
 
 def test_rssi_clamps_tiny_distances():
-    at_zero = rssi(Vec2(0.0, 0.0), Vec2(0.0, 0.0), PARAMS, 0.7)
+    at_zero = rssi(0.0, 0.0, 0.0, 0.0, PARAMS, 0.7)
     assert at_zero.value_dbm == noiseless_rssi(MIN_DISTANCE_M, PARAMS)
 
 
@@ -101,7 +100,7 @@ def test_monotone_in_distance_without_shadowing():
 
 def test_rssi_zero_sigma_ignores_the_normal():
     for normal in (-3.0, 0.0, 2.5):
-        assert rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, normal).value_dbm == noiseless_rssi(
+        assert rssi(0.0, 0.0, 10.0, 0.0, PARAMS, normal).value_dbm == noiseless_rssi(
             10.0, PARAMS
         )
 
@@ -110,7 +109,7 @@ def test_rssi_shadowing_is_sigma_times_the_normal():
     params = ChannelParams(shadowing_sigma_db=3.0)
     base = noiseless_rssi(10.0, params)
     for normal in (-2.1, 0.4, 1.3):
-        value = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, normal).value_dbm
+        value = rssi(0.0, 0.0, 10.0, 0.0, params, normal).value_dbm
         assert value == params.link_budget_dbm - path_loss(10.0, params, 3.0 * normal)
         assert value - base == pytest.approx(-3.0 * normal, abs=1e-9)
 
@@ -130,7 +129,7 @@ def test_shadowing_distribution_kolmogorov_smirnov():
     normals = np.random.default_rng(13).standard_normal(10**5).tolist()
     base = noiseless_rssi(10.0, params)
     deviates = np.array(
-        [rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, n).value_dbm - base for n in normals]
+        [rssi(0.0, 0.0, 10.0, 0.0, params, n).value_dbm - base for n in normals]
     )
     assert stats.kstest(deviates / 3.0, "norm").pvalue > 0.01
 
@@ -173,7 +172,7 @@ def test_params_validation():
 
 
 def test_rssi_reading_is_an_immutable_named_tuple():
-    reading = rssi(Vec2(0.0, 0.0), Vec2(10.0, 0.0), PARAMS, 0.5)
+    reading = rssi(0.0, 0.0, 10.0, 0.0, PARAMS, 0.5)
     assert reading == RssiReading(value_dbm=reading.value_dbm, in_range=True)
     assert reading._fields == ("value_dbm", "in_range")
     with pytest.raises(AttributeError):

@@ -209,6 +209,12 @@ def test_bad_inputs_exit_nonzero(tmp_path):
         run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
     assert run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1e12", "simulate"]) == 2
+    # a step of inf m, and finite positions whose distance sum overflows
+    for duration, period in (("1e308", "1e305"), ("1e306", "1e303")):
+        overflow = ["--set", f"world.duration_s={duration}", "--set", f"world.cycle_period_s={period}"]
+        assert run_cli(["--out-dir", str(tmp_path)] + overflow + ["simulate"]) == 2
+        assert run_cli(["--out-dir", str(tmp_path), "--quick"] + overflow + ["grid"]) == 2
+        assert not any(tmp_path.iterdir())
     assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
     # Hot-Cold always moves the world's robot step: no step size key
     assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import hotcold.trilateration
 import oracles
 from hotcold.channel import ChannelParams, RssiReading, noiseless_rssi
 from hotcold.engine import (
+    MAX_CYCLE_PERIOD_S,
     MAX_CYCLES,
     MAX_EXTENT_M,
     MAX_SPEED_KMH,
@@ -33,7 +35,7 @@ from hotcold.engine import (
     step_world,
     trace_csv_lines,
 )
-from hotcold.geometry import Pose, Vec2, advance, bearing, distance
+from hotcold.geometry import Pose, Vec2, bearing, distance
 from hotcold.tracker import DecisionKind, HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
@@ -61,6 +63,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="cycles"):
             WorldConfig(duration_s=duration_s, cycle_period_s=cycle_period_s)
     assert WorldConfig(duration_s=MAX_CYCLES, cycle_period_s=1.0).total_cycles == MAX_CYCLES
+    # the period bound keeps the robot's travel, step times cycles, finite:
+    # over it, a step or a distance sum overflowed (1e305 and 1e303 s)
+    for cycle_period_s in (math.nextafter(MAX_CYCLE_PERIOD_S, math.inf), 1e303, 1e305):
+        with pytest.raises(ValueError, match="cycle period"):
+            WorldConfig(duration_s=1000 * cycle_period_s, cycle_period_s=cycle_period_s)
+    longest = WorldConfig(duration_s=MAX_CYCLES * MAX_CYCLE_PERIOD_S,
+                          cycle_period_s=MAX_CYCLE_PERIOD_S, robot_speed_kmh=MAX_SPEED_KMH)
+    assert longest.total_cycles == MAX_CYCLES
+    assert longest.robot_step_m * longest.total_cycles < 2.8e14  # the bound's arithmetic
     with pytest.raises(ValueError):
         WorldConfig(robot_speed_kmh=-1.0)
     with pytest.raises(ValueError):
@@ -111,6 +122,13 @@ def test_world_bounds():
         duration_s=5.0,
     )
     assert math.isfinite(run_simulation(edge)[0].average_distance_m)
+    # the longest steps at the longest period, from the same corner
+    for tracker in (HotColdConfig(), TrilaterationConfig()):
+        far = dataclasses.replace(
+            edge, cycle_period_s=MAX_CYCLE_PERIOD_S, duration_s=20 * MAX_CYCLE_PERIOD_S,
+            target_speed_kmh=MAX_SPEED_KMH, tracker=tracker,
+        )
+        assert math.isfinite(run_simulation(far)[0].average_distance_m)
 
 
 def test_every_tracker_type_has_one_table_entry():
@@ -138,7 +156,7 @@ def test_mobility_models_place_and_move_the_target():
         state = init_world(config)
         for _ in range(config.total_cycles):
             step_world(state, config)
-        assert state.target == mobility.position_at(state.time_s)
+        assert Vec2(state.target_x, state.target_y) == mobility.position_at(state.time_s)
 
 
 def test_step_world_stops_after_total_cycles():
@@ -168,28 +186,27 @@ def test_shadowing_normals_are_the_channel_stream_drawn_up_front():
 def test_random_waypoint_step_toward_waypoint():
     cfg = WorldConfig()
     rng = np.random.default_rng(0)
-    moved, waypoint = random_waypoint_step(Vec2(10.0, 20.0), Vec2(20.0, 20.0), cfg, rng)
-    assert moved.x == pytest.approx(10.5, abs=1e-12)
-    assert moved.y == pytest.approx(20.0, abs=1e-12)
-    assert waypoint == Vec2(20.0, 20.0)
+    x, y, wx, wy = random_waypoint_step(10.0, 20.0, 20.0, 20.0, cfg, rng)
+    assert x == pytest.approx(10.5, abs=1e-12)
+    assert y == pytest.approx(20.0, abs=1e-12)
+    assert (wx, wy) == (20.0, 20.0)
 
 
 def test_random_waypoint_arrival_draws_new_waypoint():
     cfg = WorldConfig()
     rng = np.random.default_rng(1)
-    moved, waypoint = random_waypoint_step(Vec2(10.0, 20.0), Vec2(10.3, 20.0), cfg, rng)
-    assert moved == Vec2(10.3, 20.0)
-    assert waypoint != Vec2(10.3, 20.0)
-    assert 0.0 <= waypoint.x <= cfg.width_m and 0.0 <= waypoint.y <= cfg.height_m
+    x, y, wx, wy = random_waypoint_step(10.0, 20.0, 10.3, 20.0, cfg, rng)
+    assert (x, y) == (10.3, 20.0)
+    assert (wx, wy) != (10.3, 20.0)
+    assert 0.0 <= wx <= cfg.width_m and 0.0 <= wy <= cfg.height_m
 
 
 def test_random_waypoint_zero_speed_is_static():
     cfg = WorldConfig(target_speed_kmh=0.0)
     rng = np.random.default_rng(2)
-    target = Vec2(10.0, 20.0)
-    moved, waypoint = random_waypoint_step(target, Vec2(30.0, 20.0), cfg, rng)
-    assert moved == target
-    assert waypoint == Vec2(30.0, 20.0)
+    x, y, wx, wy = random_waypoint_step(10.0, 20.0, 30.0, 20.0, cfg, rng)
+    assert (x, y) == (10.0, 20.0)
+    assert (wx, wy) == (30.0, 20.0)
 
 
 def test_waypoints_uniform_chi_square():
@@ -198,13 +215,10 @@ def test_waypoints_uniform_chi_square():
     cfg = WorldConfig()
     rng = np.random.default_rng(3)
     draws = np.array(
-        [
-            random_waypoint_step(Vec2(50.0, 50.0), Vec2(50.0, 50.1), cfg, rng)[1]
-            for _ in range(10_000)
-        ]
-    , dtype=object)
-    xs = np.array([w.x for w in draws])
-    ys = np.array([w.y for w in draws])
+        [random_waypoint_step(50.0, 50.0, 50.0, 50.1, cfg, rng)[2:] for _ in range(10_000)]
+    )
+    xs = draws[:, 0]
+    ys = draws[:, 1]
     counts, _, _ = np.histogram2d(xs, ys, bins=5, range=[[0, 100], [0, 100]])
     assert stats.chisquare(counts.ravel()).pvalue > 0.01
 
@@ -237,15 +251,15 @@ def test_obstacle_avoidance_rules():
 
 def test_sensor_reading_geometry():
     wall = Rect(1.0, -5.0, 1.5, 5.0)
-    pose = Pose(Vec2(0.0, 0.0), 0.0)
-    left = sensor_reading_cm(pose, (wall,), +1)
-    right = sensor_reading_cm(pose, (wall,), -1)
+    pose = (0.0, 0.0, 0.0)  # x, y, heading
+    left = sensor_reading_cm(*pose, (wall,), +1)
+    right = sensor_reading_cm(*pose, (wall,), -1)
     # both rays hit the wall at 1 m / cos(30 deg)
     assert left == pytest.approx(100.0 / math.cos(math.radians(30.0)), abs=1e-6)
     assert right == pytest.approx(left, abs=1e-9)
-    assert sensor_reading_cm(pose, (), +1) == 255.0
+    assert sensor_reading_cm(*pose, (), +1) == 255.0
     far = Rect(50.0, -5.0, 51.0, 5.0)
-    assert sensor_reading_cm(pose, (far,), +1) == 255.0
+    assert sensor_reading_cm(*pose, (far,), +1) == 255.0
 
 
 def test_avoidance_preempts_tracker():
@@ -514,14 +528,17 @@ def _old_random_waypoint_step(target, waypoint, config, rng):
             float(rng.uniform(0.0, config.width_m)),
             float(rng.uniform(0.0, config.height_m)),
         )
-        heading = bearing(target.position, waypoint) if gap > 0.0 else target.heading_rad
+        heading = _bearing(target.position, waypoint) if gap > 0.0 else target.heading_rad
         return Pose(waypoint, heading), new_waypoint
-    heading = bearing(target.position, waypoint)
-    return advance(Pose(target.position, heading), step), waypoint
+    heading = _bearing(target.position, waypoint)
+    return oracles.advance(Pose(target.position, heading), step), waypoint
 
 
-def _bits(position: Vec2, waypoint: Vec2) -> tuple[str, ...]:
-    values = (position.x, position.y, waypoint.x, waypoint.y)
+def _bearing(origin: Vec2, to: Vec2) -> float:
+    return bearing(origin.x, origin.y, to.x, to.y)
+
+
+def _bits(values: tuple[float, ...]) -> tuple[str, ...]:
     return tuple(v.hex() for v in values)
 
 
@@ -542,14 +559,13 @@ _coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 def test_random_waypoint_step_matches_pose_formula(x, y, wx, wy, heading, speed_kmh):
     # the old step also returned a heading; the new one has none to compare
     cfg = WorldConfig(target_speed_kmh=speed_kmh)
-    waypoint = Vec2(wx, wy)
-    fast = random_waypoint_step(Vec2(x, y), waypoint, cfg, np.random.default_rng(0))
+    fast = random_waypoint_step(x, y, wx, wy, cfg, np.random.default_rng(0))
     pose, new_waypoint = _old_random_waypoint_step(
-        Pose(Vec2(x, y), heading), waypoint, cfg, np.random.default_rng(0)
+        Pose(Vec2(x, y), heading), Vec2(wx, wy), cfg, np.random.default_rng(0)
     )
-    slow = (pose.position, new_waypoint)
+    slow = (pose.position.x, pose.position.y, new_waypoint.x, new_waypoint.y)
     assert fast == slow
-    assert _bits(*fast) == _bits(*slow)
+    assert _bits(fast) == _bits(slow)
 
 
 def test_trilateration_reuses_the_solve_of_an_unchanged_fifo(monkeypatch):
@@ -573,9 +589,11 @@ def test_trilateration_reuses_the_solve_of_an_unchanged_fifo(monkeypatch):
         (Pose(corners[2], 1.0), weak),  # beside the last fix, within a step of the estimate
         (Pose(corners[0], 1.0), weak),  # beside the first fix, far from the estimate
     ]
-    ours, theirs = init_world(config), init_world(config)
+    ours, theirs = init_world(config), oracles.init_world(config)
     for i, (robot, reading) in enumerate(cycles):
-        ours.robot = theirs.robot = robot
+        ours.robot_x, ours.robot_y = robot.position.x, robot.position.y
+        ours.robot_heading_rad = robot.heading_rad
+        theirs.robot = robot
         before = len(solves)
         got = _trilateration_decide(ours, reading, config)
         solved = len(solves) - before
@@ -588,3 +606,91 @@ def test_trilateration_reuses_the_solve_of_an_unchanged_fifo(monkeypatch):
             assert ours.tracker_state.current_estimate is not None
             assert got.kind is DecisionKind.ROTATE_THEN_MOVE
             assert got.rotation_deg != config.tracker.bootstrap_turn_deg
+
+
+# the two obstacles of the benchmark's traced runs
+_TRACED_OBSTACLES = (Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0))
+_point = st.builds(Vec2, st.floats(-20.0, 120.0), st.floats(-20.0, 120.0))
+_rect = st.builds(
+    lambda x, y, w, h: Rect(x, y, x + w, y + h),
+    st.floats(0.0, 95.0), st.floats(0.0, 95.0), st.floats(0.2, 10.0), st.floats(0.2, 10.0),
+)
+
+
+@st.composite
+def _beside_an_edge(draw, rect: Rect) -> Pose:
+    """A robot start just outside one edge of `rect`, facing it or at heading 0."""
+    gap = draw(st.one_of(st.floats(0.0, 0.6), st.sampled_from([0.0, 0.25, 0.35])))
+    mid_x, mid_y = (rect.x_min + rect.x_max) / 2.0, (rect.y_min + rect.y_max) / 2.0
+    x, y, facing = draw(st.sampled_from([
+        (rect.x_min - gap, mid_y, 0.0),
+        (rect.x_max + gap, mid_y, math.pi),
+        (mid_x, rect.y_min - gap, math.pi / 2.0),
+        (mid_x, rect.y_max + gap, 1.5 * math.pi),
+    ]))
+    return Pose(Vec2(x, y), draw(st.sampled_from([facing, 0.0])))
+
+
+@st.composite
+def _worlds(draw) -> WorldConfig:
+    tracker = draw(st.one_of(
+        st.builds(HotColdConfig, sws=st.integers(1, 10)),
+        st.just(TrilaterationConfig()),
+        st.just(StaticControl()),
+    ))
+    mobility = draw(st.one_of(
+        st.builds(RandomWaypoint, start=st.none() | _point),
+        st.builds(StaticTarget, _point),
+        st.lists(_point, min_size=1, max_size=4).map(
+            lambda points: FixedPath(tuple((20.0 * i, p) for i, p in enumerate(points)))
+        ),
+    ))
+    obstacles = draw(st.one_of(
+        st.just(()), st.just(_TRACED_OBSTACLES), st.lists(_rect, min_size=1, max_size=3).map(tuple)
+    ))
+    starts = [st.none(), st.builds(Pose, _point, st.just(0.0))]
+    starts += [_beside_an_edge(rect) for rect in obstacles]
+    return WorldConfig(
+        duration_s=0.5 * draw(st.integers(1, 300)),
+        channel=ChannelParams(shadowing_sigma_db=draw(st.floats(0.0, 6.0) | st.sampled_from([0.0, 2.0]))),
+        tracker=tracker,
+        mobility=mobility,
+        obstacles=obstacles,
+        seed=draw(st.integers(0, 2**32)),
+        robot_start=draw(st.one_of(starts)),
+    )
+
+
+def _floats_of(state) -> tuple[float, ...]:
+    if isinstance(state, oracles.WorldState):
+        robot, target, waypoint = state.robot, state.target, state.target_waypoint
+        floats = (robot.position.x, robot.position.y, robot.heading_rad, target.x, target.y)
+        floats += (math.nan, math.nan) if waypoint is None else (waypoint.x, waypoint.y)
+    else:
+        floats = (state.robot_x, state.robot_y, state.robot_heading_rad, state.target_x,
+                  state.target_y, state.waypoint_x, state.waypoint_y)
+    return floats + (state.time_s, state.distance_sum)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(config=_worlds())
+@example(config=WorldConfig(duration_s=200.0, channel=_SIGMA2, tracker=TrilaterationConfig(),
+                            obstacles=_TRACED_OBSTACLES, seed=27))
+@example(config=WorldConfig(duration_s=100.0, channel=_SIGMA2, obstacles=_TRACED_OBSTACLES,
+                            seed=1, robot_start=Pose(Vec2(37.9, 46.0), 0.0)))
+def test_float_cycle_loop_matches_the_pose_loop(config):
+    """The cycle loop on floats against the one on Vec2 and Pose, with and
+    without a trace, every cycle: the robot, target and waypoint floats and
+    the KPI sums bit for bit, and the decision labels."""
+    theirs = oracles.init_world(config)
+    ours = [init_world(config), init_world(config, keep_trace=False)]
+    for cycle in range(config.total_cycles):
+        oracles.step_world(theirs, config)
+        want = _bits(_floats_of(theirs))
+        counts = (theirs.cycles, theirs.cycles_in_range, theirs.cycles_in_halt)
+        for state in ours:
+            step_world(state, config)
+            assert _bits(_floats_of(state)) == want, cycle
+            assert (state.cycles, state.cycles_in_range, state.cycles_in_halt) == counts, cycle
+        assert ours[0].trace[-1].decision == theirs.trace[-1].decision, cycle
+        assert ours[0].trace[-1] == theirs.trace[-1], cycle

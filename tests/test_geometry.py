@@ -15,6 +15,7 @@ from hotcold.geometry import (
     normalize_heading,
     rotate,
     signed_turn,
+    wrap_heading,
 )
 
 
@@ -26,19 +27,18 @@ def test_left_sum_adds_left_to_right():
 
 
 def test_rotate_full_turn_is_identity():
-    pose = Pose(Vec2(1.0, 2.0), 0.0)
-    assert rotate(pose, 2.0 * math.pi).heading_rad == pytest.approx(0.0, abs=1e-12)
+    assert rotate(0.0, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotate_137_degrees():
-    pose = rotate(Pose(Vec2(0.0, 0.0), 0.0), math.radians(137.0))
-    assert pose.heading_rad == pytest.approx(2.3911, abs=1e-4)
-    assert pose.position == Vec2(0.0, 0.0)
+    heading = rotate(0.0, math.radians(137.0))
+    assert heading == pytest.approx(2.3911, abs=1e-4)
+    assert type(heading) is float  # a turn in place: the position is not rotate's
 
 
 def test_rotate_wraps_around():
-    pose = rotate(Pose(Vec2(0.0, 0.0), math.radians(350.0)), math.radians(20.0))
-    assert math.degrees(pose.heading_rad) == pytest.approx(10.0, abs=1e-9)
+    heading = rotate(math.radians(350.0), math.radians(20.0))
+    assert math.degrees(heading) == pytest.approx(10.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -50,15 +50,16 @@ def test_rotate_wraps_around():
     ],
 )
 def test_advance_examples(start, heading_deg, step, expected):
-    pose = advance(Pose(Vec2(*start), math.radians(heading_deg)), step)
-    assert pose.position.x == pytest.approx(expected[0], abs=1e-12)
-    assert pose.position.y == pytest.approx(expected[1], abs=1e-12)
-    assert pose.heading_rad == math.radians(heading_deg) % (2.0 * math.pi)
+    heading = math.radians(heading_deg)
+    moved = advance(*start, heading, step)
+    assert moved[0] == pytest.approx(expected[0], abs=1e-12)
+    assert moved[1] == pytest.approx(expected[1], abs=1e-12)
+    assert len(moved) == 2  # the position only: the heading is the caller's, unchanged
 
 
 def test_advance_rejects_negative_step():
     with pytest.raises(ValueError):
-        advance(Pose(Vec2(0.0, 0.0), 0.0), -0.1)
+        advance(0.0, 0.0, 0.0, -0.1)
 
 
 def test_distance_examples():
@@ -85,24 +86,23 @@ def test_pose_normalizes_heading():
 def test_rotate_inverse_is_identity():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        pose = Pose(Vec2(0.0, 0.0), rng.uniform(0.0, 2.0 * math.pi))
-        angle = rng.uniform(-10.0, 10.0)
-        back = rotate(rotate(pose, angle), -angle)
-        err = min(
-            abs(back.heading_rad - pose.heading_rad),
-            2.0 * math.pi - abs(back.heading_rad - pose.heading_rad),
-        )
+        heading = float(rng.uniform(0.0, 2.0 * math.pi))
+        angle = float(rng.uniform(-10.0, 10.0))
+        back = rotate(rotate(heading, angle), -angle)
+        err = min(abs(back - heading), 2.0 * math.pi - abs(back - heading))
         assert err < 1e-12
 
 
 def test_advance_moves_exactly_step_and_keeps_heading():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        pose = Pose(Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50)), rng.uniform(0, 2 * math.pi))
-        step = rng.uniform(0.0, 5.0)
-        moved = advance(pose, step)
-        assert moved.heading_rad == pose.heading_rad
-        assert abs(distance(pose.position, moved.position) - step) < 1e-12
+        x, y = float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50))
+        heading = float(rng.uniform(0, 2 * math.pi))
+        step = float(rng.uniform(0.0, 5.0))
+        mx, my = advance(x, y, heading, step)
+        if step > 0.1:  # the move points along the heading
+            assert abs(signed_turn(heading, math.atan2(my - y, mx - x))) < 1e-9
+        assert abs(distance(Vec2(x, y), Vec2(mx, my)) - step) < 1e-12
 
 
 def test_distance_triangle_inequality():
@@ -113,7 +113,7 @@ def test_distance_triangle_inequality():
 
 
 def test_bearing_and_signed_turn():
-    assert bearing(Vec2(0.0, 0.0), Vec2(0.0, 5.0)) == pytest.approx(math.pi / 2)
+    assert bearing(0.0, 0.0, 0.0, 5.0) == pytest.approx(math.pi / 2)
     # heading east, target due north: quarter turn left
     assert signed_turn(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
     # shortest way from 10 deg to 350 deg is -20 deg
@@ -130,6 +130,7 @@ def test_pose_keeps_in_range_heading_bits():
         float(h) for h in rng.uniform(0.0, 2.0 * math.pi, 200)
     ]:
         assert Pose(Vec2(0.0, 0.0), heading).heading_rad.hex() == heading.hex()
+        assert rotate(heading, 0.0).hex() == wrap_heading(heading).hex() == heading.hex()
 
 
 @pytest.mark.parametrize(
@@ -141,12 +142,17 @@ def test_pose_out_of_range_heading_equals_normalize_heading(heading):
     assert got.hex() == normalize_heading(heading).hex()
     assert 0.0 <= got < 2.0 * math.pi
     assert math.copysign(1.0, got) == 1.0  # never -0.0
+    # the float primitives wrap as a Pose does
+    assert wrap_heading(heading).hex() == rotate(heading, 0.0).hex() == got.hex()
+    assert rotate(heading, -0.0).hex() == got.hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pose_rejects_non_finite_heading(bad):
     with pytest.raises(ValueError):
         Pose(Vec2(0.0, 0.0), bad)
+    with pytest.raises(ValueError):
+        rotate(0.0, bad)
 
 
 def test_vec2_and_pose_are_immutable_and_pickle():

@@ -83,9 +83,10 @@ def _check_reading(pose: Pose, rects: tuple[Rect, ...], side: int) -> None:
     oracle's from all; with none in reach both sensors read the cap and no
     maneuver follows."""
     want = oracles.sensor_reading_cm(pose, rects, side)
-    near = obstacles_in_reach(pose.position, rects)
+    x, y = pose.position.x, pose.position.y
+    near = obstacles_in_reach(x, y, rects)
     for seen in (rects, near):
-        got = sensor_reading_cm(pose, seen, side)
+        got = sensor_reading_cm(x, y, pose.heading_rad, seen, side)
         assert got.hex() == want.hex(), (pose, seen, side)
     if not near:
         other = oracles.sensor_reading_cm(pose, rects, -side)
@@ -134,8 +135,8 @@ def test_sensor_rays_parallel_to_an_axis():
     ahead = Rect(-0.5, 1.0, 0.5, 2.0)
     beside = Rect(0.5, 1.0, 1.5, 2.0)
     assert math.cos(pose.heading_rad + SENSOR_RAY_OFFSET_RAD) < 1e-15
-    assert sensor_reading_cm(pose, (ahead,), 1) == 100.0
-    assert sensor_reading_cm(pose, (beside,), 1) == 255.0
+    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (ahead,), 1) == 100.0
+    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (beside,), 1) == 255.0
     # the origin a hair outside the slab: a parallel ray misses, a ray just
     # off parallel crosses into the slab within reach
     hair = Rect(1e-15, 1.0, 1.0, 2.0)

@@ -24,8 +24,9 @@ HALT_DBM = -51.41
 STEP_M = 1.0
 
 
-def steer(state, pose, rssi_dbm):
-    return trilateration_decide(state, pose, rssi_dbm, CFG, HALT_DBM, STEP_M)
+def steer(state, pose, rssi_dbm, step_m=STEP_M):
+    x, y = pose.position.x, pose.position.y
+    return trilateration_decide(state, x, y, pose.heading_rad, rssi_dbm, CFG, HALT_DBM, step_m)
 
 
 def obs_at(x, y, target=(5.0, 5.0)):
@@ -122,21 +123,21 @@ def test_estimate_error_grows_with_shadowing_sigma():
 def test_record_observation_fifo_and_spacing():
     state = TrilaterationState()
     value = noiseless_rssi(10.0, PARAMS)
-    assert record_observation(state, Vec2(0.0, 0.0), value, PARAMS, CFG)
+    assert record_observation(state, 0.0, 0.0, value, PARAMS, CFG)
     assert len(state.observations) == 1
     assert state.current_estimate is None
     # too close to an existing fix: skipped
-    assert not record_observation(state, Vec2(0.2, 0.2), value, PARAMS, CFG)
+    assert not record_observation(state, 0.2, 0.2, value, PARAMS, CFG)
     assert len(state.observations) == 1
     for i in range(1, 4):
-        assert record_observation(state, Vec2(2.0 * i, 0.5 * i), value, PARAMS, CFG)
+        assert record_observation(state, 2.0 * i, 0.5 * i, value, PARAMS, CFG)
     assert len(state.observations) == CFG.k_observations
     assert state.observations[0].position == Vec2(2.0, 0.5)  # oldest evicted
 
 
 def test_recorded_distance_comes_from_inversion():
     state = TrilaterationState()
-    record_observation(state, Vec2(0.0, 0.0), noiseless_rssi(7.3, PARAMS), PARAMS, CFG)
+    record_observation(state, 0.0, 0.0, noiseless_rssi(7.3, PARAMS), PARAMS, CFG)
     assert state.observations[0].est_distance_m == pytest.approx(7.3, abs=1e-9)
 
 
@@ -176,7 +177,7 @@ def test_reaching_the_estimate_without_halt_drops_it():
     assert decision.kind is DecisionKind.MOVE_FORWARD  # window not full yet
     # more than one robot step away, the estimate is kept and steered at
     kept = TrilaterationState(current_estimate=Vec2(0.5, 0.0))
-    decision = trilateration_decide(kept, Pose(Vec2(0.0, 0.0), 0.0), -70.0, CFG, HALT_DBM, 0.4)
+    decision = steer(kept, Pose(Vec2(0.0, 0.0), 0.0), -70.0, step_m=0.4)
     assert kept.current_estimate == Vec2(0.5, 0.0)
     assert decision.kind is DecisionKind.ROTATE_THEN_MOVE
 
