@@ -212,6 +212,14 @@ class WorldConfig:
         start = self.robot_start
         if start is not None and max(abs(start.position.x), abs(start.position.y)) > MAX_EXTENT_M:
             raise ValueError(f"robot start {start.position} is beyond +-{MAX_EXTENT_M:g} m")
+        # inside a rectangle both sensors read 0 and the robot only ever avoids;
+        # a start on an edge is outside
+        x, y = self.width_m / 2.0, self.height_m / 2.0
+        if start is not None:
+            x, y = start.position.x, start.position.y
+        for rect in self.obstacles:
+            if rect.x_min < x < rect.x_max and rect.y_min < y < rect.y_max:
+                raise ValueError(f"robot start ({x}, {y}) lies inside obstacle {rect}")
 
     # The cycle count and step lengths are read every cycle, so each is
     # computed once.
@@ -239,9 +247,14 @@ class WorldConfig:
 
 
 class CycleRecord(NamedTuple):
+    """One traced cycle, flat in TRACE_COLUMNS order; the heading in radians."""
+
     time_s: float
-    robot: Pose
-    target: Vec2
+    robot_x: float
+    robot_y: float
+    robot_heading_rad: float
+    target_x: float
+    target_y: float
     rssi_dbm: float
     in_range: bool
     in_halt: bool
@@ -532,8 +545,8 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     state.cycles_in_halt += in_halt
     if state.trace is not None:
         act = maneuver or decision
-        state.trace.append(CycleRecord(t_end, Pose(Vec2(x, y), heading), Vec2(tx, ty),
-                                       reading.value_dbm, reading.in_range, in_halt,
+        state.trace.append(CycleRecord(t_end, x, y, heading, tx, ty, reading.value_dbm,
+                                       reading.in_range, in_halt,
                                        "none" if act is None else act.label))
     return state
 
@@ -608,11 +621,9 @@ _TRACE_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%s"
 def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
     lines = [",".join(TRACE_COLUMNS)]
     lines.extend(
-        _TRACE_ROW % (
-            time_s, robot.position.x, robot.position.y, math.degrees(robot.heading_rad),
-            target.x, target.y, rssi_dbm, in_range, in_halt, decision,
-        )
-        for time_s, robot, target, rssi_dbm, in_range, in_halt, decision in trace
+        _TRACE_ROW % (time_s, x, y, math.degrees(heading), tx, ty, rssi_dbm, in_range, in_halt,
+                      decision)
+        for time_s, x, y, heading, tx, ty, rssi_dbm, in_range, in_halt, decision in trace
     )
     return lines
 

@@ -426,7 +426,8 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
         start_gap = distance(cfg.robot_start.position, cfg.mobility.position_at(0.0))
         lines.append(f"{i},{_fmt(0.0)},{_fmt(start_gap)}")
         for rec in trace:
-            lines.append(f"{i},{_fmt(rec.time_s)},{_fmt(distance(rec.robot.position, rec.target))}")
+            gap = math.hypot(rec.robot_x - rec.target_x, rec.robot_y - rec.target_y)
+            lines.append(f"{i},{_fmt(rec.time_s)},{_fmt(gap)}")
     path = Path(out_dir) / f"fig12_{result.name}.csv"
     _write_lines(path, lines)
     return path

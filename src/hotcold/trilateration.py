@@ -53,9 +53,10 @@ class TrilaterationConfig:
 
 @dataclass(frozen=True)
 class Observation:
-    """Robot position paired with the range estimated from one RSSI sample."""
+    """Robot position (x, y) paired with the range estimated from one RSSI sample."""
 
-    position: Vec2
+    x: float
+    y: float
     est_distance_m: float
 
     def __post_init__(self) -> None:
@@ -86,9 +87,9 @@ def record_observation(
     dropped (they add no geometry), and the FIFO is capped at k_observations.
     """
     for obs in state.observations:
-        if math.hypot(obs.position.x - robot_x, obs.position.y - robot_y) < cfg.min_spacing_m:
+        if math.hypot(obs.x - robot_x, obs.y - robot_y) < cfg.min_spacing_m:
             return False
-    fix = Observation(Vec2(robot_x, robot_y), invert_rssi_to_distance(rssi_dbm, params))
+    fix = Observation(robot_x, robot_y, invert_rssi_to_distance(rssi_dbm, params))
     state.observations.append(fix)
     while len(state.observations) > cfg.k_observations:
         state.observations.pop(0)
@@ -104,15 +105,11 @@ def estimate_target(
     ref = observations[-1]
     a11 = a12 = a22 = g1 = g2 = 0.0
     for obs in observations[:-1]:
-        ax = 2.0 * (ref.position.x - obs.position.x)
-        ay = 2.0 * (ref.position.y - obs.position.y)
+        ax = 2.0 * (ref.x - obs.x)
+        ay = 2.0 * (ref.y - obs.y)
         b = (
-            obs.est_distance_m**2
-            - ref.est_distance_m**2
-            + ref.position.x**2
-            - obs.position.x**2
-            + ref.position.y**2
-            - obs.position.y**2
+            obs.est_distance_m**2 - ref.est_distance_m**2
+            + ref.x**2 - obs.x**2 + ref.y**2 - obs.y**2
         )
         a11 += ax * ax
         a12 += ax * ay

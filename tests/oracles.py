@@ -19,14 +19,18 @@ every rectangle; trace_csv_lines formats each field on its own;
 compute_metrics sums geometry.distance with left_sum and makes one more
 pass per count; _trilateration_decide solves the observation FIFO on every
 in-range cycle, changed or not, and takes its fixes and steering from
-record_observation and trilateration_decide on a Vec2 position and a Pose.
+record_observation and trilateration_decide on a Vec2 position and a Pose
+(the fix is stored as the floats an Observation holds).
 
 The cycle loop on Vec2 and Pose closes the file: step_world and the
 helpers it called, from before the loop ran on plain floats. The state
 keeps a Pose robot and Vec2 target and waypoint, every position is built
 as a Vec2 (which checks it is finite) and every heading as a Pose (which
 wraps it). It takes its decisions from the trilateration step above and
-the engine's Hot-Cold decision, and its mobility moves from _move.
+the engine's Hot-Cold decision, and its mobility moves from _move. Its
+trace holds the earlier nested CycleRecord (a Pose robot and a Vec2
+target), which trace_csv_lines and compute_metrics read; flat_record
+lays one out in the engine's flat CycleRecord order.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -53,7 +58,6 @@ from hotcold.engine import (
     SENSOR_REACH_M,
     TRACE_COLUMNS,
     TRACKERS,
-    CycleRecord,
     Decide,
     FixedPath,
     MetricsReport,
@@ -252,6 +256,23 @@ def sensor_reading_cm(pose: Pose, obstacles: tuple[Rect, ...], side: int) -> flo
     return min(nearest * 100.0, SENSOR_MAX_CM)
 
 
+class CycleRecord(NamedTuple):
+    time_s: float
+    robot: Pose
+    target: Vec2
+    rssi_dbm: float
+    in_range: bool
+    in_halt: bool
+    decision: str
+
+
+def flat_record(rec: CycleRecord) -> tuple:
+    """The record's fields in the order of the engine's flat CycleRecord."""
+    robot, target = rec.robot, rec.target
+    return (rec.time_s, robot.position.x, robot.position.y, robot.heading_rad, target.x, target.y,
+            rec.rssi_dbm, rec.in_range, rec.in_halt, rec.decision)
+
+
 def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
     lines = [",".join(TRACE_COLUMNS)]
     for rec in trace:
@@ -296,9 +317,10 @@ def record_observation(
     cfg: TrilaterationConfig,
 ) -> bool:
     for obs in state.observations:
-        if math.hypot(obs.position.x - robot_pos.x, obs.position.y - robot_pos.y) < cfg.min_spacing_m:
+        if math.hypot(obs.x - robot_pos.x, obs.y - robot_pos.y) < cfg.min_spacing_m:
             return False
-    state.observations.append(Observation(robot_pos, invert_rssi_to_distance(rssi_dbm, params)))
+    fix = Observation(robot_pos.x, robot_pos.y, invert_rssi_to_distance(rssi_dbm, params))
+    state.observations.append(fix)
     while len(state.observations) > cfg.k_observations:
         state.observations.pop(0)
     return True

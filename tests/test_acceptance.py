@@ -17,7 +17,6 @@ from hotcold.channel import ChannelParams, max_range_m, noiseless_rssi, rssi
 from hotcold.cli import main as cli_main
 from hotcold.engine import StaticControl, WorldConfig, run_simulation
 from hotcold.experiments import ExperimentGrid, derive_seed, run_grid
-from hotcold.geometry import Vec2
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import Observation, TrilaterationConfig, estimate_target
 
@@ -105,14 +104,14 @@ def test_trilateration_exactness():
         if min(dists) < 1e-6:
             continue
         estimate = estimate_target(
-            [Observation(Vec2(*p), d) for p, d in zip(pts, dists)]
+            [Observation(*p, d) for p, d in zip(pts, dists)]
         )
         assert estimate is not None
         oracle = brute_force_position([tuple(p) for p in pts], dists)
         worst = max(worst, math.hypot(estimate.x - oracle[0], estimate.y - oracle[1]))
         checked += 1
     collinear = estimate_target(
-        [Observation(Vec2(float(i), 0.0), 5.0) for i in range(3)]
+        [Observation(float(i), 0.0, 5.0) for i in range(3)]
     )
     ok = worst < 1e-6 and collinear is None
     report(

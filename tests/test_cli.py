@@ -215,6 +215,10 @@ def test_bad_inputs_exit_nonzero(tmp_path):
         assert run_cli(["--out-dir", str(tmp_path)] + overflow + ["simulate"]) == 2
         assert run_cli(["--out-dir", str(tmp_path), "--quick"] + overflow + ["grid"]) == 2
         assert not any(tmp_path.iterdir())
+    # a robot that starts inside an obstacle reads 0 cm on both sensors and only ever avoids
+    trapped = ["--set", "world.obstacles=45:45:55:55", "simulate"]
+    assert run_cli(["--out-dir", str(tmp_path)] + trapped) == 2
+    assert not any(tmp_path.iterdir())
     assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
     # Hot-Cold always moves the world's robot step: no step size key
     assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2

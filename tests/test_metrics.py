@@ -34,7 +34,9 @@ def _run_bits(config: WorldConfig) -> tuple:
     report, trace = run_simulation(config)
     bare, no_trace = run_simulation(config, keep_trace=False)
     assert len(trace) == config.total_cycles and no_trace is None
-    oracle = _bits(oracles.compute_metrics(trace))
+    nested = [oracles.CycleRecord(r.time_s, Pose(Vec2(r.robot_x, r.robot_y), r.robot_heading_rad),
+                                  Vec2(r.target_x, r.target_y), *r[6:]) for r in trace]
+    oracle = _bits(oracles.compute_metrics(nested))
     assert _bits(report) == _bits(bare) == oracle
     return oracle
 
@@ -143,7 +145,7 @@ def test_distances_are_added_left_to_right():
     )
     _, trace = run_simulation(config)
     gaps = [1e6, 2.0**-34, 2.0**-34]
-    assert [math.hypot(r.target.x, r.target.y) for r in trace] == gaps
+    assert [math.hypot(r.target_x, r.target_y) for r in trace] == gaps
     for keep_trace in (True, False):
         report, _ = run_simulation(config, keep_trace=keep_trace)
         assert report.average_distance_m == ((1e6 + 2.0**-34) + 2.0**-34) / 3

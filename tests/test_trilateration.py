@@ -31,7 +31,7 @@ def steer(state, pose, rssi_dbm, step_m=STEP_M):
 
 def obs_at(x, y, target=(5.0, 5.0)):
     d = math.hypot(x - target[0], y - target[1])
-    return Observation(Vec2(x, y), d)
+    return Observation(x, y, d)
 
 
 def test_exact_symmetric_triple():
@@ -66,7 +66,7 @@ def test_exact_recovery_matches_brute_force_oracle():
             continue
         target = rng.uniform(0.0, 100.0, 2)
         observations = [
-            Observation(Vec2(*p), math.hypot(p[0] - target[0], p[1] - target[1]) or 1e-9)
+            Observation(*p, math.hypot(p[0] - target[0], p[1] - target[1]) or 1e-9)
             for p in pts
         ]
         estimate = estimate_target(observations)
@@ -86,8 +86,8 @@ def test_translation_equivariance():
             continue
         dists = rng.uniform(5.0, 40.0, 3)
         shift = rng.uniform(-300.0, 300.0, 2)
-        base = estimate_target([Observation(Vec2(*p), d) for p, d in zip(pts, dists)])
-        moved = estimate_target([Observation(Vec2(*(p + shift)), d) for p, d in zip(pts, dists)])
+        base = estimate_target([Observation(*p, d) for p, d in zip(pts, dists)])
+        moved = estimate_target([Observation(*(p + shift), d) for p, d in zip(pts, dists)])
         if base is None:
             assert moved is None
             continue
@@ -109,7 +109,7 @@ def test_estimate_error_grows_with_shadowing_sigma():
             for p in positions:
                 d = math.hypot(*(p - target))
                 d_hat = d * 10.0 ** (sigma * rng.standard_normal() / (10.0 * n))
-                observations.append(Observation(Vec2(*p), d_hat))
+                observations.append(Observation(*p, d_hat))
             estimate = estimate_target(observations)
             if estimate is None:
                 total += 100.0
@@ -132,7 +132,8 @@ def test_record_observation_fifo_and_spacing():
     for i in range(1, 4):
         assert record_observation(state, 2.0 * i, 0.5 * i, value, PARAMS, CFG)
     assert len(state.observations) == CFG.k_observations
-    assert state.observations[0].position == Vec2(2.0, 0.5)  # oldest evicted
+    oldest = state.observations[0]
+    assert (oldest.x, oldest.y) == (2.0, 0.5)  # oldest evicted
 
 
 def test_recorded_distance_comes_from_inversion():
@@ -203,4 +204,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrilaterationConfig(condition_threshold=0.5)
     with pytest.raises(ValueError):
-        Observation(Vec2(0.0, 0.0), 0.0)
+        Observation(0.0, 0.0, 0.0)
