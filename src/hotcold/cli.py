@@ -207,6 +207,8 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
     import numpy as np
 
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     report = verify_convergence(rng=np.random.default_rng(seed))
     print(f"verify-lemmas: {report.trials} trials per check, "
           f"violations {report.total_violations} "

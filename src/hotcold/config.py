@@ -129,8 +129,8 @@ def load_config(path: str | Path | None) -> dict[str, dict[str, str]]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, configparser.Error) as exc:  # some parser messages span lines
+        raise ConfigError(f"cannot read config {path}: {exc}".replace("\n", " ")) from exc
     for section in parser.sections():
         if section not in cfg:
             raise ConfigError(f"unknown config section [{section}]")

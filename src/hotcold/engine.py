@@ -75,8 +75,9 @@ class StaticControl:
 
 
 # Each mobility model places the target, returning its start point and first
-# waypoint (None if it has none), and moves it for the cycle ending at t_end:
-# move sets state.target_x and state.target_y.
+# waypoint as (x, y, waypoint_x, waypoint_y), the waypoint NaN if it has none,
+# and moves it for the cycle ending at t_end: move sets state.target_x and
+# state.target_y.
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ class RandomWaypoint:
 
     start: Vec2 | None = None  # None: drawn uniformly in the space
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
         # draw order is fixed: start point first (when not given), then waypoint
-        start = self.start or Vec2(*_uniform_point(config, rng))
-        return Vec2(*_clamp_to_space(start.x, start.y, config)), Vec2(*_uniform_point(config, rng))
+        x, y = _uniform_point(config, rng) if self.start is None else (self.start.x, self.start.y)
+        return (*_clamp_to_space(x, y, config), *_uniform_point(config, rng))
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         state.target_x, state.target_y, state.waypoint_x, state.waypoint_y = random_waypoint_step(
@@ -129,8 +130,8 @@ class FixedPath:
                 return p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)
         return points[-1][1].x, points[-1][1].y
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
-        return Vec2(*_clamp_to_space(*self._xy_at(0.0), config)), None
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
+        return (*_clamp_to_space(*self._xy_at(0.0), config), math.nan, math.nan)
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         state.target_x, state.target_y = _clamp_to_space(*self._xy_at(t_end), config)
@@ -143,8 +144,8 @@ class StaticTarget:
     def position_at(self, time_s: float) -> Vec2:
         return self.point
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
-        return Vec2(*_clamp_to_space(self.point.x, self.point.y, config)), None
+    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
+        return (*_clamp_to_space(self.point.x, self.point.y, config), math.nan, math.nan)
 
     def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
         """The target never moves."""
@@ -282,7 +283,7 @@ class WorldState:
     mobility_rng: np.random.Generator
     last_decision: TrackerDecision | None = None
     trace: list[CycleRecord] | None = None  # None: the run keeps no trace
-    # KPI sums; distances are added left to right from 0.0, geometry.left_sum's bits
+    # KPI sums; distances are added left to right from 0.0, uncompensated
     cycles: int = 0
     distance_sum: float = 0.0
     cycles_in_range: int = 0
@@ -334,19 +335,21 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
     mobility_rng = np.random.default_rng(mobility_ss)
     shadowing_rng = np.random.default_rng(channel_ss)
 
-    robot = config.robot_start or Pose(Vec2(config.width_m / 2.0, config.height_m / 2.0), 0.0)
-    target, waypoint = config.mobility.place(config, mobility_rng)
+    start = config.robot_start
+    x, y, heading = ((config.width_m / 2.0, config.height_m / 2.0, 0.0) if start is None
+                     else (start.position.x, start.position.y, start.heading_rad))
+    target_x, target_y, waypoint_x, waypoint_y = config.mobility.place(config, mobility_rng)
     new_state, decide = TRACKERS[type(config.tracker)]
 
     return WorldState(
         time_s=0.0,
-        robot_x=robot.position.x,
-        robot_y=robot.position.y,
-        robot_heading_rad=robot.heading_rad,
-        target_x=target.x,
-        target_y=target.y,
-        waypoint_x=math.nan if waypoint is None else waypoint.x,
-        waypoint_y=math.nan if waypoint is None else waypoint.y,
+        robot_x=x,
+        robot_y=y,
+        robot_heading_rad=heading,
+        target_x=target_x,
+        target_y=target_y,
+        waypoint_x=waypoint_x,
+        waypoint_y=waypoint_y,
         tracker_state=new_state(),
         decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),

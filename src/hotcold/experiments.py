@@ -326,30 +326,16 @@ def write_exhaustive_csv(result: ExhaustiveSweepResult, out_dir: Path) -> Path:
 
 
 def write_grid_runs_csv(result: GridResult, out_dir: Path) -> Path:
-    """grid_runs.csv: one row per run with its seed and all KPIs."""
-    lines = [
-        "tracker,sws,sigma_db,run,seed,average_distance_m,"
-        "cycles_in_range,cycles_in_range_pct,cycles_in_halt,cycles_in_halt_pct,total_cycles"
-    ]
+    """grid_runs.csv: one row per run with its seed and all KPIs, which are
+    the keys of MetricsReport.to_dict in its order: ints as they are, floats
+    through _fmt."""
+    kpis = MetricsReport(math.nan, 0, 0, 0).to_dict()  # an empty run's report, for its keys
+    lines = [",".join(("tracker,sws,sigma_db,run,seed", *kpis))]
     for p in sorted(result.points, key=lambda p: (p.tracker, p.sws or 0, p.sigma)):
+        sws = "" if p.sws is None else str(p.sws)
         for run, (seed, rep) in enumerate(zip(p.seeds, p.runs)):
-            lines.append(
-                ",".join(
-                    (
-                        p.tracker,
-                        "" if p.sws is None else str(p.sws),
-                        _fmt(p.sigma),
-                        str(run),
-                        str(seed),
-                        _fmt(rep.average_distance_m),
-                        str(rep.cycles_in_range),
-                        _fmt(rep.cycles_in_range_pct),
-                        str(rep.cycles_in_halt),
-                        _fmt(rep.cycles_in_halt_pct),
-                        str(rep.total_cycles),
-                    )
-                )
-            )
+            cells = (str(v) if isinstance(v, int) else _fmt(v) for v in rep.to_dict().values())
+            lines.append(",".join((p.tracker, sws, _fmt(p.sigma), str(run), str(seed), *cells)))
     path = Path(out_dir) / "grid_runs.csv"
     _write_lines(path, lines)
     return path

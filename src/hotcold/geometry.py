@@ -8,26 +8,9 @@ counter-clockwise. The motion primitives take and return plain floats.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
-from functools import reduce
 
 TWO_PI = 2.0 * math.pi
-
-
-def normalize_heading(angle_rad: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    wrapped = angle_rad % TWO_PI
-    if wrapped >= TWO_PI:
-        # float modulo of a tiny negative can round up to exactly 2*pi
-        wrapped -= TWO_PI
-    return wrapped
-
-
-def left_sum(values) -> float:
-    """Plain left-to-right float sum: the same bits on every Python (3.12's
-    builtin sum compensates, so its bits differ from earlier versions')."""
-    return reduce(operator.add, values, 0.0)
 
 
 def require_finite_fields(obj) -> None:
@@ -62,23 +45,25 @@ class Pose:
     heading_rad: float
 
     def __post_init__(self) -> None:
-        heading = self.heading_rad
-        if not 0.0 < heading < TWO_PI:
-            object.__setattr__(self, "heading_rad", wrap_heading(heading))
+        object.__setattr__(self, "heading_rad", wrap_heading(self.heading_rad))
 
 
 def wrap_heading(angle_rad: float) -> float:
-    """The heading a Pose keeps for this angle, in [0, 2*pi).
+    """The angle wrapped to [0, 2*pi), as a Pose keeps its heading.
 
-    Inside (0, 2*pi) the wrap would return this exact float, so the angle
-    is returned as it is. Zero takes the wrap so that -0.0 becomes 0.0; NaN
-    and the infinities fail the test and raise.
+    Inside (0, 2*pi) the modulo would return this exact float, so the angle
+    is returned as it is. Zero takes the modulo so that -0.0 becomes 0.0;
+    NaN and the infinities fail the test and raise.
     """
     if 0.0 < angle_rad < TWO_PI:
         return angle_rad
     if not math.isfinite(angle_rad):
         raise ValueError(f"non-finite heading {angle_rad}")
-    return normalize_heading(angle_rad)
+    wrapped = angle_rad % TWO_PI
+    if wrapped >= TWO_PI:
+        # float modulo of a tiny negative can round up to exactly 2*pi
+        wrapped -= TWO_PI
+    return wrapped
 
 
 def rotate(heading_rad: float, angle_rad: float) -> float:
@@ -100,7 +85,7 @@ def distance(a: Vec2, b: Vec2) -> float:
 
 def bearing(x: float, y: float, to_x: float, to_y: float) -> float:
     """Direction from (x, y) toward (to_x, to_y), in [0, 2*pi)."""
-    return normalize_heading(math.atan2(to_y - y, to_x - x))
+    return wrap_heading(math.atan2(to_y - y, to_x - x))
 
 
 def signed_turn(from_rad: float, to_rad: float) -> float:

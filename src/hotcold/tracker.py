@@ -11,12 +11,12 @@ the robot for that cycle because it is already close enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
-from .geometry import left_sum, require_finite_fields
+from .geometry import require_finite_fields
 
 
 class RotationDirection(Enum):
@@ -84,23 +84,15 @@ class HotColdConfig:
 
 @dataclass
 class HotColdState:
-    """Mutable per-run tracker state: the two sample windows and a count of
-    window comparisons."""
+    """Mutable per-run tracker state: the samples in the current double
+    window, the running sums of its two windows, and a count of window
+    comparisons. Each sum adds left to right from 0.0, uncompensated, so
+    its bits are the same on every Python."""
 
-    window_a: list[float] = field(default_factory=list)
-    window_b: list[float] = field(default_factory=list)
+    samples: int = 0
+    sum_a: float = 0.0
+    sum_b: float = 0.0
     comparisons: int = 0
-
-    def reset_windows(self) -> None:
-        self.window_a.clear()
-        self.window_b.clear()
-
-
-def window_average(samples: list[float]) -> float:
-    """Arithmetic mean of raw dBm samples (indicator-domain averaging)."""
-    if not samples:
-        raise ValueError("empty samples window")
-    return left_sum(samples) / len(samples)
 
 
 def decide(avg_first: float, avg_second: float, cfg: HotColdConfig) -> TrackerDecision:
@@ -115,7 +107,7 @@ def ingest_sample(
 ) -> TrackerDecision:
     """Feed one in-range sample and return the movement for this cycle.
 
-    Every sample is appended to the active window, halting cycles included.
+    Every sample is added to the active window's sum, halting cycles included.
     A sample above the halt threshold freezes the robot for the cycle. The
     sample that completes the second window triggers the window comparison
     and the windows reset; every other non-halt sample is followed by a
@@ -124,21 +116,20 @@ def ingest_sample(
     if not math.isfinite(reading_dbm):
         raise ValueError(f"non-finite RSSI sample {reading_dbm}")
 
-    if len(state.window_a) < cfg.sws:
-        state.window_a.append(reading_dbm)
+    sws = cfg.sws
+    if state.samples < sws:
+        state.sum_a += reading_dbm
     else:
-        state.window_b.append(reading_dbm)
-    period_complete = len(state.window_b) == cfg.sws
+        state.sum_b += reading_dbm
+    state.samples += 1
+    halted = reading_dbm > halt_threshold_dbm
+    if state.samples < 2 * sws:
+        return HALT if halted else MOVE_FORWARD
 
-    if reading_dbm > halt_threshold_dbm:
-        if period_complete:
-            state.reset_windows()
+    sum_a, sum_b = state.sum_a, state.sum_b
+    state.samples, state.sum_a, state.sum_b = 0, 0.0, 0.0
+    if halted:
         return HALT
-    if not period_complete:
-        return MOVE_FORWARD
-
-    avg_first = window_average(state.window_a)
-    avg_second = window_average(state.window_b)
     state.comparisons += 1
-    state.reset_windows()
-    return decide(avg_first, avg_second, cfg)
+    # the averages compare in the indicator (dBm) domain
+    return decide(sum_a / sws, sum_b / sws, cfg)

@@ -4,13 +4,18 @@ These deliberately avoid the solver paths they are checking: position
 recovery is a coarse grid scan (to pick the right basin, thin observation
 triangles leave a near-mirror lobe) followed by a Levenberg-Marquardt
 polish on the range residuals, and the turn-count oracle is a linear scan
-over candidate counts.
+over candidate counts. normalize_heading and left_sum, the package's
+earlier heading wrap and float sum, serve the oracles below.
 
 The two sweep kernels at the end are the package's earlier vectorized
 kernels, kept verbatim as references for their replacements:
 sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
 and sweep_one_phi computes every distance with np.hypot and writes every
 crossed tau level with its own scatter.
+
+The Hot-Cold tracker's earlier list windows follow, verbatim: ingest_sample
+appends each sample to a HotColdWindows list and averages each finished
+window with window_average, which sums it with left_sum.
 
 The engine's earlier obstacle sensor, trace writer, metrics and
 trilateration step follow, also verbatim: _ray_rect_distance
@@ -27,7 +32,8 @@ helpers it called, from before the loop ran on plain floats. The state
 keeps a Pose robot and Vec2 target and waypoint, every position is built
 as a Vec2 (which checks it is finite) and every heading as a Pose (which
 wraps it). It takes its decisions from the trilateration step above and
-the engine's Hot-Cold decision, and its mobility moves from _move. Its
+the engine's Hot-Cold decision, and it places and moves the target with
+_place and _move. Its
 trace holds the earlier nested CycleRecord (a Pose robot and a Vec2
 target), which trace_csv_lines and compute_metrics read; flat_record
 lays one out in the engine's flat CycleRecord order.
@@ -36,9 +42,11 @@ lays one out in the engine's flat CycleRecord order.
 from __future__ import annotations
 
 import math
+import operator
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +76,7 @@ from hotcold.engine import (
     _hotcold_decide,
     obstacle_avoidance,
 )
-from hotcold.geometry import Pose, Vec2, distance, left_sum, normalize_heading, signed_turn
+from hotcold.geometry import TWO_PI, Pose, Vec2, distance, signed_turn
 from hotcold.tracker import (
     HALT,
     MOVE_FORWARD,
@@ -76,6 +84,7 @@ from hotcold.tracker import (
     HotColdConfig,
     HotColdState,
     TrackerDecision,
+    decide,
     rotate_then_move,
 )
 from hotcold.trilateration import (
@@ -84,6 +93,21 @@ from hotcold.trilateration import (
     TrilaterationState,
     update_estimate,
 )
+
+
+def normalize_heading(angle_rad: float) -> float:
+    """Wrap an angle to [0, 2*pi)."""
+    wrapped = angle_rad % TWO_PI
+    if wrapped >= TWO_PI:
+        # float modulo of a tiny negative can round up to exactly 2*pi
+        wrapped -= TWO_PI
+    return wrapped
+
+
+def left_sum(values) -> float:
+    """Plain left-to-right float sum: the same bits on every Python (3.12's
+    builtin sum compensates, so its bits differ from earlier versions')."""
+    return reduce(operator.add, values, 0.0)
 
 
 def brute_force_position(
@@ -223,6 +247,61 @@ def sweep_one_phi(
         y += _SIN_DEG[heading]
 
     return counts, live
+
+
+@dataclass
+class HotColdWindows:
+    """Per-run Hot-Cold state as lists: the two sample windows and a count
+    of window comparisons."""
+
+    window_a: list[float] = field(default_factory=list)
+    window_b: list[float] = field(default_factory=list)
+    comparisons: int = 0
+
+    def reset_windows(self) -> None:
+        self.window_a.clear()
+        self.window_b.clear()
+
+
+def window_average(samples: list[float]) -> float:
+    """Arithmetic mean of raw dBm samples (indicator-domain averaging)."""
+    if not samples:
+        raise ValueError("empty samples window")
+    return left_sum(samples) / len(samples)
+
+
+def ingest_sample(
+    state: HotColdWindows, reading_dbm: float, cfg: HotColdConfig, halt_threshold_dbm: float
+) -> TrackerDecision:
+    """Feed one in-range sample and return the movement for this cycle.
+
+    Every sample is appended to the active window, halting cycles included.
+    A sample above the halt threshold freezes the robot for the cycle. The
+    sample that completes the second window triggers the window comparison
+    and the windows reset; every other non-halt sample is followed by a
+    plain forward step, so the robot moves once per non-halt cycle.
+    """
+    if not math.isfinite(reading_dbm):
+        raise ValueError(f"non-finite RSSI sample {reading_dbm}")
+
+    if len(state.window_a) < cfg.sws:
+        state.window_a.append(reading_dbm)
+    else:
+        state.window_b.append(reading_dbm)
+    period_complete = len(state.window_b) == cfg.sws
+
+    if reading_dbm > halt_threshold_dbm:
+        if period_complete:
+            state.reset_windows()
+        return HALT
+    if not period_complete:
+        return MOVE_FORWARD
+
+    avg_first = window_average(state.window_a)
+    avg_second = window_average(state.window_b)
+    state.comparisons += 1
+    state.reset_windows()
+    return decide(avg_first, avg_second, cfg)
 
 
 def _ray_rect_distance(origin: Vec2, direction_rad: float, rect: Rect) -> float:
@@ -403,7 +482,7 @@ class WorldState:
     mobility_rng: np.random.Generator
     last_decision: TrackerDecision | None = None
     trace: list[CycleRecord] | None = None  # None: the run keeps no trace
-    # KPI sums; distances are added left to right from 0.0, geometry.left_sum's bits
+    # KPI sums; distances are added left to right from 0.0, left_sum's bits
     cycles: int = 0
     distance_sum: float = 0.0
     cycles_in_range: int = 0
@@ -424,6 +503,18 @@ def _clamp_to_space(point: Vec2, config: WorldConfig) -> Vec2:
     if x == point.x and y == point.y:
         return point
     return Vec2(x, y)
+
+
+def _place(config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | None]:
+    """The target's start and first waypoint (None if the model has none)."""
+    mobility = config.mobility
+    if isinstance(mobility, RandomWaypoint):
+        # draw order is fixed: start point first (when not given), then waypoint
+        start = mobility.start or _uniform_point(config, rng)
+        return _clamp_to_space(start, config), _uniform_point(config, rng)
+    if isinstance(mobility, FixedPath):
+        return _clamp_to_space(_position_at(mobility, 0.0), config), None
+    return _clamp_to_space(mobility.point, config), None
 
 
 def _position_at(path: FixedPath, time_s: float) -> Vec2:
@@ -462,7 +553,7 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
     shadowing_rng = np.random.default_rng(channel_ss)
 
     robot = config.robot_start or Pose(Vec2(config.width_m / 2.0, config.height_m / 2.0), 0.0)
-    target, waypoint = config.mobility.place(config, mobility_rng)
+    target, waypoint = _place(config, mobility_rng)
     new_state, _ = TRACKERS[type(config.tracker)]
 
     return WorldState(

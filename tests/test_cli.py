@@ -230,6 +230,8 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):
         args = start + ["--set", "world.target_start_x_m=10", "simulate"]
         assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+    # numpy rejects a negative seed with a traceback; the CLI checks it first
+    assert run_cli(["--out-dir", str(tmp_path), "--seed", "-1", "verify-lemmas"]) == 2
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
 
@@ -337,6 +339,52 @@ PINNED_COMMAND_DIGESTS = {
 def test_command_output_bytes_pinned(tmp_path, capsys, name):
     assert run_cli(["--out-dir", str(tmp_path)] + PINNED_COMMANDS[name]) == 0
     assert _files_digest(tmp_path) == PINNED_COMMAND_DIGESTS[name]
+
+
+# sha256 of the fig4.csv that `exhaustive-sweep` writes
+FIG4_SHA256 = "c17d95a730010561b2382343243b1501b1be02ef2be5a480e11adfb130033304"
+
+
+def test_exhaustive_sweep_command_bytes_pinned(tmp_path, capsys):
+    assert run_cli(["--out-dir", str(tmp_path), "exhaustive-sweep"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["fig4.csv"]
+    assert hashlib.sha256((tmp_path / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
+
+
+def test_report_fig12_writes_the_scenario_outputs(tmp_path, capsys):
+    assert run_cli(["--out-dir", str(tmp_path), "--runs", "1", "report", "--figures", "fig12"]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"fig12_{name}.csv" for name in experiments.SCENARIO_NAMES] + ["summary.json"]
+    for name in experiments.SCENARIO_NAMES:
+        scenario_out = tmp_path / name
+        scenario_out.mkdir()
+        (tmp_path / f"fig12_{name}.csv").rename(scenario_out / f"fig12_{name}.csv")
+        assert _files_digest(scenario_out) == PINNED_COMMAND_DIGESTS[name], name
+
+
+def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
+    assert run_cli(QUICK_GRID + ["--out-dir", str(tmp_path), "--workers", "2", "grid"]) == 0
+    assert _files_digest(tmp_path) == PINNED_COMMAND_DIGESTS["grid"]
+
+
+@pytest.mark.parametrize("config_text, args", [
+    (None, ["simulate"]),  # the --config path does not exist
+    ("duration_s = 5\n", ["simulate"]),  # no section header
+    ("[bogus]\nx = 1\n", ["simulate"]),
+    ("", ["--set", "world.obstacles=1:2:a:4", "simulate"]),
+    ("", ["--set", "grid.sws_values=,", "grid"]),
+    ("", ["--set", "world.mobility=fixed_path", "simulate"]),  # world.fixed_path left blank
+], ids=["unreadable", "no-section", "unknown-section", "obstacle-not-numeric", "empty-axis",
+        "fixed-path-blank"])
+def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, args):
+    config = tmp_path / "config.ini"
+    if config_text is not None:
+        config.write_text(config_text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(config), "--out-dir", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 def test_grid_honours_the_tracker_sections(tmp_path, capsys):

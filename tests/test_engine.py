@@ -155,14 +155,15 @@ def test_every_tracker_type_has_one_table_entry():
 def test_mobility_models_place_and_move_the_target():
     cfg = WorldConfig(width_m=50.0, height_m=50.0)
     rng = np.random.default_rng(0)
-    target, waypoint = StaticTarget(Vec2(80.0, 10.0)).place(cfg, rng)
-    assert (target, waypoint) == (Vec2(50.0, 10.0), None)  # clamped to the space
+    x, y, wx, wy = StaticTarget(Vec2(80.0, 10.0)).place(cfg, rng)
+    assert (x, y) == (50.0, 10.0) and math.isnan(wx) and math.isnan(wy)  # clamped to the space
     assert StaticTarget(Vec2(80.0, 10.0)).position_at(123.0) == Vec2(80.0, 10.0)
     path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
-    assert path.place(cfg, rng) == (Vec2(1.0, 2.0), None)
-    target, waypoint = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
-    assert target == Vec2(5.0, 6.0)
-    assert 0.0 <= waypoint.x <= 50.0 and 0.0 <= waypoint.y <= 50.0
+    x, y, wx, wy = path.place(cfg, rng)
+    assert (x, y) == (1.0, 2.0) and math.isnan(wx) and math.isnan(wy)
+    x, y, wx, wy = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
+    assert (x, y) == (5.0, 6.0)
+    assert 0.0 <= wx <= 50.0 and 0.0 <= wy <= 50.0
     for mobility in (StaticTarget(Vec2(7.0, 8.0)), path):
         config = WorldConfig(mobility=mobility, duration_s=5.0)
         state = init_world(config)
@@ -705,6 +706,9 @@ def test_traced_run_builds_no_vec2_or_pose_per_cycle(monkeypatch):
     assert any(rec.decision.startswith("avoid") for rec in trace)  # the sensors were read
     assert sum(e is not None for e in estimates) > 0  # fixes were stored and solved
     assert others[0] == others[1]
+    built.clear()  # a drawn target and a blank robot start are placed as floats
+    init_world(WorldConfig())
+    assert built == []
 
 
 def _floats_of(state) -> tuple[float, ...]:

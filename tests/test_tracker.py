@@ -1,10 +1,15 @@
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hotcold.tracker
+import oracles
 from hotcold.tracker import (
     DecisionKind,
     HotColdConfig,
@@ -13,7 +18,6 @@ from hotcold.tracker import (
     TrackerDecision,
     decide,
     ingest_sample,
-    window_average,
 )
 
 HALT_DBM = -51.41
@@ -25,17 +29,25 @@ def feed(state, cfg, samples, halt_dbm=HALT_DBM):
     return [ingest_sample(state, s, cfg, halt_dbm) for s in samples]
 
 
+def _window_average(samples, cfg):
+    """The average a comparison reads of a first window filled with samples."""
+    state = HotColdState()
+    feed(state, cfg, samples)
+    assert state.samples == cfg.sws == len(samples)
+    return state.sum_a / cfg.sws
+
+
 def test_window_average_examples():
-    assert window_average([-50.0, -52.0, -54.0, -56.0]) == -53.0
-    assert window_average([-60.0]) == -60.0
-    with pytest.raises(ValueError):
-        window_average([])
+    assert _window_average([-50.0, -52.0, -54.0, -56.0], CFG4) == -53.0
+    assert _window_average([-60.0], CFG1) == -60.0
+    with pytest.raises(ValueError):  # a window never is empty
+        HotColdConfig(sws=0)
 
 
 def test_window_average_sums_left_to_right():
     # a compensated sum (3.12's builtin sum) gives 0.5: the window mean
     # must keep the same bits on every Python
-    assert window_average([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert _window_average([1.0, 1e100, 1.0, -1e100], CFG4) == 0.0
 
 
 def test_decide_examples():
@@ -71,14 +83,14 @@ def test_halt_sample_freezes_cycle():
     decision = ingest_sample(state, -45.0, CFG4, HALT_DBM)
     assert decision.kind is DecisionKind.HALT
     # the halting sample still entered the window
-    assert state.window_a == [-45.0]
+    assert (state.samples, state.sum_a, state.sum_b) == (1, -45.0, 0.0)
 
 
 def test_halt_at_period_end_resets_windows_without_decision():
     state = HotColdState()
     decisions = feed(state, CFG1, [-60.0, -45.0])
     assert decisions[1].kind is DecisionKind.HALT
-    assert state.window_a == [] and state.window_b == []
+    assert (state.samples, state.sum_a, state.sum_b) == (0, 0.0, 0.0)
     assert state.comparisons == 0
 
 
@@ -132,11 +144,11 @@ def test_cold_turn_is_built_once_per_config():
 def test_phase_tracking():
     state = HotColdState()
     feed(state, CFG4, [-60.0] * 3)
-    assert (len(state.window_a), len(state.window_b)) == (3, 0)  # filling the first window
+    assert (state.samples, state.sum_a, state.sum_b) == (3, -180.0, 0.0)  # filling the first window
     feed(state, CFG4, [-60.0] * 2)
-    assert (len(state.window_a), len(state.window_b)) == (4, 1)  # filling the second
+    assert (state.samples, state.sum_a, state.sum_b) == (5, -240.0, -60.0)  # filling the second
     feed(state, CFG4, [-60.0] * 3)  # period completes, windows reset
-    assert (state.window_a, state.window_b) == ([], [])
+    assert (state.samples, state.sum_a, state.sum_b) == (0, 0.0, 0.0)
 
 
 def test_config_validation():
@@ -154,3 +166,46 @@ def test_config_validation():
         HotColdConfig(step_size_m=1.0)
     with pytest.raises(ValueError):
         ingest_sample(HotColdState(), math.nan, CFG4, HALT_DBM)
+
+
+_sample = st.one_of(
+    st.floats(-100.0, -20.0),  # above HALT_DBM halts: mid-window or at the end of a period
+    st.sampled_from([-70.0, -60.0, -45.0]),  # equal averages: ties
+    st.floats(-1e300, 1e300),  # sums that round
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(sws=st.integers(1, 10), samples=st.lists(_sample, max_size=80))
+@example(sws=4, samples=[1.0, 1e100, 1.0, -1e100] * 3)
+@example(sws=2, samples=[1.0, 1e100, 1.0, -1e100] * 3)
+@example(sws=2, samples=[-60.0, -61.0, -62.0, -45.0, -60.0, -70.0, -61.0, -62.0])  # halt at the end
+@example(sws=3, samples=[-60.0, -45.0, -62.0, -60.0, -70.0, -40.0, -61.0] * 2)  # halts mid-window
+def test_running_sums_match_the_list_windows(sws, samples):
+    """The running-sum tracker against the list windows it replaced
+    (oracles.ingest_sample), sample by sample: equal decisions and
+    comparison counts; after every sample each running sum equals the
+    oracle's left_sum of its list as float.hex, so each first window is
+    checked as it finishes; and the averages each comparison reads are
+    equal as float.hex, which checks each finished second window."""
+    cfg = HotColdConfig(sws=sws)
+    ours, theirs = HotColdState(), oracles.HotColdWindows()
+    compared = {"ours": [], "theirs": []}
+
+    def recorder(key):
+        def record(avg_first, avg_second, cfg):
+            compared[key].append((avg_first.hex(), avg_second.hex()))
+            return decide(avg_first, avg_second, cfg)
+        return record
+
+    with mock.patch.object(hotcold.tracker, "decide", recorder("ours")), \
+            mock.patch.object(oracles, "decide", recorder("theirs")):
+        for i, sample in enumerate(samples):
+            got = ingest_sample(ours, sample, cfg, HALT_DBM)
+            assert got == oracles.ingest_sample(theirs, sample, cfg, HALT_DBM), i
+            assert ours.comparisons == theirs.comparisons, i
+            assert ours.samples == len(theirs.window_a) + len(theirs.window_b), i
+            assert ours.sum_a.hex() == oracles.left_sum(theirs.window_a).hex(), i
+            assert ours.sum_b.hex() == oracles.left_sum(theirs.window_b).hex(), i
+    assert compared["ours"] == compared["theirs"]
+    assert len(compared["ours"]) == ours.comparisons
