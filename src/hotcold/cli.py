@@ -110,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _out_dir(args) -> Path:
     raw = args.out_dir or os.environ.get("HOTCOLD_OUT_DIR") or "out"
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
     return path
 
 

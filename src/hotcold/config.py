@@ -3,8 +3,8 @@
 One flat, versioned schema with sections [meta], [world], [channel],
 [hotcold], [trilateration], and [grid]. Each config dataclass is the schema
 of its section: every field of a type read from one value (int, float,
-float | None, an Enum, a tuple of numbers) is the key of the same name,
-with the field's default. The composite [world] keys (tracker, mobility,
+float | None, a tuple of numbers) is the key of the same name, with the
+field's default. The composite [world] keys (tracker, mobility,
 starts, fixed path, obstacles) and grid.trackers are read by hand. Any key
 can be overridden on the command line as section.key=value. Blank values
 mean "derive a default" where the schema says so.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import fields, replace
-from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -44,8 +43,7 @@ _SCALARS = {
 @cache
 def _reader(tp):
     """read(raw, key) of one INI value as a field of type `tp`: a tuple
-    type reads a non-empty comma list, an Enum its value in any case. None
-    when no INI key has that type."""
+    type reads a non-empty comma list. None when no INI key has that type."""
     if get_origin(tp) is tuple:
         item = _reader(get_args(tp)[0])
 
@@ -56,12 +54,9 @@ def _reader(tp):
             return values
 
         return read_items if item else None
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        parse, what = lambda raw: tp(raw.strip().lower()), " or ".join(m.value for m in tp)
-    elif tp in _SCALARS:
-        parse, what = _SCALARS[tp]
-    else:
+    if tp not in _SCALARS:
         return None
+    parse, what = _SCALARS[tp]
 
     def read(raw: str, key: str):
         try:
@@ -82,8 +77,6 @@ def _keys(cls) -> dict[str, object]:
 def _default_str(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(value)
@@ -209,6 +202,8 @@ def build_mobility(cfg):
     name = cfg["world"]["mobility"].strip().lower()
     try:
         start = _start(cfg, "target")
+        if name != "fixed_path" and cfg["world"]["fixed_path"].strip():
+            raise ConfigError(f"world.fixed_path needs mobility=fixed_path, got {name!r}")
         if name == "random_waypoint":
             return RandomWaypoint(start=start)
         if name == "static":

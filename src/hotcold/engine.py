@@ -387,27 +387,13 @@ def random_waypoint_step(
 # obstacle sensing and avoidance
 
 
-@dataclass(frozen=True)
-class AvoidanceManeuver:
-    back_up_m: float
-    turn_deg: float
-
-    @cached_property
-    def label(self) -> str:
-        """The trace label, formatted once per maneuver."""
-        return f"avoid({self.turn_deg:+.4f})"
-
-    @cached_property
-    def turn_rad(self) -> float:
-        return math.radians(self.turn_deg)
+AVOID_BACK_UP_M = 0.10  # every avoidance backs up this far along the heading, then turns
+AVOID_BOTH = TrackerDecision(DecisionKind.AVOID, 45.0)
+AVOID_RIGHT = TrackerDecision(DecisionKind.AVOID, 10.0)
+AVOID_LEFT = TrackerDecision(DecisionKind.AVOID, -10.0)
 
 
-AVOID_BOTH = AvoidanceManeuver(0.10, 45.0)
-AVOID_RIGHT = AvoidanceManeuver(0.10, 10.0)
-AVOID_LEFT = AvoidanceManeuver(0.10, -10.0)
-
-
-def obstacle_avoidance(left_cm: float, right_cm: float) -> AvoidanceManeuver | None:
+def obstacle_avoidance(left_cm: float, right_cm: float) -> TrackerDecision | None:
     """Corner-sensor rules: back off 10 cm and turn away from the blocked side."""
     for reading in (left_cm, right_cm):
         if not 0.0 <= reading <= SENSOR_MAX_CM:
@@ -501,6 +487,7 @@ def sensor_reading_cm(ox: float, oy: float, heading_rad: float, obstacles: Seque
 # these every cycle: the members are bound once here.
 _ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
 _HALT = DecisionKind.HALT
+_AVOID = DecisionKind.AVOID
 
 
 def step_world(state: WorldState, config: WorldConfig) -> WorldState:
@@ -517,27 +504,27 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     reading = rssi(tx, ty, x, y, config.channel, state.shadowing_normals[cycle])
 
     if reading.in_range:
-        decision = state.last_decision = state.decide(state, reading, config)
+        act = state.last_decision = state.decide(state, reading, config)
     else:
-        decision = state.last_decision  # out of range: repeat the last decision
+        act = state.last_decision  # out of range: repeat the last decision
 
-    maneuver = None
     if config.obstacles:
         near = obstacles_in_reach(x, y, config.obstacles)
         if near:
             left = sensor_reading_cm(x, y, heading, near, +1)
             right = sensor_reading_cm(x, y, heading, near, -1)
-            maneuver = obstacle_avoidance(left, right)
+            act = obstacle_avoidance(left, right) or act  # an avoidance preempts the tracker
 
-    if maneuver is not None:
-        # back up along the heading, then turn; the heading wraps as rotate wraps it
-        x -= maneuver.back_up_m * math.cos(heading)
-        y -= maneuver.back_up_m * math.sin(heading)
-        heading = wrap_heading(heading + maneuver.turn_rad)
-    elif decision is not None and decision.kind is not _HALT:
-        if decision.kind is _ROTATE_THEN_MOVE:
-            heading = rotate(heading, math.radians(decision.rotation_deg))
-        x, y = advance(x, y, heading, config.robot_step_m)
+    if act is not None:
+        kind = act.kind
+        if kind is _AVOID:  # back up along the heading, then turn
+            x -= AVOID_BACK_UP_M * math.cos(heading)
+            y -= AVOID_BACK_UP_M * math.sin(heading)
+            heading = rotate(heading, math.radians(act.rotation_deg))
+        elif kind is not _HALT:
+            if kind is _ROTATE_THEN_MOVE:
+                heading = rotate(heading, math.radians(act.rotation_deg))
+            x, y = advance(x, y, heading, config.robot_step_m)
 
     state.robot_x, state.robot_y, state.robot_heading_rad = x, y, heading
     state.time_s = t_end
@@ -547,7 +534,6 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     state.cycles_in_range += reading.in_range
     state.cycles_in_halt += in_halt
     if state.trace is not None:
-        act = maneuver or decision
         state.trace.append(CycleRecord(t_end, x, y, heading, tx, ty, reading.value_dbm,
                                        reading.in_range, in_halt,
                                        "none" if act is None else act.label))

@@ -19,20 +19,16 @@ from typing import ClassVar, NamedTuple
 from .geometry import require_finite_fields
 
 
-class RotationDirection(Enum):
-    CCW = "ccw"
-    CW = "cw"
-
-
 class DecisionKind(Enum):
     MOVE_FORWARD = "move_forward"
     ROTATE_THEN_MOVE = "rotate_then_move"
     HALT = "halt"
+    AVOID = "avoid"  # obstacle avoidance: back up, then turn; preempts the tracker
 
 
 # bound once: an Enum member lookup costs about as much as a whole decision
-_CCW = RotationDirection.CCW
 _ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
+_AVOID = DecisionKind.AVOID
 
 
 class TrackerDecision(NamedTuple):
@@ -44,9 +40,10 @@ class TrackerDecision(NamedTuple):
 
     @property
     def label(self) -> str:  # the trace label, built only for a run that keeps a trace
-        if self.kind is _ROTATE_THEN_MOVE:
-            return f"rotate_then_move({self.rotation_deg:+.4f})"
-        return self.kind._value_  # the plain attribute: Enum.value is a property call
+        kind = self.kind  # _value_, the plain attribute: Enum.value is a property call
+        if kind is _ROTATE_THEN_MOVE or kind is _AVOID:  # the kinds that carry an angle
+            return f"{kind._value_}({self.rotation_deg:+.4f})"
+        return kind._value_
 
 
 MOVE_FORWARD = TrackerDecision(DecisionKind.MOVE_FORWARD)
@@ -59,27 +56,27 @@ def rotate_then_move(angle_deg: float) -> TrackerDecision:
 
 @dataclass(frozen=True)
 class HotColdConfig:
-    """Tunables of the double-window differential decision rule. Left as
-    None, the halt threshold is derived from the world's halt distance."""
+    """Tunables of the double-window differential decision rule. The
+    rotation angle is signed, CCW positive: its sign is the turn's
+    direction. Left as None, the halt threshold is derived from the world's
+    halt distance."""
 
     name: ClassVar[str] = "hotcold"
     sws: int = 4
     rotation_angle_deg: float = 137.0
-    rotation_direction: RotationDirection = RotationDirection.CCW
     halt_threshold_dbm: float | None = None
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
         if self.sws < 1:
             raise ValueError(f"samples window size must be >= 1, got {self.sws}")
-        if not 0.0 < self.rotation_angle_deg < 360.0:
-            raise ValueError(f"rotation angle must be in (0, 360), got {self.rotation_angle_deg}")
+        if not 0.0 < abs(self.rotation_angle_deg) < 360.0:
+            raise ValueError(f"|rotation angle| must be in (0, 360), got {self.rotation_angle_deg}")
 
     @cached_property
     def cold_turn(self) -> TrackerDecision:
         """The decision after a "Cold" comparison, built once per config."""
-        sign = 1.0 if self.rotation_direction is _CCW else -1.0
-        return rotate_then_move(sign * self.rotation_angle_deg)
+        return rotate_then_move(self.rotation_angle_deg)
 
 
 @dataclass

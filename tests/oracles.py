@@ -61,6 +61,7 @@ from hotcold.channel import (
     path_loss,
 )
 from hotcold.engine import (
+    AVOID_BACK_UP_M,
     SENSOR_MAX_CM,
     SENSOR_RAY_OFFSET_RAD,
     SENSOR_REACH_M,
@@ -636,10 +637,10 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
         # back up and turn as one pose: the bits of rotate(Pose(back, heading), turn)
         heading = robot.heading_rad
         back = Vec2(
-            robot.position.x - maneuver.back_up_m * math.cos(heading),
-            robot.position.y - maneuver.back_up_m * math.sin(heading),
+            robot.position.x - AVOID_BACK_UP_M * math.cos(heading),
+            robot.position.y - AVOID_BACK_UP_M * math.sin(heading),
         )
-        robot = Pose(back, heading + maneuver.turn_rad)
+        robot = Pose(back, heading + math.radians(maneuver.rotation_deg))
     elif decision is not None and decision.kind is not _HALT:
         if decision.kind is _ROTATE_THEN_MOVE:
             robot = rotate(robot, math.radians(decision.rotation_deg))

@@ -230,6 +230,17 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):
         args = start + ["--set", "world.target_start_x_m=10", "simulate"]
         assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+    # a fixed path that would be ignored under another mobility model
+    static = ["--set", "world.mobility=static", "--set", "world.target_start_x_m=10",
+              "--set", "world.target_start_y_m=10"]
+    for mobility in ([], static):
+        args = mobility + ["--set", "world.duration_s=50", "--set",
+                           "world.fixed_path=0:10:10; 30:90:90", "simulate"]
+        assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+    # a clockwise turn is a negative rotation angle: no direction key
+    direction = ["--set", "hotcold.rotation_direction=cw", "simulate"]
+    assert run_cli(["--out-dir", str(tmp_path)] + direction) == 2
+    assert not any(tmp_path.iterdir())
     # numpy rejects a negative seed with a traceback; the CLI checks it first
     assert run_cli(["--out-dir", str(tmp_path), "--seed", "-1", "verify-lemmas"]) == 2
     with pytest.raises(SystemExit):
@@ -255,6 +266,17 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HOTCOLD_OUT_DIR", str(tmp_path / "envout"))
     assert run_cli(["--seed", "1", "--set", "world.duration_s=5", "simulate"]) == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+
+
+def test_out_dir_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    assert run_cli(["--out-dir", str(blocker), "simulate"]) == 2
+    monkeypatch.setenv("HOTCOLD_OUT_DIR", str(blocker / "sub"))
+    assert run_cli(["simulate"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: cannot make output directory") for line in err)
+    assert blocker.read_text() == "keep"
 
 
 # every world key but the two whose ratio is the run length: a huge accepted
@@ -463,7 +485,6 @@ LIVE_KEYS = {
     "channel.rx_sensitivity_dbm": ("-60", {}),
     "hotcold.sws": ("2", {}),
     "hotcold.rotation_angle_deg": ("90", {}),
-    "hotcold.rotation_direction": ("cw", {}),
     "hotcold.halt_threshold_dbm": ("-80", {}),
     **{
         f"trilateration.{key}": (value, {"world.tracker": "trilateration"})

@@ -16,6 +16,7 @@ from hotcold.engine import (
     MAX_CYCLE_PERIOD_S,
     MAX_CYCLES,
     MAX_EXTENT_M,
+    AVOID_BACK_UP_M,
     MAX_SPEED_KMH,
     TRACKERS,
     CycleRecord,
@@ -249,12 +250,13 @@ def test_fixed_path_interpolation():
 
 
 def test_obstacle_avoidance_rules():
+    assert AVOID_BACK_UP_M == 0.10
     both = obstacle_avoidance(20.0, 20.0)
-    assert (both.back_up_m, both.turn_deg) == (0.10, 45.0)
+    assert (both.kind, both.rotation_deg) == (DecisionKind.AVOID, 45.0)
     right = obstacle_avoidance(100.0, 20.0)
-    assert (right.back_up_m, right.turn_deg) == (0.10, 10.0)
+    assert (right.kind, right.rotation_deg) == (DecisionKind.AVOID, 10.0)
     left = obstacle_avoidance(20.0, 100.0)
-    assert (left.back_up_m, left.turn_deg) == (0.10, -10.0)
+    assert (left.kind, left.rotation_deg) == (DecisionKind.AVOID, -10.0)
     assert obstacle_avoidance(200.0, 200.0) is None
     with pytest.raises(ValueError):
         obstacle_avoidance(-1.0, 10.0)
@@ -478,11 +480,15 @@ PINNED_WORLDS = {
         obstacles=(Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0)),
         seed=27,
     ),
+    # a negative rotation angle turns clockwise
+    "hotcold_clockwise": WorldConfig(
+        duration_s=100.0, channel=_SIGMA2, tracker=HotColdConfig(rotation_angle_deg=-137.0), seed=28
+    ),
 }
 
 # sha256 of each world's trace CSV, the exact bits of every record's floats
 # and its metrics JSON. Any change to the cycle loop's arithmetic, draw order
-# or labels changes a digest; a pure speed-up must leave all seven alone.
+# or labels changes a digest; a pure speed-up must leave all eight alone.
 PINNED_DIGESTS = {
     "hotcold_sigma2": "cdb7daad090569d9ed17a2f40e385d676d11c194aef190ddd8ebe2128f8228dd",
     "trilateration": "884847f41529d136c9551e63e2a92a6b2cadbb3edd70ae9a68810d1e7a59641b",
@@ -491,6 +497,7 @@ PINNED_DIGESTS = {
     "fixed_path": "d713355e9d76ea1487dd21e9f7e55c9a436b3872e79295f964dbc26a9d695f09",
     "static_target": "e402a54865e59c7b932bd8f26a120ea080385a95554b8619c0fd2b2e3c696733",
     "trilateration_obstacles": "615a08d451caaac2a164541d3c775c4d9639eacc39272574bf7a9087346e495d",
+    "hotcold_clockwise": "960ec68574432c258de494f26d13034b75a0ceaa32ee9c1291dd96a1befd130a",
 }
 
 

@@ -176,4 +176,4 @@ def test_avoidance_maneuvers_are_shared_and_labelled():
     assert obstacle_avoidance(100.0, 20.0) is AVOID_RIGHT
     assert obstacle_avoidance(20.0, 100.0) is AVOID_LEFT
     for maneuver in (AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT):
-        assert maneuver.label == f"avoid({maneuver.turn_deg:+.4f})"
+        assert maneuver.label == f"avoid({maneuver.rotation_deg:+.4f})"

@@ -14,7 +14,6 @@ from hotcold.tracker import (
     DecisionKind,
     HotColdConfig,
     HotColdState,
-    RotationDirection,
     TrackerDecision,
     decide,
     ingest_sample,
@@ -59,7 +58,7 @@ def test_decide_examples():
 
 
 def test_decide_clockwise_direction():
-    cfg = HotColdConfig(sws=1, rotation_direction=RotationDirection.CW)
+    cfg = HotColdConfig(sws=1, rotation_angle_deg=-137.0)
     assert decide(-50.0, -55.0, cfg).rotation_deg == -137.0
 
 
@@ -130,7 +129,7 @@ def test_decision_sequence_invariant_to_constant_offset():
 
 
 def test_cold_turn_is_built_once_per_config():
-    cw = HotColdConfig(sws=1, rotation_direction=RotationDirection.CW)
+    cw = HotColdConfig(sws=1, rotation_angle_deg=-137.0)
     for cfg, angle in ((CFG1, 137.0), (cw, -137.0)):
         turns = [d for d in feed(HotColdState(), cfg, [-58.0, -60.0] * 3) if d.rotation_deg]
         assert len(turns) == 3
@@ -162,6 +161,8 @@ def test_config_validation():
         HotColdConfig(rotation_angle_deg=0.0)
     with pytest.raises(ValueError):
         HotColdConfig(rotation_angle_deg=360.0)
+    with pytest.raises(ValueError):
+        HotColdConfig(rotation_angle_deg=-360.0)
     with pytest.raises(TypeError):  # Hot-Cold always moves the world's robot step
         HotColdConfig(step_size_m=1.0)
     with pytest.raises(ValueError):
