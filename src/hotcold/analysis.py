@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +240,10 @@ class ExhaustiveSweepResult:
 # Proof, with u = 2**-53, r = sqrt(dx**2 + dy**2) exact and
 # h = math.hypot(dx, dy):
 # * s is rounded three times: |s - r*r| <= 2**-51.9 * r*r + 2**-1073 (the
-#   second term covers underflow). Nothing overflows while r < 2**401,
-#   which _MAX_DISTANCE ensures.
+#   second term covers underflow). Nothing overflows while r < 2**402:
+#   positions stay within 2 * step_cap + 2 of the origin (a start taken up
+#   after its first leg, see below, can step past the cap by its offset),
+#   so _MAX_DISTANCE ensures it.
 # * Assume only that hypot is within 256 ulp of r (math.hypot is within 1):
 #   |h - r| <= 2**-44 * r, or <= 2**-1066 for a subnormal h, so
 #   |h*h - r*r| <= 2**-42.9 * r*r + 2**-2000.
@@ -254,9 +257,42 @@ class ExhaustiveSweepResult:
 # s above that bound means h > tau. Likewise s <= tau*tau * (1 - _NEAR_TIE)
 # - _NEAR_TIE_FLOOR gives h*h <= s * (1 + A) + B < tau*tau. Candidates that
 # neither bound decides are tested on h.
+# Near-tie screen: after t steps a position is within t * (1 + u)**(t + 1)
+# of the origin (each move adds at most 1 in norm and rounds once per
+# coordinate) and a target within rho_max * (1 + 2u) of it, so with dx, dy
+# and s rounded on top, s < 2 * (rho_max + t + 2)**2 for any t < 2**50, far
+# beyond a loop that ends. Rounding is monotone, so every start that passes
+# |s - s_prev| <= s * _NEAR_TIE + _NEAR_TIE_FLOOR also passes the same test
+# with that bound, for the largest t of the step, in place of s: the kernel
+# screens with the one scalar and applies the per-start test to the few
+# starts it passes.
+# First leg: every trajectory starts at the origin heading along +x, and as
+# _COS_DEG[0] == 1.0 and _SIN_DEG[0] == 0.0 it sits exactly on (j, 0.0) at
+# step j until its first turn k1, whatever phi. There dy = -ty and
+# a_j = |fl(j - tx)|. Rounding is monotone and symmetric, so a_j falls and
+# then rises in j, and it rises strictly only where |j - tx| does, for
+# j > tx + 1/2. math.hypot is taken to be monotone in a_j, as a correctly
+# rounded hypot is, so the distances h_j fall and then rise as well, and a
+# turn at j needs j >= kc, the smallest integer above tx + 1/2 and at
+# least 1. The candidate k = floor(fl(tx + 1/2)) + 1, at least 1, is kc or
+# kc + 1: rounding can move tx + 1/2 up onto the next integer but never
+# past one. Hence the first turn is the first of k - 1 (if >= 1), k and
+# k + 1 that turns (a rounded tie can hold kc back a step), and when none
+# of them turns there is no turn within a cap of k + 1 or less. The
+# distances do not rise up to k1 - 1, so a level is crossed on the leg at
+# the first step within it, if any: step j when j is within it and j - 1
+# (if any) is not. A level that step k1 - 1 is not within is not crossed
+# on the leg, nor at k1, where the distance rose. Nor is a level with
+# |ty| * (1 - 2**-40) > tau + _NEAR_TIE_FLOOR: every distance on the leg is
+# at least |ty| * (1 - 2**-44) - 2**-1066 > tau. For the other (start,
+# level) pairs the kernel looks for that step among c - 1, c and c + 1,
+# for c = ceil(tx - sqrt(tau**2 - ty**2)) clipped to the leg. Every check
+# applies the rules above; a start that fails one (a rounding that misses
+# by more than a step, or distances too large to change along the leg)
+# walks its leg in the loop instead.
 _NEAR_TIE = 2.0**-40
 _NEAR_TIE_FLOOR = 2.0**-1000
-_MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**401
+_MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**402
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -265,57 +301,180 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.size)
 
 
+def _levels(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per number of levels left: the tau of the largest (-inf for none),
+    its square (-inf below zero), and the bounds on s of every start within
+    it and of the starts surely within it (see _NEAR_TIE)."""
+    thresholds = np.concatenate(([-np.inf], taus))
+    clipped = np.minimum(thresholds, 2.0 * _MAX_DISTANCE)
+    squared = np.where(thresholds >= 0.0, clipped * clipped, -np.inf)
+    reaches = squared * (1.0 + _NEAR_TIE) + _NEAR_TIE_FLOOR
+    insides = squared * (1.0 - _NEAR_TIE) - _NEAR_TIE_FLOOR
+    return thresholds, squared, reaches, insides
+
+
+class _FirstLeg(NamedTuple):
+    """What every angle shares: each start's walk along +x to its first turn.
+
+    The leg crosses level `level` of start `start` at step `steps[i]`, for
+    `crossed[i] = start * n_taus + level`. `offset` is the step at which
+    the loop takes each start up, 0 where it does not. The other arrays
+    hold one element per start of the loop: first the `walk` starts, whose
+    leg could not be confirmed and which step from the origin, then the
+    starts that turn at `turn_step` (below step_cap) with levels left, with
+    their squared distance there. Starts done on the leg, or capped before
+    their turn, are not in the loop.
+    """
+
+    crossed: np.ndarray
+    steps: np.ndarray
+    offset: np.ndarray
+    walk: int
+    lane: np.ndarray  # start * n_taus
+    turn_step: np.ndarray  # 0 for a walking start
+    turn_s: np.ndarray  # inf for a walking start
+    left: np.ndarray  # levels not crossed yet
+    target_x: np.ndarray
+    target_y: np.ndarray
+
+
+def _first_leg(rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int) -> _FirstLeg:
+    """Each start's first turn and its crossings before it, in closed form
+    and confirmed with the kernel's rules (see _NEAR_TIE)."""
+    target_x = (rhos[:, None] * _COS_DEG[betas]).ravel()  # row-major over (rho, beta)
+    target_y = (rhos[:, None] * _SIN_DEG[betas]).ravel()
+    thresholds, squared, reaches, insides = _levels(taus)
+    dy = 0.0 - target_y
+    # counts reach 2 * step_cap + 1 before the cap clears them: int16 at the default cap
+    dtype = np.min_scalar_type(-2 * step_cap - 2)
+
+    def s_at(j, tx, dy):  # squared distance from (j, 0.0), rounded as in the kernel
+        dx = j - tx
+        return dx * dx + dy * dy
+
+    def turns_at(j):  # the turn rule at steps j >= 1, for every start
+        s = s_at(j, target_x, dy)
+        diff = s - s_at(j - 1.0, target_x, dy)
+        turn = diff > 0.0
+        near = np.flatnonzero(np.abs(diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
+        tx, ty = target_x[near], dy[near]
+        turn[near] = _hypot(j[near] - tx, ty) > _hypot(j[near] - 1.0 - tx, ty)
+        return turn
+
+    def within(j, tx, dy, level):  # the crossing rule, for one level per element
+        s = s_at(j, tx, dy)
+        inside = s <= insides[level]
+        unsure = np.flatnonzero(~inside & (s <= reaches[level]))
+        inside[unsure] = _hypot(j[unsure] - tx[unsure], dy[unsure]) <= thresholds[level[unsure]]
+        return inside
+
+    k = np.clip(np.floor(target_x + 0.5) + 1.0, 1.0, float(min(step_cap, 2**52) + 1))
+    turn_step = k + 2.0  # past the cap when none of k - 1, k and k + 1 turns
+    for j in (k + 1.0, k, k - 1.0):
+        turn_step = np.where((j >= 1.0) & turns_at(j), j, turn_step)
+    ok = (turn_step <= k + 1.0) | (k + 1.0 >= step_cap)
+    last = np.minimum(turn_step - 1.0, float(step_cap))  # the last step on the leg that counts
+
+    start, level = np.nonzero(np.abs(target_y)[:, None] * (1.0 - 2.0**-40)
+                              <= taus + _NEAR_TIE_FLOOR)  # the pairs the leg can cross
+    tx, ty, end, level = target_x[start], dy[start], last[start], level + 1
+    with np.errstate(invalid="ignore"):  # NaN: the line misses the level
+        c = np.ceil(tx - np.sqrt(squared[level] - ty * ty))
+    c = np.maximum(np.fmin(c, end), 0.0)
+    lo, hi = np.maximum(c - 1.0, 0.0), np.minimum(c + 1.0, end)
+    in_lo, in_mid, in_hi = (within(j, tx, ty, level) for j in (lo, lo + 1.0, hi))
+    crossed = in_hi & ((lo == 0.0) | ~within(lo - 1.0, tx, ty, level))
+    ok[start[~crossed & (in_hi | (hi < end))]] = False  # neither crossed nor missed
+    crossed &= ok[start]
+    steps = np.where(in_lo, lo, np.where(in_mid, lo + 1.0, hi))[crossed].astype(dtype)
+    start, level = start[crossed], level[crossed]
+
+    left = taus.size - np.bincount(start, minlength=target_x.size)
+    walk = np.flatnonzero(~ok)
+    enter = np.flatnonzero(ok & (left > 0) & (turn_step < step_cap))
+    loop = np.concatenate((walk, enter))
+    turn_step = np.concatenate((np.zeros(walk.size), turn_step[enter]))
+    offset = np.zeros(target_x.size, dtype=dtype)
+    offset[enter] = turn_step[walk.size:] + 1.0
+    turn_s = s_at(turn_step, target_x[loop], dy[loop])
+    turn_s[:walk.size] = np.inf
+    lane = (loop * taus.size).astype(np.min_scalar_type(-target_x.size * taus.size))
+    return _FirstLeg(start * taus.size + level - 1, steps, offset, walk.size, lane, turn_step,
+                     turn_s, left[loop].astype(np.int32), target_x[loop], target_y[loop])
+
+
 def _sweep_one_phi(
-    phi_deg: int, rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int
+    phi_deg: int,
+    rhos: np.ndarray,
+    betas: np.ndarray,
+    taus: np.ndarray,
+    step_cap: int,
+    leg: _FirstLeg | None = None,
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
     `taus` must be finite, ascending and distinct; columns follow its order.
-    |rhos| + step_cap must be below _MAX_DISTANCE. All tau levels share one
-    trajectory per (rho, beta): tau only decides when counting stops, so
-    each trajectory is stepped once.
+    step_cap must be >= 0 and |rhos| + step_cap below _MAX_DISTANCE. `leg`
+    is _first_leg of the same arguments, computed here when not given.
 
-    Since d <= tau implies d <= every larger tau, a start crosses its levels
-    from the largest down. Each start therefore carries one bound, for the
-    largest tau it has not crossed yet (-inf once all are crossed), and one
-    test per step finds the starts with new crossings. Only the lowest level
-    crossed is written; the levels between it and the previous crossing were
-    crossed in the same step and are filled from the level below after the
-    loop. Distances are squared distances with an exact math.hypot fallback
-    (see _NEAR_TIE). Each start keeps its heading's cosine and sine, updated
-    only when it turns. Finished starts keep stepping harmlessly until the
-    live count drops below 3/4 of the state length, when the state is
-    compacted. Starts still live after step_cap steps are the returned cap
-    count.
+    All tau levels share one trajectory per (rho, beta): tau only decides
+    when counting stops, so each trajectory is stepped once, from the step
+    after its first turn (see _NEAR_TIE), each start with its own step
+    offset. Since d <= tau implies d <= every larger tau, a start crosses
+    its levels from the largest down. Each start therefore carries one
+    bound, for the largest tau it has not crossed yet (-inf once all are
+    crossed), and one test per step finds the starts with new crossings.
+    Only the lowest level crossed is written; the levels between it and the
+    previous crossing were crossed in the same step and are filled from the
+    level below after the loop. Distances are squared distances with an
+    exact math.hypot fallback (see _NEAR_TIE). Each start keeps its
+    heading's cosine and sine, updated only when it turns. Every step works
+    in buffers allocated once. Finished starts keep stepping harmlessly
+    until the live count drops below 3/4 of the state length, when the
+    state is compacted; starts with a later offset step past the cap, and
+    their crossings there are cleared. Starts that have not crossed the
+    smallest tau within step_cap steps are the returned cap count.
     """
-    target_x = (rhos[:, None] * _COS_DEG[betas]).ravel()  # row-major over (rho, beta)
-    target_y = (rhos[:, None] * _SIN_DEG[betas]).ravel()
-    n = target_x.size
-    counts = np.full((n, taus.size), -1, dtype=np.int64)
-    successor = (np.arange(360) + phi_deg) % 360
-    thresholds = np.concatenate(([-np.inf], taus))  # indexed by levels left
-    clipped = np.minimum(thresholds, 2.0 * _MAX_DISTANCE)
-    squared = np.where(thresholds >= 0.0, clipped * clipped, -np.inf)
-    reaches = squared * (1.0 + _NEAR_TIE) + _NEAR_TIE_FLOOR  # s of every row within
-    insides = squared * (1.0 - _NEAR_TIE) - _NEAR_TIE_FLOOR  # s of rows surely within
+    if leg is None:
+        leg = _first_leg(rhos, betas, taus, step_cap)
+    _, _, reaches, insides = _levels(taus)
+    successor = ((np.arange(360) + phi_deg) % 360).astype(np.int16)
+    # the loop's crossings, by loop step
+    counts = np.full((leg.offset.size, taus.size), -1, dtype=leg.offset.dtype)
+    flat = counts.reshape(-1)
+    walk, live = leg.walk, leg.lane.size
 
-    idx = np.arange(n)
-    x = px = np.zeros(n)
-    y = py = np.zeros(n)
-    heading = np.zeros(n, dtype=np.int64)
-    cos_h = np.full(n, _COS_DEG[0])
-    sin_h = np.full(n, _SIN_DEG[0])
-    prev_s = np.full(n, np.inf)
-    left = np.full(n, taus.size)  # levels not crossed yet: taus[:left]
-    reach = reaches[left]
-    live = n
+    def fill(values, value, at_origin):  # the walking starts come first
+        values.fill(value)
+        values[:walk] = at_origin
+        return values
 
-    for step in range(step_cap + 1):
-        dx = x - target_x
-        dy = y - target_y
-        s = np.square(dx, out=dx)
-        s += np.square(dy, out=dy)
-        rows = np.flatnonzero(s <= reach)
+    # the float state and scratch as the rows of one block: an angle
+    # allocates and frees it whole, so its buffers leave one hole in the
+    # heap, not a dozen (a dozen raised the sweeps' peak RSS by 2 MB)
+    x, y, px, py, cos_h, sin_h, prev_s, target_x, target_y, reach, dx, s = np.empty((12, live))
+    target_x[:], target_y[:], px[:], prev_s[:] = (leg.target_x, leg.target_y, leg.turn_step,
+                                                  leg.turn_s)
+    np.add(leg.turn_step, _COS_DEG[phi_deg], out=x)
+    x[:walk] = 0.0
+    fill(y, 0.0 + _SIN_DEG[phi_deg], 0.0)
+    py.fill(0.0)
+    fill(cos_h, _COS_DEG[phi_deg], _COS_DEG[0])
+    fill(sin_h, _SIN_DEG[phi_deg], _SIN_DEG[0])
+    heading = fill(np.empty(live, dtype=np.int16), phi_deg % 360, 0)
+    lane, left = leg.lane.copy(), leg.left.copy()
+    np.take(reaches, left, out=reach)
+    rho_max = float(np.abs(rhos).max())
+    start = 0 if walk else int(leg.turn_step.min(initial=step_cap)) + 1  # the first loop step
+    top = int(leg.offset.max(initial=0))  # the largest step offset
+    mask = np.empty(live, dtype=bool)
+
+    for step in range(step_cap + 1 - start):
+        np.subtract(x, target_x, out=dx)
+        np.multiply(dx, dx, out=s)
+        np.subtract(y, target_y, out=dx)
+        s += np.multiply(dx, dx, out=dx)
+        rows = np.flatnonzero(np.less_equal(s, reach, out=mask))
         if rows.size:
             # most candidates surely cross their threshold's level and surely
             # not the one below; the rest are decided on math.hypot
@@ -328,42 +487,54 @@ def _sweep_one_phi(
             if unsure.size:
                 u = rows[unsure]
                 d = _hypot(x[u] - target_x[u], y[u] - target_y[u])
-                hit = d <= thresholds[levels[unsure]]
-                first[unsure] = np.where(hit, np.searchsorted(taus, d), levels[unsure])
+                first[unsure] = np.minimum(np.searchsorted(taus, d), levels[unsure])
                 crossed = first < levels
                 rows, first = rows[crossed], first[crossed]
-            counts[idx[rows], first] = step
+            flat[lane[rows] + first] = step
             left[rows] = first
             reach[rows] = reaches[first]
             live -= int(np.count_nonzero(first == 0))
             if live == 0:
                 break
-        diff = s - prev_s
-        turn = diff > 0.0
-        near = np.flatnonzero(np.abs(diff, out=diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
+        # rows below -screen surely do not turn: the rest are the turning
+        # rows and every near tie
+        diff = np.subtract(s, prev_s, out=dx)
+        screen = (rho_max + top + step + 2.0) ** 2 * (2.0 * _NEAR_TIE) + _NEAR_TIE_FLOOR
+        turning = np.flatnonzero(np.greater_equal(diff, -screen, out=mask))
+        rising = diff[turning]
+        near = np.flatnonzero(rising <= screen)
+        turn = rising > 0.0
         if near.size:
-            tx, ty = target_x[near], target_y[near]
-            d = _hypot(x[near] - tx, y[near] - ty)
-            turn[near] = d > _hypot(px[near] - tx, py[near] - ty)
-        turning = np.flatnonzero(turn)
+            near = near[np.abs(rising[near]) <= s[turning[near]] * _NEAR_TIE + _NEAR_TIE_FLOOR]
+            rows = turning[near]
+            tx, ty = target_x[rows], target_y[rows]
+            d = _hypot(x[rows] - tx, y[rows] - ty)
+            turn[near] = d > _hypot(px[rows] - tx, py[rows] - ty)
+        turning = turning[turn]
         turned = successor[heading[turning]]
         heading[turning] = turned
         cos_h[turning] = _COS_DEG[turned]
         sin_h[turning] = _SIN_DEG[turned]
-        prev_s, px, py = s, x, y
-        x = x + cos_h
-        y = y + sin_h
-        if live < 0.75 * idx.size:
-            keep = left > 0
-            (idx, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y, left, reach) = (
-                a[keep] for a in (idx, x, y, px, py, heading, cos_h, sin_h, prev_s,
-                                  target_x, target_y, left, reach)
-            )
+        prev_s, s = s, prev_s
+        px, x = x, np.add(x, cos_h, out=px)
+        py, y = y, np.add(y, sin_h, out=py)
+        if live < 0.75 * lane.size:
+            keep = np.flatnonzero(left)
+            arrays = (lane, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y,
+                      left, reach)
+            for a in arrays:
+                a[:live] = a[keep]  # in place, so that no buffer is allocated again
+            (lane, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y, left,
+             reach) = (a[:live] for a in arrays)
+            dx, s, mask = dx[:live], s[:live], mask[:live]
 
+    np.add(counts, leg.offset[:, None], out=counts, where=counts >= 0)
+    flat[leg.crossed] = leg.steps  # the levels crossed on the leg
+    counts[counts > step_cap] = -1
     for j in range(1, taus.size):
         unset = counts[:, j] < 0
         counts[unset, j] = counts[unset, j - 1]
-    return counts, live
+    return counts, int(np.count_nonzero(counts[:, 0] < 0))
 
 
 def exhaustive_sweep(
@@ -378,42 +549,57 @@ def exhaustive_sweep(
     Starts that hit step_cap before reaching a tau are left out of that
     cell's mean and counted in cap_hits (at the smallest tau). A cell or
     overall mean with no reached start is NaN, and such a phi cannot be
-    best_phi. tau_range may come in any order but must not repeat a value.
-    Counts equal steps_to_reach exactly: every decision is the one
-    math.hypot's distances give.
+    best_phi. Angles must be distinct integers in [1, 359] and bearings
+    integers in [0, 359]; tau_range may come in any order but must not
+    repeat a value. Each range is read once. Counts equal steps_to_reach
+    exactly: every decision is the one math.hypot's distances give. The
+    first leg, the same for every angle, is walked once for the sweep.
     """
-    rhos = np.asarray(list(rho_range), dtype=np.float64)
-    betas = np.asarray(list(beta_range), dtype=np.int64)
-    taus = np.sort(np.asarray(list(tau_range), dtype=np.float64))
+    phis, rho_values, beta_values, tau_values = (
+        list(r) for r in (phi_range, rho_range, beta_range, tau_range)
+    )
+    if not set(phis) <= set(range(1, 360)):
+        raise ValueError(f"angles must be integers in [1, 359], got {phis}")
+    if len(set(phis)) < len(phis):
+        raise ValueError(f"phi_range repeats an angle: {phis}")
+    if not set(beta_values) <= set(range(360)):
+        raise ValueError(f"bearings must be integers in [0, 359], got {beta_values}")
+    rhos = np.asarray(rho_values, dtype=np.float64)
+    betas = np.asarray(beta_values, dtype=np.int64)
+    taus = np.sort(np.asarray(tau_values, dtype=np.float64))
     if not (rhos.size and betas.size and taus.size):
         raise ValueError("rho_range, beta_range and tau_range must not be empty")
     if np.any(taus[1:] == taus[:-1]):
-        raise ValueError(f"tau_range repeats a value: {list(tau_range)}")
+        raise ValueError(f"tau_range repeats a value: {tau_values}")
     if not np.isfinite(taus).all():
-        raise ValueError(f"tau_range values must be finite: {list(tau_range)}")
+        raise ValueError(f"tau_range values must be finite: {tau_values}")
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not np.abs(rhos).max() + step_cap < _MAX_DISTANCE:
         raise ValueError(f"|rho| + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
+    leg = _first_leg(rhos, betas, taus, step_cap)
     cells: list[ExhaustiveCell] = []
     overall: dict[int, float] = {}
     cap_hits = 0
-    for phi in phi_range:
-        counts, capped = _sweep_one_phi(phi, rhos, betas, taus, step_cap)
+    for phi in map(int, phis):
+        counts, capped = _sweep_one_phi(phi, rhos, betas, taus, step_cap, leg)
         cap_hits += capped
-        reached = counts >= 0
-        for ti, tau in enumerate(taus):
-            cells.append(ExhaustiveCell(phi, int(tau), _mean_or_nan(counts[reached[:, ti], ti])))
-        overall[phi] = _mean_or_nan(counts[reached])
-        del counts, reached  # freed before the next angle's kernel runs
+        # exact integer sums over the reached starts (the -1s added back):
+        # sum / n has the bits of the float mean of the reached counts, as a
+        # float sum of integers is exact below 2**53
+        missed = np.count_nonzero(counts < 0, axis=0)
+        sums = (counts.sum(axis=0, dtype=np.int64) + missed).tolist()
+        reached = (counts.shape[0] - missed).tolist()
+        del counts  # freed before the next angle's kernel runs
+        for tau, total, n in zip(taus, sums, reached):
+            cells.append(ExhaustiveCell(phi, int(tau), total / n if n else math.nan))
+        overall[phi] = sum(sums) / sum(reached) if sum(reached) else math.nan
     finite = [p for p in overall if not math.isnan(overall[p])]
     if not finite:
         raise ValueError("no rotation angle reaches any tau within the step cap")
     best = min(finite, key=lambda p: (overall[p], p))
-    total = len(rhos) * len(betas) * len(taus) * len(list(phi_range))
+    total = rhos.size * betas.size * taus.size * len(phis)
     return ExhaustiveSweepResult(cells, overall, best, cap_hits, total)
-
-
-def _mean_or_nan(values: np.ndarray) -> float:
-    return float(values.mean()) if values.size else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,8 @@ AVOID_BACK_UP_M = 0.10  # every avoidance backs up this far along the heading, t
 AVOID_BOTH = TrackerDecision(DecisionKind.AVOID, 45.0)
 AVOID_RIGHT = TrackerDecision(DecisionKind.AVOID, 10.0)
 AVOID_LEFT = TrackerDecision(DecisionKind.AVOID, -10.0)
+# the trace labels of the three avoidances, formatted once: by turn angle
+AVOID_LABELS = {act.rotation_deg: act.label for act in (AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT)}
 
 
 def obstacle_avoidance(left_cm: float, right_cm: float) -> TrackerDecision | None:
@@ -534,9 +536,14 @@ def step_world(state: WorldState, config: WorldConfig) -> WorldState:
     state.cycles_in_range += reading.in_range
     state.cycles_in_halt += in_halt
     if state.trace is not None:
+        if act is None:
+            label = "none"
+        elif act.kind is _AVOID:
+            label = AVOID_LABELS[act.rotation_deg]
+        else:
+            label = act.label
         state.trace.append(CycleRecord(t_end, x, y, heading, tx, ty, reading.value_dbm,
-                                       reading.in_range, in_halt,
-                                       "none" if act is None else act.label))
+                                       reading.in_range, in_halt, label))
     return state
 
 

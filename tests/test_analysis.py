@@ -260,6 +260,145 @@ def test_exhaustive_sweep_rejects_unbounded_inputs():
             exhaustive_sweep(**{**grid, **bad})
 
 
+def test_exhaustive_sweep_reads_each_range_once():
+    lists = dict(phi_range=[134, 135], rho_range=[10, 20], beta_range=[0, 90, 200],
+                 tau_range=[1, 5])
+    expected = exhaustive_sweep(**lists)
+    assert expected.total_runs == 2 * 2 * 3 * 2
+    result = exhaustive_sweep(**{name: iter(values) for name, values in lists.items()})
+    assert result == expected
+
+
+def test_exhaustive_sweep_rejects_repeated_angles():
+    with pytest.raises(ValueError, match="repeats an angle"):
+        exhaustive_sweep(phi_range=(135, 136, 135), rho_range=(10,), beta_range=(0,))
+
+
+def test_exhaustive_sweep_rejects_angles_off_the_degree_grid():
+    for phi in (135.5, 0, 360, -5, 400, math.nan):
+        with pytest.raises(ValueError, match="angles must be integers"):
+            exhaustive_sweep(phi_range=(135, phi), rho_range=(10,), beta_range=(0,))
+
+
+def test_exhaustive_sweep_rejects_bearings_off_the_degree_grid():
+    # a bearing of 10.5 was once read as 10: 52 steps, where steps_to_reach
+    # gives 53
+    assert steps_to_reach(135, 40, 10.5, 1) == 53
+    assert exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(10,),
+                            tau_range=(1,)).cell(135, 1).mean_steps == 52
+    for beta in (10.5, 360, -1, math.nan):
+        with pytest.raises(ValueError, match="bearings must be integers"):
+            exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0, beta))
+    with pytest.raises(ValueError, match="step_cap"):
+        exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0,), step_cap=-1)
+
+
+def _scalar_counts(phi, rhos, betas, taus, step_cap):
+    return np.array([
+        [-1 if c is None else c
+         for c in (steps_to_reach(phi, rho, beta, tau, step_cap=step_cap) for tau in taus)]
+        for rho in rhos for beta in betas
+    ])
+
+
+def _assert_kernel_exact(phis, rhos, betas, taus, step_cap, oracle=True):
+    """_sweep_one_phi equals steps_to_reach (and the np.hypot oracle, where
+    asked), with the first leg passed in or computed, and no start leaves
+    the leg for the loop's walk from the origin."""
+    rhos, betas, taus = (np.asarray(v, dtype=dtype) for v, dtype in (
+        (rhos, np.float64), (betas, np.int64), (taus, np.float64)))
+    leg = analysis._first_leg(rhos, betas, taus, step_cap)
+    assert leg.walk == 0
+    for phi in phis:
+        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap, leg)
+        again, _ = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        assert np.array_equal(counts, again)
+        expected = _scalar_counts(phi, rhos.tolist(), betas.tolist(), taus.tolist(), step_cap)
+        assert np.array_equal(counts, expected), phi
+        assert capped == np.count_nonzero(expected[:, 0] < 0)
+        if oracle:
+            assert np.array_equal(counts, sweep_one_phi(phi, rhos, betas, taus, step_cap)[0])
+    return leg
+
+
+def test_first_leg_needs_an_exact_unit_heading():
+    # the leg sits exactly on (k, 0.0) only because heading 0 is exact
+    assert analysis._COS_DEG[0] == 1.0
+    assert analysis._SIN_DEG[0] == 0.0
+
+
+def _first_turn(rho, beta):
+    """The first step whose math.hypot distance rose, walking along +x."""
+    tx, ty = rho * math.cos(math.radians(beta)), rho * math.sin(math.radians(beta))
+    step, prev = 1, math.hypot(tx, ty)
+    while (d := math.hypot(step - tx, 0.0 - ty)) <= prev:
+        step, prev = step + 1, d
+    return step
+
+
+def _rho_on(tx, beta):
+    """A rho whose target lies exactly at x = tx on bearing beta, or None."""
+    rho = tx / math.cos(math.radians(beta))
+    for _ in range(16):
+        rho = math.nextafter(rho, -math.inf)
+    for _ in range(33):
+        if rho * math.cos(math.radians(beta)) == tx:
+            return rho
+        rho = math.nextafter(rho, math.inf)
+    return None
+
+
+def test_first_leg_turns_at_half_steps():
+    # a target at x = k + 1/2 is as far from k as from k + 1, so the first
+    # turn waits a step; one ulp either side decides it
+    for k in (0, 3, 17):
+        half = k + 0.5
+        below, above = math.nextafter(half, -math.inf), math.nextafter(half, math.inf)
+        assert [_first_turn(tx, 0) for tx in (below, half, above)] == [k + 1, k + 2, k + 2]
+    starts = [(rho, beta) for beta in (0, 30, 60, 75, 300, 330) for k in (0, 2, 7)
+              for tx in (math.nextafter(k + 0.5, -math.inf), k + 0.5,
+                         math.nextafter(k + 0.5, math.inf))
+              if (rho := _rho_on(tx, beta)) is not None]
+    assert len(starts) >= 40
+    taus = (0.25, 1.0)
+    for rho, beta in starts:
+        leg = _assert_kernel_exact((72, 135, 143), [rho], [beta], taus, 200)
+        assert leg.turn_step.tolist() == [_first_turn(rho, beta)], (rho, beta)
+
+
+def test_first_leg_turns_at_once_on_axis_bearings():
+    # at bearings 90 and 270 the target's x is within 2e-14 of 0, at 180 it
+    # is negative: every start turns at step 1
+    rhos, betas = (10.0, 37.5, 100.0), (90, 180, 270)
+    leg = _assert_kernel_exact((72, 135, 143), rhos, betas, (1.0, 5.0, 10.0), 10_000)
+    assert leg.turn_step.tolist() == [1.0] * (len(rhos) * len(betas))
+
+
+def test_first_leg_crossings_at_step_0():
+    # at range 10 the start distance rounds to either side of tau 10, and
+    # np.hypot's to 10.0 at two bearings where math.hypot's is above it;
+    # tau 10.5 is crossed at step 0 everywhere
+    leg = _assert_kernel_exact((121, 135), (10.0,), range(360), (1.0, 10.0, 10.5), 10_000,
+                               oracle=False)
+    on_leg = np.full((360, 3), -1)
+    on_leg.ravel()[leg.crossed] = leg.steps
+    rows = [beta for _, beta in _NP_HYPOT_LOW_STARTS]
+    assert (on_leg[rows, 1] != 0).all() and (on_leg[:, 2] == 0).all()
+    assert (on_leg[:, 1] == 0).any()
+
+
+def test_first_leg_longer_than_the_step_cap():
+    for step_cap in (5, 12):
+        leg = _assert_kernel_exact((121, 135, 143), range(10, 101, 10), (0, 1, 5, 30, 355),
+                                   (1.0, 5.0, 10.0), step_cap)
+        assert leg.lane.size < 50  # the long legs turn past the cap
+
+
+def test_first_leg_non_integer_ranges():
+    _assert_kernel_exact((97, 135, 143), (0.3, 10.25, 33.3, 57.75, 99.9),
+                         (0, 45, 123, 200, 359), (0.5, 1.0, 2.5, 10.0), 10_000)
+
+
 def test_cold_thresholds_right_angle_case():
     th = cold_mode_thresholds(1.0, 1.0, 90.0)
     assert th.first_rotation == pytest.approx(0.5, abs=1e-12)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from hotcold.engine import (
     AVOID_BOTH,
+    AVOID_LABELS,
     AVOID_LEFT,
     AVOID_RIGHT,
     SENSOR_MAX_CM,
@@ -24,6 +25,7 @@ from hotcold.engine import (
     trace_csv_lines,
 )
 from hotcold.geometry import TWO_PI, Pose, Vec2
+from hotcold.tracker import DecisionKind, TrackerDecision
 
 
 def _nudge(value: float, ulps: int) -> float:
@@ -177,3 +179,11 @@ def test_avoidance_maneuvers_are_shared_and_labelled():
     assert obstacle_avoidance(20.0, 100.0) is AVOID_LEFT
     for maneuver in (AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT):
         assert maneuver.label == f"avoid({maneuver.rotation_deg:+.4f})"
+
+
+def test_avoid_labels_are_the_formatted_labels():
+    # the trace reads an avoidance's label from the table, formatted once
+    assert sorted(AVOID_LABELS) == sorted(m.rotation_deg for m in (AVOID_BOTH, AVOID_RIGHT,
+                                                                   AVOID_LEFT))
+    for angle, label in AVOID_LABELS.items():
+        assert label == TrackerDecision(DecisionKind.AVOID, angle).label == f"avoid({angle:+.4f})"
