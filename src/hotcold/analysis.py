@@ -143,17 +143,24 @@ class RotationSweepResult:
 def rotation_sweep(
     phi_range=DEFAULT_PHI_RANGE, epsilon_range=DEFAULT_EPSILON_RANGE
 ) -> RotationSweepResult:
-    """Sweep mean turn counts over the (phi, epsilon) grid and rank the angles."""
-    epsilons = list(epsilon_range)
+    """Sweep mean turn counts over the (phi, epsilon) grid and rank the angles: distinct
+    integer angles in [1, 359] and epsilons in [0, 30], each range read once."""
+    phis, epsilons = list(phi_range), list(epsilon_range)
+    if not set(phis) <= set(range(1, 360)):
+        raise ValueError(f"angles must be integers in [1, 359], got {phis}")
+    if len(set(phis)) < len(phis):
+        raise ValueError(f"phi_range repeats an angle: {phis}")
     if not set(epsilons) <= set(range(_MAX_EPSILON + 1)):
         raise ValueError(f"epsilon values must be integers in [0, {_MAX_EPSILON}], got {epsilons}")
+    if len(set(epsilons)) < len(epsilons):
+        raise ValueError(f"epsilon_range repeats a value: {epsilons}")
     cells: list[RotationCell] = []
     summaries: list[RotationSummary] = []
-    for phi in phi_range:
+    for phi in map(int, phis):
         per_epsilon = _sweep_phi_rotations(phi)
         phi_cells: list[RotationCell] = []
-        for eps in epsilons:
-            omegas = per_epsilon[int(eps)]
+        for eps in map(int, epsilons):
+            omegas = per_epsilon[eps]
             valid = bool((omegas >= 0).all())
             mean = float(omegas.mean()) if valid else None
             phi_cells.append(RotationCell(phi, eps, omegas, mean))

@@ -113,7 +113,10 @@ def rssi(target_x: float, target_y: float, robot_x: float, robot_y: float,
     d = math.hypot(target_x - robot_x, target_y - robot_y)
     if d < MIN_DISTANCE_M:
         d = MIN_DISTANCE_M
-    value = params.link_budget_dbm - path_loss(d, params, params.shadowing_sigma_db * normal)
+    # path_loss inline, its terms in its order: d is clamped to its floor and
+    # sigma times a drawn normal is finite, so its checks cannot fail here
+    value = params.link_budget_dbm - (10.0 * params.path_loss_exponent * math.log10(d)
+                                      + params.reference_loss_db + params.shadowing_sigma_db * normal)
     return RssiReading(value, value >= params.rx_sensitivity_dbm)
 
 

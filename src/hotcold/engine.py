@@ -24,7 +24,7 @@ from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .channel import MIN_DISTANCE_M, ChannelParams, RssiReading, noiseless_rssi, rssi
+from .channel import MIN_DISTANCE_M, ChannelParams, noiseless_rssi, rssi
 from .geometry import Pose, Vec2, advance, require_finite_fields, rotate, wrap_heading
 from .tracker import (
     DecisionKind,
@@ -76,8 +76,8 @@ class StaticControl:
 
 # Each mobility model places the target, returning its start point and first
 # waypoint as (x, y, waypoint_x, waypoint_y), the waypoint NaN if it has none,
-# and moves it for the cycle ending at t_end: move sets state.target_x and
-# state.target_y.
+# and steps it from there through the cycle ending at t_end, returning the
+# same four floats.
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,9 @@ class RandomWaypoint:
         x, y = _uniform_point(config, rng) if self.start is None else (self.start.x, self.start.y)
         return (*_clamp_to_space(x, y, config), *_uniform_point(config, rng))
 
-    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        state.target_x, state.target_y, state.waypoint_x, state.waypoint_y = random_waypoint_step(
-            state.target_x, state.target_y, state.waypoint_x, state.waypoint_y, config,
-            state.mobility_rng,
-        )
+    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
+             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
+        return random_waypoint_step(x, y, waypoint_x, waypoint_y, config, rng)
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,9 @@ class FixedPath:
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
         return (*_clamp_to_space(*self._xy_at(0.0), config), math.nan, math.nan)
 
-    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        state.target_x, state.target_y = _clamp_to_space(*self._xy_at(t_end), config)
+    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
+             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
+        return (*_clamp_to_space(*self._xy_at(t_end), config), waypoint_x, waypoint_y)
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,9 @@ class StaticTarget:
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
         return (*_clamp_to_space(self.point.x, self.point.y, config), math.nan, math.nan)
 
-    def move(self, state: WorldState, config: WorldConfig, t_end: float) -> None:
-        """The target never moves."""
+    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
+             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
+        return x, y, waypoint_x, waypoint_y  # the target never moves
 
 
 Mobility = Union[RandomWaypoint, FixedPath, StaticTarget]
@@ -262,8 +262,9 @@ class CycleRecord(NamedTuple):
     decision: str
 
 
-# a tracker's in-range decision from this cycle's sample; None: never moves
-Decide = Callable[["WorldState", RssiReading, "WorldConfig"], Union[TrackerDecision, None]]
+# a tracker's in-range decision from (tracker state, this cycle's sample in
+# dBm, robot x, y and heading, config, halt threshold); None: never moves
+Decide = Callable[..., Union[TrackerDecision, None]]
 
 
 @dataclass(slots=True)
@@ -302,31 +303,27 @@ def _clamp_to_space(x: float, y: float, config: WorldConfig) -> tuple[float, flo
     return min(max(x, 0.0), config.width_m), min(max(y, 0.0), config.height_m)
 
 
-def _hotcold_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
-    return ingest_sample(
-        state.tracker_state, reading.value_dbm, config.tracker, state.halt_threshold_dbm
-    )
+def _hotcold_decide(tracker_state, value_dbm, x, y, heading_rad, config, halt_threshold_dbm):
+    return ingest_sample(tracker_state, value_dbm, config.tracker, halt_threshold_dbm)
 
 
-def _trilateration_decide(state: WorldState, reading: RssiReading, config: WorldConfig):
+def _trilateration_decide(tracker, value_dbm, x, y, heading_rad, config, halt_threshold_dbm):
     cfg = config.tracker
-    tracker = state.tracker_state
-    x, y = state.robot_x, state.robot_y
-    if record_observation(tracker, x, y, reading.value_dbm, config.channel, cfg):
+    if record_observation(tracker, x, y, value_dbm, config.channel, cfg):
         update_estimate(tracker, cfg)
     elif tracker.solved is not None:
         # the FIFO is the one last solved: its solve would give this estimate
         # again, restoring it if trilateration_decide dropped it on arrival
         tracker.current_estimate = tracker.solved
-    return trilateration_decide(tracker, x, y, state.robot_heading_rad, reading.value_dbm, cfg,
-                                state.halt_threshold_dbm, config.robot_step_m)
+    return trilateration_decide(tracker, x, y, heading_rad, value_dbm, cfg, halt_threshold_dbm,
+                                config.robot_step_m)
 
 
 # tracker config type -> (fresh per-run tracker state, in-range decision)
 TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
     HotColdConfig: (HotColdState, _hotcold_decide),
     TrilaterationConfig: (TrilaterationState, _trilateration_decide),
-    StaticControl: (lambda: None, lambda state, reading, config: None),
+    StaticControl: (lambda: None, lambda *_: None),
 }
 
 
@@ -379,7 +376,9 @@ def random_waypoint_step(
         return (waypoint_x, waypoint_y, *_uniform_point(config, rng))
     # the direction is wrapped to [0, 2*pi) as a Pose heading would be:
     # cos and sin of the unwrapped atan2 can differ in the last bit
-    heading = wrap_heading(math.atan2(dy, dx))
+    heading = math.atan2(dy, dx)
+    if heading <= 0.0:  # atan2 lies in [-pi, pi], and wrap_heading keeps (0, pi] as it is
+        heading = wrap_heading(heading)
     return x + step * math.cos(heading), y + step * math.sin(heading), waypoint_x, waypoint_y
 
 
@@ -492,58 +491,75 @@ _HALT = DecisionKind.HALT
 _AVOID = DecisionKind.AVOID
 
 
-def step_world(state: WorldState, config: WorldConfig) -> WorldState:
-    """Advance the world by one broadcast cycle and add it to the run's sums."""
-    cycle = state.cycles
-    if cycle >= config.total_cycles:
-        raise ValueError("simulation already ran for its full duration")
-    t_end = state.time_s + config.cycle_period_s
+def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> WorldState:
+    """Advance the world by `cycles` broadcast cycles and add them to the run's sums.
 
-    config.mobility.move(state, config, t_end)
-    tx, ty = state.target_x, state.target_y
-    x, y, heading = state.robot_x, state.robot_y, state.robot_heading_rad
+    The world is read out of the state once, stepped in locals and written
+    back once; the functions the cycle calls are looked up on this module
+    here, once per call. A count that is negative or runs past the run's
+    end raises before anything changes.
+    """
+    first = state.cycles
+    if not 0 <= cycles <= config.total_cycles - first:
+        raise ValueError(f"{cycles} cycles from cycle {first} do not fit the simulation's "
+                         f"full duration of {config.total_cycles}")
+    rssi_, rotate_, advance_, sensor_reading_cm_ = rssi, rotate, advance, sensor_reading_cm
+    cos, sin, radians, hypot = math.cos, math.sin, math.radians, math.hypot
+    period, channel, obstacles = config.cycle_period_s, config.channel, config.obstacles
+    robot_step_m, move = config.robot_step_m, config.mobility.step
+    tracker_state, decide, halt = state.tracker_state, state.decide, state.halt_threshold_dbm
+    normals, mobility_rng, trace = state.shadowing_normals, state.mobility_rng, state.trace
+    t, x, y, heading = state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad
+    tx, ty, wx, wy = state.target_x, state.target_y, state.waypoint_x, state.waypoint_y
+    last = state.last_decision
+    distance_sum, in_range_sum, in_halt_sum = (
+        state.distance_sum, state.cycles_in_range, state.cycles_in_halt)
 
-    reading = rssi(tx, ty, x, y, config.channel, state.shadowing_normals[cycle])
+    for cycle in range(first, first + cycles):
+        t += period
+        tx, ty, wx, wy = move(tx, ty, wx, wy, config, mobility_rng, t)
+        value, in_range = rssi_(tx, ty, x, y, channel, normals[cycle])
+        if in_range:
+            last = decide(tracker_state, value, x, y, heading, config, halt)
+        act = last  # out of range: repeat the last decision
 
-    if reading.in_range:
-        act = state.last_decision = state.decide(state, reading, config)
-    else:
-        act = state.last_decision  # out of range: repeat the last decision
+        if obstacles:
+            near = obstacles_in_reach(x, y, obstacles)
+            if near:
+                left = sensor_reading_cm_(x, y, heading, near, +1)
+                right = sensor_reading_cm_(x, y, heading, near, -1)
+                act = obstacle_avoidance(left, right) or act  # an avoidance preempts the tracker
 
-    if config.obstacles:
-        near = obstacles_in_reach(x, y, config.obstacles)
-        if near:
-            left = sensor_reading_cm(x, y, heading, near, +1)
-            right = sensor_reading_cm(x, y, heading, near, -1)
-            act = obstacle_avoidance(left, right) or act  # an avoidance preempts the tracker
+        if act is not None:
+            kind = act.kind
+            if kind is _AVOID:  # back up along the heading, then turn
+                x -= AVOID_BACK_UP_M * cos(heading)
+                y -= AVOID_BACK_UP_M * sin(heading)
+                heading = rotate_(heading, radians(act.rotation_deg))
+            elif kind is not _HALT:
+                if kind is _ROTATE_THEN_MOVE:
+                    heading = rotate_(heading, radians(act.rotation_deg))
+                x, y = advance_(x, y, heading, robot_step_m)
 
-    if act is not None:
-        kind = act.kind
-        if kind is _AVOID:  # back up along the heading, then turn
-            x -= AVOID_BACK_UP_M * math.cos(heading)
-            y -= AVOID_BACK_UP_M * math.sin(heading)
-            heading = rotate(heading, math.radians(act.rotation_deg))
-        elif kind is not _HALT:
-            if kind is _ROTATE_THEN_MOVE:
-                heading = rotate(heading, math.radians(act.rotation_deg))
-            x, y = advance(x, y, heading, config.robot_step_m)
+        distance_sum += hypot(x - tx, y - ty)
+        in_halt = value > halt
+        in_range_sum += in_range
+        in_halt_sum += in_halt
+        if trace is not None:
+            if act is None:
+                label = "none"
+            elif act.kind is _AVOID:
+                label = AVOID_LABELS[act.rotation_deg]
+            else:
+                label = act.label
+            trace.append(CycleRecord(t, x, y, heading, tx, ty, value, in_range, in_halt, label))
 
-    state.robot_x, state.robot_y, state.robot_heading_rad = x, y, heading
-    state.time_s = t_end
-    state.cycles = cycle + 1
-    state.distance_sum += math.hypot(x - tx, y - ty)
-    in_halt = reading.value_dbm > state.halt_threshold_dbm
-    state.cycles_in_range += reading.in_range
-    state.cycles_in_halt += in_halt
-    if state.trace is not None:
-        if act is None:
-            label = "none"
-        elif act.kind is _AVOID:
-            label = AVOID_LABELS[act.rotation_deg]
-        else:
-            label = act.label
-        state.trace.append(CycleRecord(t_end, x, y, heading, tx, ty, reading.value_dbm,
-                                       reading.in_range, in_halt, label))
+    state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad = t, x, y, heading
+    state.target_x, state.target_y, state.waypoint_x, state.waypoint_y = tx, ty, wx, wy
+    state.last_decision = last
+    state.cycles = first + cycles
+    state.distance_sum, state.cycles_in_range, state.cycles_in_halt = (
+        distance_sum, in_range_sum, in_halt_sum)
     return state
 
 
@@ -587,9 +603,7 @@ def compute_metrics(state: WorldState) -> MetricsReport:
 
 def run_simulation(config: WorldConfig, keep_trace: bool = True) -> tuple[MetricsReport, list | None]:
     """Run the configured world for its whole duration; without keep_trace, trace is None."""
-    state = init_world(config, keep_trace)
-    for _ in range(config.total_cycles):
-        step_world(state, config)
+    state = step_world(init_world(config, keep_trace), config, config.total_cycles)
     return compute_metrics(state), state.trace
 
 

@@ -32,8 +32,8 @@ helpers it called, from before the loop ran on plain floats. The state
 keeps a Pose robot and Vec2 target and waypoint, every position is built
 as a Vec2 (which checks it is finite) and every heading as a Pose (which
 wraps it). It takes its decisions from the trilateration step above and
-the engine's Hot-Cold decision, and it places and moves the target with
-_place and _move. Its
+the package's Hot-Cold ingest_sample (through _hotcold_decide, its own
+glue), and it places and moves the target with _place and _move. Its
 trace holds the earlier nested CycleRecord (a Pose robot and a Vec2
 target), which trace_csv_lines and compute_metrics read; flat_record
 lays one out in the engine's flat CycleRecord order.
@@ -47,11 +47,12 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import optimize
 
+from hotcold import tracker
 from hotcold.analysis import _COS_DEG, _SIN_DEG
 from hotcold.channel import (
     MIN_DISTANCE_M,
@@ -67,14 +68,12 @@ from hotcold.engine import (
     SENSOR_REACH_M,
     TRACE_COLUMNS,
     TRACKERS,
-    Decide,
     FixedPath,
     MetricsReport,
     RandomWaypoint,
     Rect,
     StaticControl,
     WorldConfig,
-    _hotcold_decide,
     obstacle_avoidance,
 )
 from hotcold.geometry import TWO_PI, Pose, Vec2, distance, signed_turn
@@ -477,7 +476,7 @@ class WorldState:
     target: Vec2  # the target has no heading: nothing reads one
     target_waypoint: Vec2 | None
     tracker_state: HotColdState | TrilaterationState | None
-    decide: Decide
+    decide: Callable  # (state, reading, config) -> the in-range decision
     halt_threshold_dbm: float
     shadowing_normals: list[float]  # the standard normal of each cycle's broadcast
     mobility_rng: np.random.Generator
@@ -538,6 +537,12 @@ def _move(state: WorldState, config: WorldConfig, t_end: float) -> None:
         )
     elif isinstance(mobility, FixedPath):
         state.target = _clamp_to_space(_position_at(mobility, t_end), config)
+
+
+def _hotcold_decide(state, reading, config):
+    return tracker.ingest_sample(
+        state.tracker_state, reading.value_dbm, config.tracker, state.halt_threshold_dbm
+    )
 
 
 # tracker config type -> in-range decision on this file's state

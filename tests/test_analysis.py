@@ -98,6 +98,39 @@ def test_rotation_sweep_validation():
         rotation_sweep(range(0, 2))
 
 
+def _sweep_fields(result) -> tuple:
+    cells = [(c.phi_deg, c.epsilon_deg, c.per_theta.tolist(), c.mean_rotations)
+             for c in result.cells]
+    return cells, result.summaries, result.best_phi
+
+
+def test_rotation_sweep_reads_each_range_once():
+    expected = rotation_sweep([139, 140], [0, 3, 30])
+    assert len(expected.cells) == 6
+    assert _sweep_fields(rotation_sweep(iter([139, 140]), iter([0, 3, 30]))) == (
+        _sweep_fields(expected))
+
+
+def test_rotation_sweep_rejects_angles_off_the_degree_grid():
+    # 135.5 and 139.0 raised numpy's TypeError; an integral float is the integer
+    for phi in (135.5, 0, 360, -5, math.nan):
+        with pytest.raises(ValueError, match="angles must be integers"):
+            rotation_sweep([139, phi])
+    assert _sweep_fields(rotation_sweep([139.0])) == _sweep_fields(rotation_sweep([139]))
+
+
+def test_rotation_sweep_rejects_repeated_angles():
+    # [139, 139] gave 62 cells and two summaries of one angle
+    with pytest.raises(ValueError, match="repeats an angle"):
+        rotation_sweep([139, 140, 139])
+
+
+def test_rotation_sweep_rejects_repeated_epsilons():
+    # [3, 3] gave two cells of one epsilon per angle
+    with pytest.raises(ValueError, match="repeats a value"):
+        rotation_sweep([139], [3, 3])
+
+
 def test_steps_to_reach_inclusive_boundary():
     assert steps_to_reach(135, 10.0, 0.0, 10.0) == 0
 

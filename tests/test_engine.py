@@ -615,7 +615,9 @@ def test_trilateration_reuses_the_solve_of_an_unchanged_fifo(monkeypatch):
         ours.robot_heading_rad = robot.heading_rad
         theirs.robot = robot
         before = len(solves)
-        got = _trilateration_decide(ours, reading, config)
+        got = _trilateration_decide(ours.tracker_state, reading.value_dbm, ours.robot_x,
+                                    ours.robot_y, ours.robot_heading_rad, config,
+                                    ours.halt_threshold_dbm)
         solved = len(solves) - before
         assert got == oracles._trilateration_decide(theirs, reading, config), i
         assert ours.tracker_state == theirs.tracker_state, i
@@ -753,3 +755,44 @@ def test_float_cycle_loop_matches_the_pose_loop(config):
         rec, old = ours[0].trace[-1], oracles.flat_record(theirs.trace[-1])
         assert rec.decision == old[-1], cycle
         assert _bits(rec[:7]) == _bits(old[:7]) and rec[7:] == old[7:], cycle
+
+
+def _world_bits(state) -> tuple:
+    """Every float of a state as float.hex, its three counters and its trace length."""
+    trace = None if state.trace is None else len(state.trace)
+    return (_bits(_floats_of(state)), state.cycles, state.cycles_in_range, state.cycles_in_halt,
+            trace)
+
+
+def _record_bits(rec: CycleRecord) -> tuple:
+    return _bits(rec[:7]) + rec[7:]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(config=_worlds(), data=st.data())
+def test_chunked_stepping_matches_single_cycles(config, data):
+    """A run stepped in chunks of random sizes ends where the run stepped one
+    cycle at a time ends, with and without a trace: every float bit for bit,
+    the counters, the last decision and every trace record. Between chunks,
+    a count of 0 changes nothing, and a negative count or one past the run's
+    end raises and changes nothing."""
+    total = config.total_cycles
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
+    for keep_trace in (True, False):
+        single, chunked = init_world(config, keep_trace), init_world(config, keep_trace)
+        for _ in range(total):
+            step_world(single, config)
+        for start, end in zip([0, *cuts], [*cuts, total]):
+            before = _world_bits(chunked)
+            assert step_world(chunked, config, 0) is chunked
+            assert _world_bits(chunked) == before
+            for bad in (-1, total - start + 1):
+                with pytest.raises(ValueError, match="full duration"):
+                    step_world(chunked, config, bad)
+                assert _world_bits(chunked) == before
+            step_world(chunked, config, end - start)
+        assert _world_bits(chunked) == _world_bits(single)
+        assert chunked.last_decision == single.last_decision
+        assert chunked.tracker_state == single.tracker_state
+        if keep_trace:
+            assert list(map(_record_bits, chunked.trace)) == list(map(_record_bits, single.trace))
