@@ -7,7 +7,6 @@ from .engine import (
     RandomWaypoint,
     Rect,
     StaticControl,
-    StaticTarget,
     WorldConfig,
     compute_metrics,
     run_simulation,
@@ -26,7 +25,6 @@ __all__ = [
     "RandomWaypoint",
     "Rect",
     "StaticControl",
-    "StaticTarget",
     "WorldConfig",
     "compute_metrics",
     "run_simulation",

@@ -32,8 +32,26 @@ DEFAULT_STEP_CAP = 10_000
 _MAX_EPSILON = 30
 _MAX_TURNS = 400  # every solvable rotation cell needs fewer turns, see _sweep_phi_rotations
 
+_TAUS = range(2**53 + 1)  # the stop radii, in steps, that are distinct floats
+
 _COS_DEG = np.cos(np.radians(np.arange(360)))
 _SIN_DEG = np.sin(np.radians(np.arange(360)))
+
+
+def _distinct_ints(values, what: str, allowed: range, name: str, item: str = "a value") -> list[int]:
+    """`values` read once as distinct integers in `allowed`; an integral
+    float such as 139.0 reads as its integer, and anything else raises
+    ValueError."""
+    values = list(values)
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):  # NaN, an infinity, not a number
+        ints = None
+    if ints != values or not all(i in allowed for i in ints):
+        raise ValueError(f"{what} must be integers in [{allowed[0]}, {allowed[-1]}], got {values}")
+    if len(set(ints)) < len(ints):
+        raise ValueError(f"{name} repeats {item}: {values}")
+    return ints
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +163,14 @@ def rotation_sweep(
 ) -> RotationSweepResult:
     """Sweep mean turn counts over the (phi, epsilon) grid and rank the angles: distinct
     integer angles in [1, 359] and epsilons in [0, 30], each range read once."""
-    phis, epsilons = list(phi_range), list(epsilon_range)
-    if not set(phis) <= set(range(1, 360)):
-        raise ValueError(f"angles must be integers in [1, 359], got {phis}")
-    if len(set(phis)) < len(phis):
-        raise ValueError(f"phi_range repeats an angle: {phis}")
-    if not set(epsilons) <= set(range(_MAX_EPSILON + 1)):
-        raise ValueError(f"epsilon values must be integers in [0, {_MAX_EPSILON}], got {epsilons}")
-    if len(set(epsilons)) < len(epsilons):
-        raise ValueError(f"epsilon_range repeats a value: {epsilons}")
+    phis = _distinct_ints(phi_range, "angles", range(1, 360), "phi_range", "an angle")
+    epsilons = _distinct_ints(epsilon_range, "epsilon values", range(_MAX_EPSILON + 1), "epsilon_range")
     cells: list[RotationCell] = []
     summaries: list[RotationSummary] = []
-    for phi in map(int, phis):
+    for phi in phis:
         per_epsilon = _sweep_phi_rotations(phi)
         phi_cells: list[RotationCell] = []
-        for eps in map(int, epsilons):
+        for eps in epsilons:
             omegas = per_epsilon[eps]
             valid = bool((omegas >= 0).all())
             mean = float(omegas.mean()) if valid else None
@@ -556,30 +567,19 @@ def exhaustive_sweep(
     Starts that hit step_cap before reaching a tau are left out of that
     cell's mean and counted in cap_hits (at the smallest tau). A cell or
     overall mean with no reached start is NaN, and such a phi cannot be
-    best_phi. Angles must be distinct integers in [1, 359] and bearings
-    integers in [0, 359]; tau_range may come in any order but must not
-    repeat a value. Each range is read once. Counts equal steps_to_reach
+    best_phi. Angles must be distinct integers in [1, 359], bearings
+    distinct integers in [0, 359] and taus distinct integers in [0, 2**53],
+    in any order; each range is read once. Counts equal steps_to_reach
     exactly: every decision is the one math.hypot's distances give. The
     first leg, the same for every angle, is walked once for the sweep.
     """
-    phis, rho_values, beta_values, tau_values = (
-        list(r) for r in (phi_range, rho_range, beta_range, tau_range)
-    )
-    if not set(phis) <= set(range(1, 360)):
-        raise ValueError(f"angles must be integers in [1, 359], got {phis}")
-    if len(set(phis)) < len(phis):
-        raise ValueError(f"phi_range repeats an angle: {phis}")
-    if not set(beta_values) <= set(range(360)):
-        raise ValueError(f"bearings must be integers in [0, 359], got {beta_values}")
-    rhos = np.asarray(rho_values, dtype=np.float64)
-    betas = np.asarray(beta_values, dtype=np.int64)
-    taus = np.sort(np.asarray(tau_values, dtype=np.float64))
+    phis = _distinct_ints(phi_range, "angles", range(1, 360), "phi_range", "an angle")
+    rhos = np.asarray(list(rho_range), dtype=np.float64)
+    betas = np.asarray(_distinct_ints(beta_range, "bearings", range(360), "beta_range"), dtype=np.int64)
+    tau_labels = sorted(_distinct_ints(tau_range, "tau values", _TAUS, "tau_range"))
+    taus = np.asarray(tau_labels, dtype=np.float64)
     if not (rhos.size and betas.size and taus.size):
         raise ValueError("rho_range, beta_range and tau_range must not be empty")
-    if np.any(taus[1:] == taus[:-1]):
-        raise ValueError(f"tau_range repeats a value: {tau_values}")
-    if not np.isfinite(taus).all():
-        raise ValueError(f"tau_range values must be finite: {tau_values}")
     if step_cap < 0:
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if not np.abs(rhos).max() + step_cap < _MAX_DISTANCE:
@@ -588,7 +588,7 @@ def exhaustive_sweep(
     cells: list[ExhaustiveCell] = []
     overall: dict[int, float] = {}
     cap_hits = 0
-    for phi in map(int, phis):
+    for phi in phis:
         counts, capped = _sweep_one_phi(phi, rhos, betas, taus, step_cap, leg)
         cap_hits += capped
         # exact integer sums over the reached starts (the -1s added back):
@@ -598,8 +598,8 @@ def exhaustive_sweep(
         sums = (counts.sum(axis=0, dtype=np.int64) + missed).tolist()
         reached = (counts.shape[0] - missed).tolist()
         del counts  # freed before the next angle's kernel runs
-        for tau, total, n in zip(taus, sums, reached):
-            cells.append(ExhaustiveCell(phi, int(tau), total / n if n else math.nan))
+        for tau, total, n in zip(tau_labels, sums, reached):
+            cells.append(ExhaustiveCell(phi, tau, total / n if n else math.nan))
         overall[phi] = sum(sums) / sum(reached) if sum(reached) else math.nan
     finite = [p for p in overall if not math.isnan(overall[p])]
     if not finite:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .channel import ChannelParams
-from .engine import TRACKERS, FixedPath, RandomWaypoint, Rect, StaticTarget, WorldConfig
+from .engine import MAX_EXTENT_M, TRACKERS, FixedPath, RandomWaypoint, Rect, WorldConfig, within_extent
 from .experiments import ExperimentGrid
 from .geometry import Pose, Vec2
 
@@ -202,6 +202,9 @@ def build_mobility(cfg):
     name = cfg["world"]["mobility"].strip().lower()
     try:
         start = _start(cfg, "target")
+        if start is not None and not within_extent(start):
+            raise ConfigError(f"world.target_start_x_m/y_m must lie within +-{MAX_EXTENT_M:g} m, "
+                              f"got ({start.x}, {start.y})")
         if name != "fixed_path" and cfg["world"]["fixed_path"].strip():
             raise ConfigError(f"world.fixed_path needs mobility=fixed_path, got {name!r}")
         if name == "random_waypoint":
@@ -209,7 +212,7 @@ def build_mobility(cfg):
         if name == "static":
             if start is None:
                 raise ConfigError("mobility=static requires world.target_start_x_m/y_m")
-            return StaticTarget(start)
+            return FixedPath(((0.0, start),))  # a one-waypoint path stands still
         if name == "fixed_path":
             if start is not None:
                 raise ConfigError("mobility=fixed_path starts at its first waypoint; "

@@ -55,6 +55,11 @@ MAX_SPEED_KMH = 1e4
 MAX_CYCLES = 10**7
 MAX_CYCLE_PERIOD_S = 1e4
 
+
+def within_extent(point: Vec2) -> bool:  # within +-MAX_EXTENT_M m on both axes
+    return max(abs(point.x), abs(point.y)) <= MAX_EXTENT_M
+
+
 SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
 SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
@@ -86,6 +91,10 @@ class RandomWaypoint:
 
     start: Vec2 | None = None  # None: drawn uniformly in the space
 
+    def __post_init__(self) -> None:
+        if self.start is not None and not within_extent(self.start):
+            raise ValueError(f"target start {self.start} is beyond +-{MAX_EXTENT_M:g} m")
+
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
         # draw order is fixed: start point first (when not given), then waypoint
         x, y = _uniform_point(config, rng) if self.start is None else (self.start.x, self.start.y)
@@ -98,7 +107,8 @@ class RandomWaypoint:
 
 @dataclass(frozen=True)
 class FixedPath:
-    """Piecewise-linear timed path; the first waypoint (at t=0) is the start."""
+    """Piecewise-linear timed path; the first waypoint (at t=0) is the start.
+    A target that stands still is a path of one waypoint."""
 
     waypoints: tuple[tuple[float, Vec2], ...]
 
@@ -112,11 +122,8 @@ class FixedPath:
             raise ValueError(f"fixed path times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"fixed path times must strictly increase, got {times}")
-        if any(max(abs(p.x), abs(p.y)) > MAX_EXTENT_M for _, p in self.waypoints):
+        if not all(within_extent(p) for _, p in self.waypoints):
             raise ValueError(f"fixed path waypoints must lie within +-{MAX_EXTENT_M:g} m")
-
-    def position_at(self, time_s: float) -> Vec2:
-        return Vec2(*self._xy_at(time_s))
 
     def _xy_at(self, time_s: float) -> tuple[float, float]:
         points = self.waypoints
@@ -136,22 +143,7 @@ class FixedPath:
         return (*_clamp_to_space(*self._xy_at(t_end), config), waypoint_x, waypoint_y)
 
 
-@dataclass(frozen=True)
-class StaticTarget:
-    point: Vec2
-
-    def position_at(self, time_s: float) -> Vec2:
-        return self.point
-
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
-        return (*_clamp_to_space(self.point.x, self.point.y, config), math.nan, math.nan)
-
-    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
-             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
-        return x, y, waypoint_x, waypoint_y  # the target never moves
-
-
-Mobility = Union[RandomWaypoint, FixedPath, StaticTarget]
+Mobility = Union[RandomWaypoint, FixedPath]
 Tracker = Union[HotColdConfig, TrilaterationConfig, StaticControl]
 
 
@@ -211,7 +203,7 @@ class WorldConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         start = self.robot_start
-        if start is not None and max(abs(start.position.x), abs(start.position.y)) > MAX_EXTENT_M:
+        if start is not None and not within_extent(start.position):
             raise ValueError(f"robot start {start.position} is beyond +-{MAX_EXTENT_M:g} m")
         # inside a rectangle both sensors read 0 and the robot only ever avoids;
         # a start on an edge is outside

@@ -22,7 +22,6 @@ from .engine import (
     FixedPath,
     MetricsReport,
     StaticControl,
-    StaticTarget,
     Tracker,
     WorldConfig,
     run_simulation,
@@ -63,6 +62,9 @@ class ExperimentGrid:
             raise ValueError(f"runs_per_point must be >= 1, got {self.runs_per_point}")
         if len(set(self.tracker_names)) < len(self.trackers):
             raise ValueError(f"grid trackers repeat a name: {self.tracker_names}")
+        for name in ("sws_values", "sigma_values", "comparison_sws"):  # a repeat runs twice
+            if len(set(values := getattr(self, name))) < len(values):
+                raise ValueError(f"grid.{name} repeats a value: {values}")
         # every point's channel and tracker config must build: their own checks
         for sigma in self.sigma_values:
             replace(self.base.channel, shadowing_sigma_db=sigma)
@@ -216,7 +218,7 @@ def scenario_preset(name: str, sigma_db: float = 2.0, seed: int = 1) -> WorldCon
     )
     if name == "scenario1":
         return WorldConfig(
-            mobility=StaticTarget(Vec2(5.0, 5.0)),
+            mobility=FixedPath(((0.0, Vec2(5.0, 5.0)),)),
             robot_start=Pose(Vec2(30.0, 35.0), math.radians(50.0)),
             **common,
         )
@@ -409,7 +411,7 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
     time-zero row for the initial separation."""
     lines = ["iteration,time_s,distance_m"]
     for i, (cfg, trace) in enumerate(zip(result.configs, result.traces)):
-        start_gap = distance(cfg.robot_start.position, cfg.mobility.position_at(0.0))
+        start_gap = distance(cfg.robot_start.position, cfg.mobility.waypoints[0][1])
         lines.append(f"{i},{_fmt(0.0)},{_fmt(start_gap)}")
         for rec in trace:
             gap = math.hypot(rec.robot_x - rec.target_x, rec.robot_y - rec.target_y)

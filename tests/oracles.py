@@ -512,9 +512,7 @@ def _place(config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | 
         # draw order is fixed: start point first (when not given), then waypoint
         start = mobility.start or _uniform_point(config, rng)
         return _clamp_to_space(start, config), _uniform_point(config, rng)
-    if isinstance(mobility, FixedPath):
-        return _clamp_to_space(_position_at(mobility, 0.0), config), None
-    return _clamp_to_space(mobility.point, config), None
+    return _clamp_to_space(_position_at(mobility, 0.0), config), None  # a FixedPath
 
 
 def _position_at(path: FixedPath, time_s: float) -> Vec2:
@@ -529,13 +527,13 @@ def _position_at(path: FixedPath, time_s: float) -> Vec2:
 
 
 def _move(state: WorldState, config: WorldConfig, t_end: float) -> None:
-    """The three mobility models' moves; a static target never moves."""
+    """The two mobility models' moves; a static target is a one-waypoint FixedPath."""
     mobility = config.mobility
     if isinstance(mobility, RandomWaypoint):
         state.target, state.target_waypoint = random_waypoint_step(
             state.target, state.target_waypoint, config, state.mobility_rng
         )
-    elif isinstance(mobility, FixedPath):
+    else:
         state.target = _clamp_to_space(_position_at(mobility, t_end), config)
 
 

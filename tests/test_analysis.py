@@ -322,8 +322,26 @@ def test_exhaustive_sweep_rejects_bearings_off_the_degree_grid():
     for beta in (10.5, 360, -1, math.nan):
         with pytest.raises(ValueError, match="bearings must be integers"):
             exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0, beta))
+    # a repeated bearing counted its starts twice in every mean
+    with pytest.raises(ValueError, match="beta_range repeats a value"):
+        exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0, 90, 0.0))
     with pytest.raises(ValueError, match="step_cap"):
         exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0,), step_cap=-1)
+
+
+def test_exhaustive_sweep_reads_taus_as_distinct_integers():
+    # int(tau) labelled taus 1.5, 1.7 and 3 as 1, 1 and 3: cell(135, 1) was
+    # the 1.7 row, and fig4 printed one tau_1 column
+    grid = dict(phi_range=[135], rho_range=range(10, 13), beta_range=range(0, 360, 30))
+    for bad in ([1.5, 1.7, 3], [1, 2.5], [-1, 2], [2**60], ["3"]):
+        with pytest.raises(ValueError, match="tau values must be integers"):
+            exhaustive_sweep(tau_range=bad, **grid)
+    with pytest.raises(ValueError, match="tau_range repeats a value"):
+        exhaustive_sweep(tau_range=[3, 1, 3.0], **grid)
+    floats = exhaustive_sweep(tau_range=[3.0, 1.0], **grid)
+    assert [c.tau for c in floats.cells] == [1, 3]
+    assert all(type(c.tau) is int for c in floats.cells)
+    assert floats == exhaustive_sweep(tau_range=[1, 3], **grid)
 
 
 def _scalar_counts(phi, rhos, betas, taus, step_cap):

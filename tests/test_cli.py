@@ -201,7 +201,7 @@ def test_grid_and_report_write_the_same_figures(tmp_path):
         assert grid_bytes == (tmp_path / "report" / f"{name}.csv").read_bytes(), name
 
 
-def test_bad_inputs_exit_nonzero(tmp_path):
+def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert run_cli(["--out-dir", str(tmp_path), "report", "--figures", "fig99"]) == 2
     no_hotcold = ["--set", "grid.trackers=static", "report", "--figures", "fig5"]
     assert run_cli(["--out-dir", str(tmp_path)] + no_hotcold) == 2
@@ -225,6 +225,25 @@ def test_bad_inputs_exit_nonzero(tmp_path):
     # a grid axis value that no point's channel or tracker config accepts
     for axis in ("grid.sigma_values=-1", "grid.sigma_values=nan", "grid.sws_values=0"):
         assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--set", axis, "grid"]) == 2
+    # a repeated axis value ran its points again on the same seeds and drew
+    # its fig8 curve twice, each std taken over the duplicated runs
+    capsys.readouterr()
+    for axis in ("grid.sws_values=4,4", "grid.sigma_values=2,2", "grid.comparison_sws=4,4"):
+        assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--set", axis, "grid"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "repeats a value" in err
+    repeated = ["--runs", "2", "--set", "world.duration_s=5", "--set", "grid.sigma_values=2,2",
+                "--set", "grid.sws_values=4,4", "--set", "grid.comparison_sws=4,4", "grid"]
+    assert run_cli(["--out-dir", str(tmp_path)] + repeated) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+    # a target start beyond the robot start's bound was clamped into the space
+    far = ["--set", "world.target_start_x_m=1e300", "--set", "world.target_start_y_m=-1e300",
+           "--set", "world.duration_s=2", "simulate"]
+    for mobility in ("random_waypoint", "static"):
+        assert run_cli(["--out-dir", str(tmp_path), "--set", f"world.mobility={mobility}"] + far) == 2
+        assert "world.target_start_x_m/y_m" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
     # a target start that would be ignored: half set, or under a fixed path
     fixed = ["--set", "world.mobility=fixed_path", "--set", "world.fixed_path=0:10:10"]
     for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):

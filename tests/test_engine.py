@@ -24,7 +24,6 @@ from hotcold.engine import (
     RandomWaypoint,
     Rect,
     StaticControl,
-    StaticTarget,
     Tracker,
     WorldConfig,
     _trilateration_decide,
@@ -125,6 +124,15 @@ def test_world_bounds():
             WorldConfig(**bad)
     with pytest.raises(ValueError, match="within"):
         FixedPath(((0.0, Vec2(1e308, 0.0)), (1.0, Vec2(-1e308, 0.0))))
+    # a target start takes the robot start's bound; it was clamped into the space
+    for point in (Vec2(0.0, -over), Vec2(1e300, -1e300)):
+        with pytest.raises(ValueError, match="beyond"):
+            RandomWaypoint(start=point)
+        with pytest.raises(ValueError, match="within"):
+            FixedPath(((0.0, point),))
+    for corner in (Vec2(MAX_EXTENT_M, -MAX_EXTENT_M), Vec2(-MAX_EXTENT_M, MAX_EXTENT_M)):
+        RandomWaypoint(start=corner)  # the bound itself is allowed
+        FixedPath(((0.0, corner),))
     edge = WorldConfig(
         width_m=MAX_EXTENT_M,
         height_m=MAX_EXTENT_M,
@@ -153,24 +161,33 @@ def test_every_tracker_type_has_one_table_entry():
         assert type(state.tracker_state) is type(new_state())
 
 
+def _path_at(path: FixedPath, time_s: float, config: WorldConfig = WorldConfig()) -> tuple:
+    """Where `path` puts the target after the cycle ending at time_s."""
+    x, y, wx, wy = path.step(math.nan, math.nan, math.nan, math.nan, config, None, time_s)
+    assert math.isnan(wx) and math.isnan(wy)  # a path has no waypoint to carry
+    return x, y
+
+
 def test_mobility_models_place_and_move_the_target():
     cfg = WorldConfig(width_m=50.0, height_m=50.0)
     rng = np.random.default_rng(0)
-    x, y, wx, wy = StaticTarget(Vec2(80.0, 10.0)).place(cfg, rng)
+    still = FixedPath(((0.0, Vec2(80.0, 10.0)),))  # a static target: one waypoint
+    x, y, wx, wy = still.place(cfg, rng)
     assert (x, y) == (50.0, 10.0) and math.isnan(wx) and math.isnan(wy)  # clamped to the space
-    assert StaticTarget(Vec2(80.0, 10.0)).position_at(123.0) == Vec2(80.0, 10.0)
+    assert _path_at(still, 123.0, cfg) == (50.0, 10.0)
+    assert _path_at(still, 123.0, WorldConfig(width_m=90.0)) == (80.0, 10.0)
     path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
     x, y, wx, wy = path.place(cfg, rng)
     assert (x, y) == (1.0, 2.0) and math.isnan(wx) and math.isnan(wy)
     x, y, wx, wy = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
     assert (x, y) == (5.0, 6.0)
     assert 0.0 <= wx <= 50.0 and 0.0 <= wy <= 50.0
-    for mobility in (StaticTarget(Vec2(7.0, 8.0)), path):
+    for mobility, end in ((FixedPath(((0.0, Vec2(7.0, 8.0)),)), (7.0, 8.0)), (path, (6.0, 2.0))):
         config = WorldConfig(mobility=mobility, duration_s=5.0)
         state = init_world(config)
         for _ in range(config.total_cycles):
             step_world(state, config)
-        assert Vec2(state.target_x, state.target_y) == mobility.position_at(state.time_s)
+        assert (state.target_x, state.target_y) == end == _path_at(mobility, state.time_s)
 
 
 def test_step_world_stops_after_total_cycles():
@@ -239,10 +256,10 @@ def test_waypoints_uniform_chi_square():
 
 def test_fixed_path_interpolation():
     path = FixedPath(((0.0, Vec2(0.0, 0.0)), (10.0, Vec2(10.0, 0.0)), (20.0, Vec2(10.0, 20.0))))
-    assert path.position_at(-1.0) == Vec2(0.0, 0.0)
-    assert path.position_at(5.0) == Vec2(5.0, 0.0)
-    assert path.position_at(15.0) == Vec2(10.0, 10.0)
-    assert path.position_at(99.0) == Vec2(10.0, 20.0)
+    assert _path_at(path, -1.0) == (0.0, 0.0)
+    assert _path_at(path, 5.0) == (5.0, 0.0)
+    assert _path_at(path, 15.0) == (10.0, 10.0)
+    assert _path_at(path, 99.0) == (10.0, 20.0)
     with pytest.raises(ValueError):
         FixedPath(((1.0, Vec2(0.0, 0.0)),))
     with pytest.raises(ValueError):
@@ -282,7 +299,7 @@ def test_avoidance_preempts_tracker():
     cfg = WorldConfig(
         duration_s=0.5,
         obstacles=(wall,),
-        mobility=StaticTarget(Vec2(50.0, 50.0)),
+        mobility=FixedPath(((0.0, Vec2(50.0, 50.0)),)),
         robot_start=Pose(Vec2(0.0, 0.0), 0.0),
     )
     state = init_world(cfg)
@@ -304,7 +321,7 @@ def test_static_control_static_target_average_is_exact():
     cfg = WorldConfig(
         duration_s=25.0,
         tracker=StaticControl(),
-        mobility=StaticTarget(Vec2(30.0, 50.0)),
+        mobility=FixedPath(((0.0, Vec2(30.0, 50.0)),)),
         seed=6,
     )
     metrics, _ = run_simulation(cfg)
@@ -317,7 +334,7 @@ def test_noise_free_approach_of_static_target():
     cfg = WorldConfig(
         duration_s=100.0,
         tracker=HotColdConfig(sws=4),
-        mobility=StaticTarget(Vec2(100.0, 50.0)),
+        mobility=FixedPath(((0.0, Vec2(100.0, 50.0)),)),
         robot_start=Pose(Vec2(50.0, 50.0), 0.0),
         seed=7,
     )
@@ -334,7 +351,7 @@ def test_sws1_noise_free_convergence_under_500_cycles():
         cfg = WorldConfig(
             duration_s=250.0,
             tracker=HotColdConfig(sws=1),
-            mobility=StaticTarget(Vec2(50.0, 50.0)),
+            mobility=FixedPath(((0.0, Vec2(50.0, 50.0)),)),
             robot_start=Pose(Vec2(x, y), math.radians(heading_deg)),
             seed=8,
         )
@@ -359,7 +376,7 @@ def test_out_of_range_repeats_last_decision():
         channel=channel,
         halt_distance_m=1.0,
         tracker=HotColdConfig(sws=2),
-        mobility=StaticTarget(Vec2(0.0, 50.0)),
+        mobility=FixedPath(((0.0, Vec2(0.0, 50.0)),)),
         robot_start=Pose(Vec2(5.0, 50.0), 0.0),
         seed=10,
     )
@@ -373,7 +390,7 @@ def test_out_of_range_repeats_last_decision():
 def test_never_fed_tracker_stays_put_out_of_range():
     cfg = WorldConfig(
         duration_s=5.0,
-        mobility=StaticTarget(Vec2(0.0, 0.0)),
+        mobility=FixedPath(((0.0, Vec2(0.0, 0.0)),)),
         robot_start=Pose(Vec2(500.0, 0.0), 0.0),
         seed=11,
     )
@@ -400,7 +417,7 @@ def test_trilateration_world_runs_and_halts_noise_free():
     cfg = WorldConfig(
         duration_s=120.0,
         tracker=TrilaterationConfig(),
-        mobility=StaticTarget(Vec2(80.0, 60.0)),
+        mobility=FixedPath(((0.0, Vec2(80.0, 60.0)),)),
         seed=14,
     )
     metrics, _ = run_simulation(cfg)
@@ -467,7 +484,7 @@ PINNED_WORLDS = {
     "static_target": WorldConfig(
         duration_s=100.0,
         channel=_SIGMA2,
-        mobility=StaticTarget(Vec2(70.0, 35.0)),
+        mobility=FixedPath(((0.0, Vec2(70.0, 35.0)),)),
         robot_start=Pose(Vec2(20.0, 80.0), 2.0),
         seed=26,
     ),
@@ -662,7 +679,7 @@ def _worlds(draw) -> WorldConfig:
     ))
     mobility = draw(st.one_of(
         st.builds(RandomWaypoint, start=st.none() | _point),
-        st.builds(StaticTarget, _point),
+        _point.map(lambda p: FixedPath(((0.0, p),))),
         st.lists(_point, min_size=1, max_size=4).map(
             lambda points: FixedPath(tuple((20.0 * i, p) for i, p in enumerate(points)))
         ),

@@ -14,7 +14,7 @@ from hotcold.config import (
     write_default_config,
 )
 from hotcold import engine, experiments
-from hotcold.engine import TRACKERS, FixedPath, StaticControl, StaticTarget, WorldConfig
+from hotcold.engine import TRACKERS, FixedPath, StaticControl, WorldConfig
 from hotcold.experiments import (
     ExperimentGrid,
     derive_seed,
@@ -27,7 +27,7 @@ from hotcold.experiments import (
     write_summary_json,
     write_sws_difference_csv,
 )
-from hotcold.geometry import distance
+from hotcold.geometry import Vec2, distance
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
@@ -41,6 +41,15 @@ MINI_GRID = ExperimentGrid(
     comparison_sws=(2, 4),
     base=MINI_BASE,
 )
+
+
+def test_grid_axes_must_not_repeat_a_value():
+    # a repeated value ran each of its points again on the same seeds, and
+    # fig8 drew a repeated comparison SWS twice
+    for axis, values in (("sws_values", (4, 2, 4)), ("sigma_values", (2.0, 0.0, 2)),
+                         ("comparison_sws", (2, 2))):
+        with pytest.raises(ValueError, match=f"grid.{axis} repeats a value"):
+            replace(MINI_GRID, **{axis: values})
 
 
 def test_derive_seed_stable_and_distinct():
@@ -262,8 +271,8 @@ def test_every_hotcold_point_failed_has_no_best_sws(tmp_path, monkeypatch):
 
 def test_scenario_presets_geometry():
     s1 = scenario_preset("scenario1")
-    assert isinstance(s1.mobility, StaticTarget)
-    assert distance(s1.robot_start.position, s1.mobility.point) == pytest.approx(
+    assert s1.mobility == FixedPath(((0.0, Vec2(5.0, 5.0)),))  # a target that stands still
+    assert distance(s1.robot_start.position, s1.mobility.waypoints[0][1]) == pytest.approx(
         39.0512, abs=1e-4
     )
     assert math.degrees(s1.robot_start.heading_rad) == pytest.approx(50.0)
@@ -271,9 +280,10 @@ def test_scenario_presets_geometry():
 
     s2 = scenario_preset("scenario2")
     assert isinstance(s2.mobility, FixedPath)
-    end = s2.mobility.position_at(28.0)
-    assert (end.x, end.y) == (50.0, 35.0)
-    assert s2.mobility.position_at(60.0) == end  # parked at the destination
+    step = s2.mobility.step
+    end = step(math.nan, math.nan, math.nan, math.nan, s2, None, 28.0)[:2]
+    assert end == (50.0, 35.0)
+    assert step(*end, math.nan, math.nan, s2, None, 60.0)[:2] == end  # parked at the destination
 
     s3 = scenario_preset("scenario3")
     times = [t for t, _ in s3.mobility.waypoints]
@@ -295,7 +305,8 @@ def test_scenario1_noise_free_converges():
 def test_scenario3_distance_rises_then_falls():
     result = run_scenario("scenario3", iterations=2, sigma_db=2.0, master_seed=1)
     for cfg, trace in zip(result.configs, result.traces):
-        d0 = distance(cfg.robot_start.position, cfg.mobility.position_at(0.0))
+        x, y, _, _ = cfg.mobility.place(cfg, None)
+        d0 = math.hypot(cfg.robot_start.position.x - x, cfg.robot_start.position.y - y)
         ds = [math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y) for r in trace]
         assert d0 == pytest.approx(25.0)
         assert max(ds[:20]) > d0  # target initially heads away from the robot
@@ -412,7 +423,7 @@ def test_fixed_path_and_static_mobility_from_config():
     with pytest.raises(ConfigError):
         build_world(cfg)  # static target needs coordinates
     apply_overrides(cfg, ["world.target_start_x_m=5", "world.target_start_y_m=5"])
-    assert isinstance(build_world(cfg).mobility, StaticTarget)
+    assert build_world(cfg).mobility == FixedPath(((0.0, Vec2(5.0, 5.0)),))
 
 
 def test_config_file_round_trip(tmp_path):

@@ -14,7 +14,6 @@ from hotcold.engine import (
     FixedPath,
     Rect,
     StaticControl,
-    StaticTarget,
     WorldConfig,
     run_simulation,
 )
@@ -66,12 +65,12 @@ WORLDS = {
     "static_target": WorldConfig(
         duration_s=100.0,
         channel=_SIGMA2,
-        mobility=StaticTarget(Vec2(70.0, 35.0)),
+        mobility=FixedPath(((0.0, Vec2(70.0, 35.0)),)),
         robot_start=Pose(Vec2(20.0, 80.0), 2.0),
         seed=36,
     ),
     "halting": WorldConfig(
-        duration_s=100.0, channel=_SIGMA2, mobility=StaticTarget(Vec2(60.0, 50.0)), seed=37
+        duration_s=100.0, channel=_SIGMA2, mobility=FixedPath(((0.0, Vec2(60.0, 50.0)),)), seed=37
     ),
 }
 
@@ -114,7 +113,7 @@ def _worlds(draw) -> WorldConfig:
     x, y = draw(_coords), draw(_coords)
     first, last = draw(_target(x, y)), draw(_target(x, y))
     if draw(st.booleans()):
-        mobility = StaticTarget(first)
+        mobility = FixedPath(((0.0, first),))
     else:
         mobility = FixedPath(((0.0, first), (draw(st.sampled_from([0.5, 2.0])), last)))
     return WorldConfig(
@@ -127,7 +126,7 @@ def _worlds(draw) -> WorldConfig:
 @settings(derandomize=True, database=None, max_examples=300)
 @given(_worlds())
 @example(WorldConfig(
-    duration_s=0.5, tracker=StaticControl(), mobility=StaticTarget(Vec2(-0.0, 0.0)),
+    duration_s=0.5, tracker=StaticControl(), mobility=FixedPath(((0.0, Vec2(-0.0, 0.0)),)),
     robot_start=Pose(Vec2(-0.0, -0.0), 0.0),
 ))
 def test_random_traces_match_the_oracle(config):
