@@ -2,7 +2,9 @@
 
 Everything is seeded and rerunning any command with the same seed and
 arguments produces byte-identical output files. The output directory comes
-from --out-dir, or the HOTCOLD_OUT_DIR environment variable, or ./out.
+from --out-dir, or the HOTCOLD_OUT_DIR environment variable, or ./out, and
+is made only once a command's inputs pass. Only `main` reads --config and
+--set, for the commands in CONFIG_COMMANDS; the others refuse them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .channel import MAX_SHADOWING_SIGMA_DB
 from .config import ConfigError, apply_overrides, build_grid, build_world, load_config
 from .engine import run_simulation, write_metrics_json, write_trace_csv
 from .experiments import (
+    SCENARIO_ITERATIONS,
     SCENARIO_NAMES,
+    SCENARIO_SIGMA_DB,
     run_grid,
     run_scenario,
     write_exhaustive_csv,
@@ -32,7 +36,6 @@ from .experiments import (
 
 QUICK_DURATION_S = 200.0
 QUICK_RUNS = 2
-SCENARIO_SIGMA_DB = 2.0  # `scenario --sigma` default; `report` runs fig12 at it
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12")
 
@@ -108,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made once the command's inputs have passed."""
     raw = args.out_dir or os.environ.get("HOTCOLD_OUT_DIR") or "out"
     path = Path(raw)
     try:
@@ -132,8 +136,9 @@ def _load(args):
     return cfg
 
 
-def _cmd_simulate(args, out: Path) -> None:
-    world = build_world(_load(args))
+def _cmd_simulate(args) -> None:
+    world = build_world(args.cfg)
+    out = _out_dir(args)
     metrics, trace = run_simulation(world)
     write_trace_csv(trace, out / "trace.csv")
     write_metrics_json(metrics, out / "metrics.json")
@@ -144,7 +149,7 @@ def _cmd_simulate(args, out: Path) -> None:
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
 
 
-def _grid(args, grid, figures, out: Path):
+def _grid(args, grid, figures):
     """Run the grid and write grid_runs.csv plus the wanted grid figures;
     the SWS figures are dropped when the grid has no hotcold."""
     if "hotcold" not in grid.tracker_names:
@@ -155,6 +160,7 @@ def _grid(args, grid, figures, out: Path):
         print(f"warning: grid.comparison_sws {','.join(map(str, dropped))} not in "
               f"grid.sws_values: no hotcold curve for them in {', '.join(comparisons)}",
               file=sys.stderr)
+    out = _out_dir(args)
     result = run_grid(grid, workers=args.workers)
     print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
     print(f"wrote {write_grid_runs_csv(result, out)}")
@@ -164,10 +170,9 @@ def _grid(args, grid, figures, out: Path):
     return result
 
 
-def _cmd_grid(args, out: Path) -> int:
-    cfg = _load(args)
-    result = _grid(args, build_grid(cfg, build_world(cfg)), GRID_FIGURES.keys(), out)
-    return _exit_on_failures(result)
+def _cmd_grid(args) -> int:
+    grid = build_grid(args.cfg, build_world(args.cfg))
+    return _exit_on_failures(_grid(args, grid, GRID_FIGURES.keys()))
 
 
 def _exit_on_failures(result) -> int:
@@ -180,7 +185,8 @@ def _exit_on_failures(result) -> int:
     return 0
 
 
-def _rotation_sweep(out: Path):
+def _rotation_sweep(args):
+    out = _out_dir(args)
     result = rotation_sweep()
     best = result.summary(result.best_phi)
     for p in write_rotation_sweep_csvs(result, out):
@@ -190,11 +196,8 @@ def _rotation_sweep(out: Path):
     return result
 
 
-def _cmd_rotation_sweep(args, out: Path) -> None:
-    _rotation_sweep(out)
-
-
-def _exhaustive_sweep(out: Path):
+def _exhaustive_sweep(args):
+    out = _out_dir(args)
     result = exhaustive_sweep()
     print(f"wrote {write_exhaustive_csv(result, out)}")
     print(f"exhaustive-sweep: {result.total_runs} runs, best angle {result.best_phi} deg, "
@@ -202,11 +205,7 @@ def _exhaustive_sweep(out: Path):
     return result
 
 
-def _cmd_exhaustive_sweep(args, out: Path) -> None:
-    _exhaustive_sweep(out)
-
-
-def _cmd_verify_lemmas(args, out: Path) -> int:
+def _cmd_verify_lemmas(args) -> int:
     import numpy as np
 
     seed = args.seed if args.seed is not None else 0
@@ -222,45 +221,47 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
 
 
 def _scenario_iterations(args) -> int:
-    iterations = args.runs if args.runs is not None else (QUICK_RUNS if args.quick else 4)
+    default = QUICK_RUNS if args.quick else SCENARIO_ITERATIONS
+    iterations = default if args.runs is None else args.runs
     if iterations < 1:
         raise ConfigError(f"--runs must be >= 1 for a scenario, got {iterations}")
     return iterations
 
 
-def _scenario(args, preset: str, sigma_db: float, iterations: int, out: Path) -> None:
-    seed = args.seed if args.seed is not None else 1
-    result = run_scenario(preset, iterations=iterations, sigma_db=sigma_db, master_seed=seed)
-    print(f"wrote {write_scenario_csv(result, out)}")
+def _scenario(args, preset: str, sigma_db: float, iterations: int) -> None:
+    master = {} if args.seed is None else {"master_seed": args.seed}
+    result = run_scenario(preset, iterations=iterations, sigma_db=sigma_db, **master)
+    print(f"wrote {write_scenario_csv(result, _out_dir(args))}")
     for i, m in enumerate(result.metrics):
         print(f"{preset} iteration {i}: average distance {m.average_distance_m:.2f} m, "
               f"in halt {m.cycles_in_halt_pct:.1f}%")
 
 
-def _cmd_scenario(args, out: Path) -> None:
+def _cmd_scenario(args) -> None:
     sigma = args.sigma
     if not 0.0 <= sigma <= MAX_SHADOWING_SIGMA_DB:
         raise ConfigError(f"--sigma must be in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {sigma}")
-    _scenario(args, args.preset, sigma, _scenario_iterations(args), out)
+    _scenario(args, args.preset, sigma, _scenario_iterations(args))
 
 
-def _cmd_report(args, out: Path) -> int:
+def _cmd_report(args) -> int:
     wanted = {f.strip() for f in args.figures.split(",") if f.strip()}
     unknown = wanted - set(FIGURE_NAMES)
     if unknown:
         raise ConfigError(f"unknown figures {sorted(unknown)}; choose from {FIGURE_NAMES}")
-    cfg = _load(args)
+    cfg = args.cfg
     grid = build_grid(cfg, build_world(cfg)) if wanted & GRID_FIGURES.keys() else None
     if wanted & SWS_FIGURES and "hotcold" not in grid.tracker_names:
         raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
-    # checked before any figure is written
+    # checked before the output directory is made
     iterations = _scenario_iterations(args) if "fig12" in wanted else None
-    rotation = _rotation_sweep(out) if wanted & {"fig2", "fig3"} else None
-    exhaustive = _exhaustive_sweep(out) if "fig4" in wanted else None
-    grid_result = _grid(args, grid, wanted, out) if grid else None
-    if "fig12" in wanted:
+    out = _out_dir(args)
+    rotation = _rotation_sweep(args) if wanted & {"fig2", "fig3"} else None
+    exhaustive = _exhaustive_sweep(args) if "fig4" in wanted else None
+    grid_result = _grid(args, grid, wanted) if grid else None
+    if "fig12" in wanted:  # the presets, whatever the config
         for name in SCENARIO_NAMES:
-            _scenario(args, name, SCENARIO_SIGMA_DB, iterations, out)
+            _scenario(args, name, SCENARIO_SIGMA_DB, iterations)
     print(f"wrote {write_summary_json(out, rotation, exhaustive, grid_result)}")
     return 0 if grid_result is None else _exit_on_failures(grid_result)
 
@@ -268,18 +269,25 @@ def _cmd_report(args, out: Path) -> int:
 COMMANDS = {
     "simulate": _cmd_simulate,
     "grid": _cmd_grid,
-    "rotation-sweep": _cmd_rotation_sweep,
-    "exhaustive-sweep": _cmd_exhaustive_sweep,
+    "rotation-sweep": _rotation_sweep,
+    "exhaustive-sweep": _exhaustive_sweep,
     "verify-lemmas": _cmd_verify_lemmas,
     "scenario": _cmd_scenario,
     "report": _cmd_report,
 }
+CONFIG_COMMANDS = ("simulate", "grid", "report")  # the commands that read --config/--set
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args, _out_dir(args)) or 0
+        if args.command in CONFIG_COMMANDS:
+            args.cfg = _load(args)
+        elif args.config is not None or args.overrides:
+            raise ConfigError(f"{args.command} reads no config; --config and --set are for "
+                              f"{', '.join(CONFIG_COMMANDS)}")
+        status = COMMANDS[args.command](args)
+        return status if isinstance(status, int) else 0  # a sweep returns its result
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

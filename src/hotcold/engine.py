@@ -476,13 +476,6 @@ def sensor_reading_cm(ox: float, oy: float, heading_rad: float, obstacles: Seque
 # stepping
 
 
-# An Enum member lookup costs a Python-level call, and the cycle loop needs
-# these every cycle: the members are bound once here.
-_ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
-_HALT = DecisionKind.HALT
-_AVOID = DecisionKind.AVOID
-
-
 def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> WorldState:
     """Advance the world by `cycles` broadcast cycles and add them to the run's sums.
 
@@ -504,6 +497,8 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
     t, x, y, heading = state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad
     tx, ty, wx, wy = state.target_x, state.target_y, state.waypoint_x, state.waypoint_y
     last = state.last_decision
+    rotate_kind, halt_kind, avoid_kind = (
+        DecisionKind.ROTATE_THEN_MOVE, DecisionKind.HALT, DecisionKind.AVOID)
     distance_sum, in_range_sum, in_halt_sum = (
         state.distance_sum, state.cycles_in_range, state.cycles_in_halt)
 
@@ -524,12 +519,12 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
 
         if act is not None:
             kind = act.kind
-            if kind is _AVOID:  # back up along the heading, then turn
+            if kind is avoid_kind:  # back up along the heading, then turn
                 x -= AVOID_BACK_UP_M * cos(heading)
                 y -= AVOID_BACK_UP_M * sin(heading)
                 heading = rotate_(heading, radians(act.rotation_deg))
-            elif kind is not _HALT:
-                if kind is _ROTATE_THEN_MOVE:
+            elif kind is not halt_kind:
+                if kind is rotate_kind:
                     heading = rotate_(heading, radians(act.rotation_deg))
                 x, y = advance_(x, y, heading, robot_step_m)
 
@@ -540,7 +535,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
         if trace is not None:
             if act is None:
                 label = "none"
-            elif act.kind is _AVOID:
+            elif act.kind is avoid_kind:
                 label = AVOID_LABELS[act.rotation_deg]
             else:
                 label = act.label

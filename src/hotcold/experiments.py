@@ -16,17 +16,15 @@ from functools import cached_property
 from pathlib import Path
 
 from .analysis import ExhaustiveSweepResult, RotationSweepResult, verify_convergence
-from .channel import ChannelParams
 from .engine import (
     CycleRecord,
-    FixedPath,
     MetricsReport,
     StaticControl,
     Tracker,
     WorldConfig,
     run_simulation,
 )
-from .geometry import Pose, Vec2, distance
+from .geometry import distance
 from .tracker import HotColdConfig
 from .trilateration import TrilaterationConfig
 
@@ -192,56 +190,40 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
 # ---------------------------------------------------------------------------
 # scenario presets
 
-SCENARIO_NAMES = ("scenario1", "scenario2", "scenario3")
+SCENARIO_SIGMA_DB = 2.0  # `scenario --sigma` default; `report` runs fig12 at it
+SCENARIO_ITERATIONS = 4
+
+# Gym-scale presets as [world] keys laid over the default config (Hot-Cold at
+# its default SWS 4): static, straight-line and zigzag target paths. The space
+# covers every declared waypoint (the straight-line path ends outside the
+# nominal 35x40 room). The timed paths own the target kinematics: where a
+# path's implied speed disagrees with the nominal target speed, the waypoint
+# times win.
+_GYM = {"width_m": "55", "height_m": "45", "duration_s": "60",
+        "robot_speed_kmh": "10", "target_speed_kmh": "5"}
+SCENARIO_WORLDS = {
+    "scenario1": {**_GYM, "mobility": "static", "target_start_x_m": "5", "target_start_y_m": "5",
+                  "robot_start_x_m": "30", "robot_start_y_m": "35", "robot_heading_deg": "50"},
+    "scenario2": {**_GYM, "mobility": "fixed_path", "fixed_path": "0:5:5; 28:50:35",
+                  "robot_start_x_m": "30", "robot_start_y_m": "5"},
+    "scenario3": {**_GYM, "mobility": "fixed_path",
+                  "fixed_path": "0:5:5; 10:5:11.5; 30:30:25; 50.5:5:35",
+                  "robot_start_x_m": "30", "robot_start_y_m": "5"},
+}
+SCENARIO_NAMES = tuple(SCENARIO_WORLDS)
 
 
-def scenario_preset(name: str, sigma_db: float = 2.0, seed: int = 1) -> WorldConfig:
-    """Gym-scale presets: static, straight-line, and zigzag target paths.
+def scenario_preset(name: str, sigma_db: float = SCENARIO_SIGMA_DB, seed: int = 1) -> WorldConfig:
+    """The world of preset `name`: its keys, the shadowing sigma and the seed
+    over the default config, built as `simulate` builds one."""
+    from .config import build_world, default_config  # imported here: config imports this module
 
-    The timed paths own the target kinematics; where a path's implied speed
-    disagrees with the nominal target speed, the waypoint times win. The
-    space is sized to cover every declared waypoint (the straight-line
-    scenario ends outside the nominal 35x40 room), keeping the paths intact.
-    """
-    channel = ChannelParams(shadowing_sigma_db=sigma_db)
-    common = dict(
-        width_m=55.0,
-        height_m=45.0,
-        duration_s=60.0,
-        cycle_period_s=0.5,
-        robot_speed_kmh=10.0,
-        target_speed_kmh=5.0,
-        halt_distance_m=3.0,
-        channel=channel,
-        tracker=HotColdConfig(sws=4),
-        seed=seed,
-    )
-    if name == "scenario1":
-        return WorldConfig(
-            mobility=FixedPath(((0.0, Vec2(5.0, 5.0)),)),
-            robot_start=Pose(Vec2(30.0, 35.0), math.radians(50.0)),
-            **common,
-        )
-    if name == "scenario2":
-        return WorldConfig(
-            mobility=FixedPath(((0.0, Vec2(5.0, 5.0)), (28.0, Vec2(50.0, 35.0)))),
-            robot_start=Pose(Vec2(30.0, 5.0), 0.0),
-            **common,
-        )
-    if name == "scenario3":
-        return WorldConfig(
-            mobility=FixedPath(
-                (
-                    (0.0, Vec2(5.0, 5.0)),
-                    (10.0, Vec2(5.0, 11.5)),
-                    (30.0, Vec2(30.0, 25.0)),
-                    (50.5, Vec2(5.0, 35.0)),
-                )
-            ),
-            robot_start=Pose(Vec2(30.0, 5.0), 0.0),
-            **common,
-        )
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    if name not in SCENARIO_WORLDS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    cfg = default_config()
+    cfg["world"].update(SCENARIO_WORLDS[name], seed=str(seed))
+    cfg["channel"]["shadowing_sigma_db"] = str(sigma_db)
+    return build_world(cfg)
 
 
 @dataclass(frozen=True)
@@ -253,7 +235,10 @@ class ScenarioResult:
 
 
 def run_scenario(
-    name: str, iterations: int = 4, sigma_db: float = 2.0, master_seed: int = 1
+    name: str,
+    iterations: int = SCENARIO_ITERATIONS,
+    sigma_db: float = SCENARIO_SIGMA_DB,
+    master_seed: int = 1,
 ) -> ScenarioResult:
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

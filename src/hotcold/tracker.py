@@ -12,38 +12,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 from .geometry import require_finite_fields
 
 
-class DecisionKind(Enum):
+class DecisionKind:
+    """The kinds of decision, each its own trace label."""
+
     MOVE_FORWARD = "move_forward"
     ROTATE_THEN_MOVE = "rotate_then_move"
     HALT = "halt"
     AVOID = "avoid"  # obstacle avoidance: back up, then turn; preempts the tracker
 
 
-# bound once: an Enum member lookup costs about as much as a whole decision
-_ROTATE_THEN_MOVE = DecisionKind.ROTATE_THEN_MOVE
-_AVOID = DecisionKind.AVOID
-
-
 class TrackerDecision(NamedTuple):
     """One cycle's movement command; rotation_deg is signed, CCW positive.
     A NamedTuple: the trilateration tracker builds one per steering cycle."""
 
-    kind: DecisionKind
+    kind: str  # a DecisionKind
     rotation_deg: float = 0.0
 
     @property
     def label(self) -> str:  # the trace label, built only for a run that keeps a trace
-        kind = self.kind  # _value_, the plain attribute: Enum.value is a property call
-        if kind is _ROTATE_THEN_MOVE or kind is _AVOID:  # the kinds that carry an angle
-            return f"{kind._value_}({self.rotation_deg:+.4f})"
-        return kind._value_
+        kind = self.kind
+        if kind is DecisionKind.ROTATE_THEN_MOVE or kind is DecisionKind.AVOID:  # carry an angle
+            return f"{kind}({self.rotation_deg:+.4f})"
+        return kind
 
 
 MOVE_FORWARD = TrackerDecision(DecisionKind.MOVE_FORWARD)
@@ -51,7 +47,7 @@ HALT = TrackerDecision(DecisionKind.HALT)
 
 
 def rotate_then_move(angle_deg: float) -> TrackerDecision:
-    return TrackerDecision(_ROTATE_THEN_MOVE, angle_deg)
+    return TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle_deg)
 
 
 @dataclass(frozen=True)

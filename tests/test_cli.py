@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hotcold import experiments
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
+from hotcold.engine import write_trace_csv
 from hotcold.tracker import HotColdConfig
 
 
@@ -101,8 +102,28 @@ def test_rotation_sweep_command(tmp_path, capsys):
 
 
 def test_verify_lemmas_command(capsys, tmp_path):
-    assert run_cli(["--out-dir", str(tmp_path), "verify-lemmas"]) == 0
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", str(out), "verify-lemmas"]) == 0
     assert "violations 0" in capsys.readouterr().out
+    assert not out.exists()  # it writes nothing
+
+
+CONFIG_FREE_COMMANDS = [
+    ["rotation-sweep"], ["exhaustive-sweep"], ["verify-lemmas"],
+    ["scenario", "--preset", "scenario1"],
+]
+
+
+@pytest.mark.parametrize("command", CONFIG_FREE_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("flag", ["--config", "--set"])
+def test_config_free_commands_refuse_config_and_set(tmp_path, capsys, command, flag):
+    value = str(tmp_path / "missing.ini") if flag == "--config" else "world.seed=1"
+    out = tmp_path / "out"
+    assert run_cli([flag, value, "--out-dir", str(out)] + command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--config and --set" in err
+    assert not out.exists()
 
 
 def test_scenario_command(tmp_path):
@@ -114,6 +135,35 @@ def test_scenario_command(tmp_path):
     lines = (out / "fig12_scenario2.csv").read_text().splitlines()
     assert lines[0] == "iteration,time_s,distance_m"
     assert lines[1].startswith("0,0.000000,25.")
+
+
+@pytest.mark.parametrize("name", experiments.SCENARIO_NAMES)
+def test_scenario_iteration_is_the_simulate_run_of_its_keys(tmp_path, capsys, name):
+    sigma, iteration = experiments.SCENARIO_SIGMA_DB, 1
+    scenario = ["--seed", "3", "--runs", "2", "--out-dir", str(tmp_path / "scenario")]
+    assert run_cli(scenario + ["scenario", "--preset", name]) == 0
+    keys = ["--set", f"channel.shadowing_sigma_db={sigma}"]
+    for key, value in experiments.SCENARIO_WORLDS[name].items():
+        keys += ["--set", f"world.{key}={value}"]
+    seed = experiments.derive_seed(3, name, sigma, iteration)
+    sim = tmp_path / "sim"
+    assert run_cli(["--seed", str(seed), "--out-dir", str(sim)] + keys + ["simulate"]) == 0
+
+    fig12 = (tmp_path / "scenario" / f"fig12_{name}.csv").read_text().splitlines()[1:]
+    rows = [row.split(",") for row in fig12 if row.startswith(f"{iteration},")][1:]  # after t=0
+    trace = [row.split(",") for row in (sim / "trace.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(trace) == 120
+    for (_, time_s, gap), (t, x, y, _, tx, ty, *_) in zip(rows, trace):
+        assert time_s == t
+        # the trace prints positions to 1e-6 m
+        assert float(gap) == pytest.approx(math.hypot(float(x) - float(tx), float(y) - float(ty)),
+                                           abs=3e-6)
+    # and bit for bit: the iteration's own trace and metrics
+    result = experiments.run_scenario(name, 2, sigma, 3)
+    write_trace_csv(result.traces[iteration], tmp_path / "iteration.csv")
+    assert (tmp_path / "iteration.csv").read_bytes() == (sim / "trace.csv").read_bytes()
+    metrics = json.loads((sim / "metrics.json").read_text())
+    assert metrics["average_distance_m"] == result.metrics[iteration].average_distance_m
 
 
 def test_report_figures_subset(tmp_path):
@@ -202,66 +252,68 @@ def test_grid_and_report_write_the_same_figures(tmp_path):
 
 
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):
-    assert run_cli(["--out-dir", str(tmp_path), "report", "--figures", "fig99"]) == 2
+    out = tmp_path / "out"  # an input error must not make it
+    assert run_cli(["--out-dir", str(out), "report", "--figures", "fig99"]) == 2
     no_hotcold = ["--set", "grid.trackers=static", "report", "--figures", "fig5"]
-    assert run_cli(["--out-dir", str(tmp_path)] + no_hotcold) == 2
+    assert run_cli(["--out-dir", str(out)] + no_hotcold) == 2
     assert (
-        run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1.3", "simulate"]) == 2
+        run_cli(["--out-dir", str(out), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
-    assert run_cli(["--out-dir", str(tmp_path), "--set", "world.duration_s=1e12", "simulate"]) == 2
+    assert run_cli(["--out-dir", str(out), "--set", "world.duration_s=1e12", "simulate"]) == 2
     # a step of inf m, and finite positions whose distance sum overflows
     for duration, period in (("1e308", "1e305"), ("1e306", "1e303")):
         overflow = ["--set", f"world.duration_s={duration}", "--set", f"world.cycle_period_s={period}"]
-        assert run_cli(["--out-dir", str(tmp_path)] + overflow + ["simulate"]) == 2
-        assert run_cli(["--out-dir", str(tmp_path), "--quick"] + overflow + ["grid"]) == 2
-        assert not any(tmp_path.iterdir())
+        assert run_cli(["--out-dir", str(out)] + overflow + ["simulate"]) == 2
+        assert run_cli(["--out-dir", str(out), "--quick"] + overflow + ["grid"]) == 2
+        assert not out.exists()
     # a robot that starts inside an obstacle reads 0 cm on both sensors and only ever avoids
     trapped = ["--set", "world.obstacles=45:45:55:55", "simulate"]
-    assert run_cli(["--out-dir", str(tmp_path)] + trapped) == 2
-    assert not any(tmp_path.iterdir())
-    assert run_cli(["--out-dir", str(tmp_path), "--set", "bogus=1", "simulate"]) == 2
+    assert run_cli(["--out-dir", str(out)] + trapped) == 2
+    assert not out.exists()
+    assert run_cli(["--out-dir", str(out), "--set", "bogus=1", "simulate"]) == 2
     # Hot-Cold always moves the world's robot step: no step size key
-    assert run_cli(["--out-dir", str(tmp_path), "--set", "hotcold.step_size_m=1", "simulate"]) == 2
+    assert run_cli(["--out-dir", str(out), "--set", "hotcold.step_size_m=1", "simulate"]) == 2
     # a grid axis value that no point's channel or tracker config accepts
     for axis in ("grid.sigma_values=-1", "grid.sigma_values=nan", "grid.sws_values=0"):
-        assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--set", axis, "grid"]) == 2
+        assert run_cli(TINY_GRID + ["--out-dir", str(out), "--set", axis, "grid"]) == 2
     # a repeated axis value ran its points again on the same seeds and drew
     # its fig8 curve twice, each std taken over the duplicated runs
     capsys.readouterr()
     for axis in ("grid.sws_values=4,4", "grid.sigma_values=2,2", "grid.comparison_sws=4,4"):
-        assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path), "--set", axis, "grid"]) == 2
+        assert run_cli(TINY_GRID + ["--out-dir", str(out), "--set", axis, "grid"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "repeats a value" in err
     repeated = ["--runs", "2", "--set", "world.duration_s=5", "--set", "grid.sigma_values=2,2",
                 "--set", "grid.sws_values=4,4", "--set", "grid.comparison_sws=4,4", "grid"]
-    assert run_cli(["--out-dir", str(tmp_path)] + repeated) == 2
+    assert run_cli(["--out-dir", str(out)] + repeated) == 2
     assert capsys.readouterr().err.count("\n") == 1
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
     # a target start beyond the robot start's bound was clamped into the space
     far = ["--set", "world.target_start_x_m=1e300", "--set", "world.target_start_y_m=-1e300",
            "--set", "world.duration_s=2", "simulate"]
     for mobility in ("random_waypoint", "static"):
-        assert run_cli(["--out-dir", str(tmp_path), "--set", f"world.mobility={mobility}"] + far) == 2
+        assert run_cli(["--out-dir", str(out), "--set", f"world.mobility={mobility}"] + far) == 2
         assert "world.target_start_x_m/y_m" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
     # a target start that would be ignored: half set, or under a fixed path
     fixed = ["--set", "world.mobility=fixed_path", "--set", "world.fixed_path=0:10:10"]
     for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):
         args = start + ["--set", "world.target_start_x_m=10", "simulate"]
-        assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+        assert run_cli(["--out-dir", str(out)] + args) == 2
     # a fixed path that would be ignored under another mobility model
     static = ["--set", "world.mobility=static", "--set", "world.target_start_x_m=10",
               "--set", "world.target_start_y_m=10"]
     for mobility in ([], static):
         args = mobility + ["--set", "world.duration_s=50", "--set",
                            "world.fixed_path=0:10:10; 30:90:90", "simulate"]
-        assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+        assert run_cli(["--out-dir", str(out)] + args) == 2
     # a clockwise turn is a negative rotation angle: no direction key
     direction = ["--set", "hotcold.rotation_direction=cw", "simulate"]
-    assert run_cli(["--out-dir", str(tmp_path)] + direction) == 2
-    assert not any(tmp_path.iterdir())
+    assert run_cli(["--out-dir", str(out)] + direction) == 2
+    assert not out.exists()
     # numpy rejects a negative seed with a traceback; the CLI checks it first
-    assert run_cli(["--out-dir", str(tmp_path), "--seed", "-1", "verify-lemmas"]) == 2
+    assert run_cli(["--out-dir", str(out), "--seed", "-1", "verify-lemmas"]) == 2
+    assert not out.exists()
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
 
@@ -276,9 +328,10 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     ],
 )
 def test_non_finite_config_values_exit_2(tmp_path, capsys, override):
-    assert run_cli(["--out-dir", str(tmp_path), "--set", override, "simulate"]) == 2
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", str(out), "--set", override, "simulate"]) == 2
     assert "must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "trace.csv").exists()
+    assert not out.exists()
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):
@@ -425,7 +478,7 @@ def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, ar
     assert run_cli(["--config", str(config), "--out-dir", str(out)] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_grid_honours_the_tracker_sections(tmp_path, capsys):
@@ -579,9 +632,10 @@ def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, command):
     ],
 )
 def test_scenario_flags_out_of_bounds_exit_2(tmp_path, capsys, args):
-    assert run_cli(["--out-dir", str(tmp_path)] + args) == 2
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", str(out)] + args) == 2
     assert capsys.readouterr().err.startswith("error: --")
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -27,7 +27,8 @@ from hotcold.experiments import (
     write_summary_json,
     write_sws_difference_csv,
 )
-from hotcold.geometry import Vec2, distance
+from hotcold.channel import ChannelParams
+from hotcold.geometry import Pose, Vec2, distance
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
 
@@ -290,6 +291,30 @@ def test_scenario_presets_geometry():
     assert times == [0.0, 10.0, 30.0, 50.5]
     with pytest.raises(ValueError):
         scenario_preset("scenario9")
+
+
+def _literal_preset(name: str, sigma_db: float, seed: int) -> WorldConfig:
+    """The presets as they were written by hand before they became INI keys."""
+    common = dict(
+        width_m=55.0, height_m=45.0, duration_s=60.0, cycle_period_s=0.5, robot_speed_kmh=10.0,
+        target_speed_kmh=5.0, halt_distance_m=3.0, channel=ChannelParams(shadowing_sigma_db=sigma_db),
+        tracker=HotColdConfig(sws=4), seed=seed,
+    )
+    if name == "scenario1":
+        return WorldConfig(mobility=FixedPath(((0.0, Vec2(5.0, 5.0)),)),
+                           robot_start=Pose(Vec2(30.0, 35.0), math.radians(50.0)), **common)
+    path = ((0.0, Vec2(5.0, 5.0)), (28.0, Vec2(50.0, 35.0))) if name == "scenario2" else (
+        (0.0, Vec2(5.0, 5.0)), (10.0, Vec2(5.0, 11.5)), (30.0, Vec2(30.0, 25.0)),
+        (50.5, Vec2(5.0, 35.0)))
+    return WorldConfig(mobility=FixedPath(path), robot_start=Pose(Vec2(30.0, 5.0), 0.0), **common)
+
+
+@pytest.mark.parametrize("name", experiments.SCENARIO_NAMES)
+def test_scenario_preset_keys_build_the_hand_written_worlds(name):
+    for sigma in (0.0, 0.1, 1 / 3, 100.0):
+        for seed in (0, 7, derive_seed(1, name, sigma, 0)):
+            built, literal = scenario_preset(name, sigma, seed), _literal_preset(name, sigma, seed)
+            assert built == literal and repr(built) == repr(literal), (sigma, seed)
 
 
 def test_scenario1_noise_free_converges():
