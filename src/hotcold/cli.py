@@ -3,8 +3,9 @@
 Everything is seeded and rerunning any command with the same seed and
 arguments produces byte-identical output files. The output directory comes
 from --out-dir, or the HOTCOLD_OUT_DIR environment variable, or ./out, and
-is made only once a command's inputs pass. Only `main` reads --config and
---set, for the commands in CONFIG_COMMANDS; the others refuse them.
+is made only once a command's inputs pass. `main` refuses a global flag
+that the command does not read (COMMANDS lists the ones each reads), and is
+the one place that reads --config and --set.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=positive_int,
-        default=1,
-        help="parallel grid workers (the pool gets at most one per job and per usable CPU)",
+        help="parallel grid workers, default 1 "
+        "(the pool gets at most one per job and per usable CPU)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -161,7 +162,7 @@ def _grid(args, grid, figures):
               f"grid.sws_values: no hotcold curve for them in {', '.join(comparisons)}",
               file=sys.stderr)
     out = _out_dir(args)
-    result = run_grid(grid, workers=args.workers)
+    result = run_grid(grid, workers=args.workers or 1)
     print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
     print(f"wrote {write_grid_runs_csv(result, out)}")
     for fig, (metric, writer) in GRID_FIGURES.items():
@@ -262,31 +263,39 @@ def _cmd_report(args) -> int:
     if "fig12" in wanted:  # the presets, whatever the config
         for name in SCENARIO_NAMES:
             _scenario(args, name, SCENARIO_SIGMA_DB, iterations)
-    print(f"wrote {write_summary_json(out, rotation, exhaustive, grid_result)}")
+    convergence = verify_convergence()  # at seed 0, whatever --seed says
+    print(f"wrote {write_summary_json(out, convergence, rotation, exhaustive, grid_result)}")
     return 0 if grid_result is None else _exit_on_failures(grid_result)
 
 
+# global flag -> the attribute argparse gives it
+GLOBAL_FLAGS = {"--config": "config", "--set": "overrides", "--seed": "seed",
+                "--out-dir": "out_dir", "--runs": "runs", "--quick": "quick", "--workers": "workers"}
+# command -> (handler, the global flags it reads); main refuses the others
 COMMANDS = {
-    "simulate": _cmd_simulate,
-    "grid": _cmd_grid,
-    "rotation-sweep": _rotation_sweep,
-    "exhaustive-sweep": _exhaustive_sweep,
-    "verify-lemmas": _cmd_verify_lemmas,
-    "scenario": _cmd_scenario,
-    "report": _cmd_report,
+    "simulate": (_cmd_simulate, ("--config", "--set", "--seed", "--quick", "--out-dir")),
+    "grid": (_cmd_grid, tuple(GLOBAL_FLAGS)),
+    "rotation-sweep": (_rotation_sweep, ("--out-dir",)),
+    "exhaustive-sweep": (_exhaustive_sweep, ("--out-dir",)),
+    "verify-lemmas": (_cmd_verify_lemmas, ("--seed",)),
+    "scenario": (_cmd_scenario, ("--seed", "--runs", "--quick", "--out-dir")),
+    "report": (_cmd_report, tuple(GLOBAL_FLAGS)),
 }
-CONFIG_COMMANDS = ("simulate", "grid", "report")  # the commands that read --config/--set
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command, reads = COMMANDS[args.command]
     try:
-        if args.command in CONFIG_COMMANDS:
+        unread = [flag for flag, dest in GLOBAL_FLAGS.items()
+                  if flag not in reads and getattr(args, dest) != parser.get_default(dest)]
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}; "
+                              f"it reads {', '.join(reads)}")
+        if "--config" in reads:
             args.cfg = _load(args)
-        elif args.config is not None or args.overrides:
-            raise ConfigError(f"{args.command} reads no config; --config and --set are for "
-                              f"{', '.join(CONFIG_COMMANDS)}")
-        status = COMMANDS[args.command](args)
+        status = command(args)
         return status if isinstance(status, int) else 0  # a sweep returns its result
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ One flat, versioned schema with sections [meta], [world], [channel],
 [hotcold], [trilateration], and [grid]. Each config dataclass is the schema
 of its section: every field of a type read from one value (int, float,
 float | None, a tuple of numbers) is the key of the same name, with the
-field's default. The composite [world] keys (tracker, mobility,
-starts, fixed path, obstacles) and grid.trackers are read by hand. Any key
+field's default. The composite [world] keys (tracker, mobility, robot
+start, fixed path, obstacles) and grid.trackers are read by hand. Any key
 can be overridden on the command line as section.key=value. Blank values
 mean "derive a default" where the schema says so.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .channel import ChannelParams
-from .engine import MAX_EXTENT_M, TRACKERS, FixedPath, RandomWaypoint, Rect, WorldConfig, within_extent
+from .engine import TRACKERS, FixedPath, RandomWaypoint, Rect, WorldConfig
 from .experiments import ExperimentGrid
 from .geometry import Pose, Vec2
 
@@ -93,13 +93,11 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "world": {
         **_section(WorldConfig),
         "tracker": "hotcold",  # hotcold | trilateration | static
-        "mobility": "random_waypoint",  # random_waypoint | static | fixed_path
+        "mobility": "random_waypoint",  # random_waypoint | fixed_path
         "robot_start_x_m": "",  # blank: space center
         "robot_start_y_m": "",
         "robot_heading_deg": "0.0",
-        "target_start_x_m": "",  # blank: drawn uniformly (random_waypoint only)
-        "target_start_y_m": "",
-        "fixed_path": "",  # "t:x:y; t:x:y; ..." for mobility=fixed_path
+        "fixed_path": "",  # "t:x:y; t:x:y; ..." for mobility=fixed_path; one point stands still
         "obstacles": "",  # "xmin:ymin:xmax:ymax; ..." axis-aligned rectangles
     },
     "channel": _section(ChannelParams),
@@ -189,48 +187,28 @@ def build_tracker(cfg, name: str, key: str = "world.tracker"):
     return _read(cfg, name, trackers[name])
 
 
-def _start(cfg, what: str) -> Vec2 | None:
-    """The world.<what>_start_x_m/y_m point; None when both are blank."""
-    x = _get(cfg, "world", f"{what}_start_x_m", float | None)
-    y = _get(cfg, "world", f"{what}_start_y_m", float | None)
-    if (x is None) != (y is None):
-        raise ConfigError(f"set both or neither of world.{what}_start_x_m / {what}_start_y_m")
-    return None if x is None else Vec2(x, y)
-
-
 def build_mobility(cfg):
+    """The target's mobility model; its own checks raise ValueError."""
     name = cfg["world"]["mobility"].strip().lower()
-    try:
-        start = _start(cfg, "target")
-        if start is not None and not within_extent(start):
-            raise ConfigError(f"world.target_start_x_m/y_m must lie within +-{MAX_EXTENT_M:g} m, "
-                              f"got ({start.x}, {start.y})")
-        if name != "fixed_path" and cfg["world"]["fixed_path"].strip():
-            raise ConfigError(f"world.fixed_path needs mobility=fixed_path, got {name!r}")
-        if name == "random_waypoint":
-            return RandomWaypoint(start=start)
-        if name == "static":
-            if start is None:
-                raise ConfigError("mobility=static requires world.target_start_x_m/y_m")
-            return FixedPath(((0.0, start),))  # a one-waypoint path stands still
-        if name == "fixed_path":
-            if start is not None:
-                raise ConfigError("mobility=fixed_path starts at its first waypoint; "
-                                  "leave world.target_start_x_m/y_m blank")
-            rows = _parse_points(cfg["world"]["fixed_path"], "world.fixed_path", 3)
-            if not rows:
-                raise ConfigError("mobility=fixed_path requires world.fixed_path waypoints")
-            return FixedPath(tuple((t, Vec2(x, y)) for t, x, y in rows))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"world.mobility must be random_waypoint, static, or fixed_path, got {name!r}"
-    )
+    if name != "fixed_path" and cfg["world"]["fixed_path"].strip():
+        raise ConfigError(f"world.fixed_path needs mobility=fixed_path, got {name!r}")
+    if name == "random_waypoint":
+        return RandomWaypoint()
+    if name == "fixed_path":  # a one-waypoint path stands still
+        rows = _parse_points(cfg["world"]["fixed_path"], "world.fixed_path", 3)
+        if not rows:
+            raise ConfigError("mobility=fixed_path requires world.fixed_path waypoints")
+        return FixedPath(tuple((t, Vec2(x, y)) for t, x, y in rows))
+    raise ConfigError(f"world.mobility must be random_waypoint or fixed_path, got {name!r}")
 
 
 def build_world(cfg) -> WorldConfig:
     try:
-        start = _start(cfg, "robot")
+        x = _get(cfg, "world", "robot_start_x_m", float | None)
+        y = _get(cfg, "world", "robot_start_y_m", float | None)
+        if (x is None) != (y is None):
+            raise ConfigError("set both or neither of world.robot_start_x_m / robot_start_y_m")
+        start = None if x is None else Vec2(x, y)
         heading = math.radians(_get(cfg, "world", "robot_heading_deg", float))
         obstacles = tuple(
             Rect(*row) for row in _parse_points(cfg["world"]["obstacles"], "world.obstacles", 4)

@@ -87,18 +87,12 @@ class StaticControl:
 
 @dataclass(frozen=True)
 class RandomWaypoint:
-    """Walk at constant speed to uniformly drawn points; zero pause on arrival."""
-
-    start: Vec2 | None = None  # None: drawn uniformly in the space
-
-    def __post_init__(self) -> None:
-        if self.start is not None and not within_extent(self.start):
-            raise ValueError(f"target start {self.start} is beyond +-{MAX_EXTENT_M:g} m")
+    """Start at a uniformly drawn point and walk at constant speed to
+    uniformly drawn points; zero pause on arrival."""
 
     def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
-        # draw order is fixed: start point first (when not given), then waypoint
-        x, y = _uniform_point(config, rng) if self.start is None else (self.start.x, self.start.y)
-        return (*_clamp_to_space(x, y, config), *_uniform_point(config, rng))
+        # draw order is fixed: start point first, then waypoint
+        return (*_uniform_point(config, rng), *_uniform_point(config, rng))
 
     def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
              rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
@@ -229,10 +223,8 @@ class WorldConfig:
         return self.target_speed_kmh * KMH_TO_MS * self.cycle_period_s
 
     def halt_threshold_dbm(self) -> float:
-        """Tracker halt threshold: explicit when given, else the signal level
-        at the configured halt distance."""
-        explicit = getattr(self.tracker, "halt_threshold_dbm", None)
-        return noiseless_rssi(self.halt_distance_m, self.channel) if explicit is None else explicit
+        """Tracker halt threshold: the signal level at the halt distance."""
+        return noiseless_rssi(self.halt_distance_m, self.channel)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .analysis import ExhaustiveSweepResult, RotationSweepResult, verify_convergence
+from .analysis import ConvergenceReport, ExhaustiveSweepResult, RotationSweepResult
 from .engine import (
     CycleRecord,
     MetricsReport,
@@ -30,7 +30,8 @@ from .trilateration import TrilaterationConfig
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    """Stable 63-bit seed from the master seed and any point coordinates."""
+    """Stable 63-bit seed from the master seed and any point coordinates.
+    Callers pass a sigma as a float: str(2) and str(2.0) hash apart."""
     text = "|".join([str(master_seed), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -157,7 +158,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
     jobs: list[tuple[tuple[str, int | None, float], int, WorldConfig]] = []
     for tracker, sws, sigma in grid.points():
         for run in range(grid.runs_per_point):
-            seed = derive_seed(grid.master_seed, tracker, sws, sigma, run)
+            seed = derive_seed(grid.master_seed, tracker, sws, float(sigma), run)
             jobs.append(((tracker, sws, sigma), seed, grid_world_config(grid, tracker, sws, sigma, seed)))
 
     pool_size = min(workers, len(jobs), usable_cpus())
@@ -194,7 +195,7 @@ SCENARIO_SIGMA_DB = 2.0  # `scenario --sigma` default; `report` runs fig12 at it
 SCENARIO_ITERATIONS = 4
 
 # Gym-scale presets as [world] keys laid over the default config (Hot-Cold at
-# its default SWS 4): static, straight-line and zigzag target paths. The space
+# its default SWS 4): standing, straight-line and zigzag target paths. The space
 # covers every declared waypoint (the straight-line path ends outside the
 # nominal 35x40 room). The timed paths own the target kinematics: where a
 # path's implied speed disagrees with the nominal target speed, the waypoint
@@ -202,7 +203,7 @@ SCENARIO_ITERATIONS = 4
 _GYM = {"width_m": "55", "height_m": "45", "duration_s": "60",
         "robot_speed_kmh": "10", "target_speed_kmh": "5"}
 SCENARIO_WORLDS = {
-    "scenario1": {**_GYM, "mobility": "static", "target_start_x_m": "5", "target_start_y_m": "5",
+    "scenario1": {**_GYM, "mobility": "fixed_path", "fixed_path": "0:5:5",
                   "robot_start_x_m": "30", "robot_start_y_m": "35", "robot_heading_deg": "50"},
     "scenario2": {**_GYM, "mobility": "fixed_path", "fixed_path": "0:5:5; 28:50:35",
                   "robot_start_x_m": "30", "robot_start_y_m": "5"},
@@ -246,7 +247,7 @@ def run_scenario(
     traces = []
     metrics = []
     for i in range(iterations):
-        cfg = scenario_preset(name, sigma_db, derive_seed(master_seed, name, sigma_db, i))
+        cfg = scenario_preset(name, sigma_db, derive_seed(master_seed, name, float(sigma_db), i))
         report, trace = run_simulation(cfg)
         configs.append(cfg)
         traces.append(tuple(trace))
@@ -408,13 +409,20 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
 
 def write_summary_json(
     out_dir: Path,
+    convergence: ConvergenceReport,
     rotation: RotationSweepResult | None = None,
     exhaustive: ExhaustiveSweepResult | None = None,
     grid: GridResult | None = None,
-    convergence_trials: int = 10_000,
 ) -> Path:
-    """summary.json: headline numbers of whichever studies were run."""
-    summary: dict = {}
+    """summary.json: headline numbers of the convergence check and of
+    whichever other studies were run."""
+    summary: dict = {
+        "convergence": {
+            "trials": convergence.trials,
+            "total_violations": convergence.total_violations,
+            "boundary_skips": convergence.boundary_skips,
+        }
+    }
     if rotation is not None:
         best = rotation.summary(rotation.best_phi)
         summary["rotation_sweep"] = {
@@ -444,12 +452,6 @@ def write_summary_json(
                     min(mean_ad, key=mean_ad.get) if mean_ad else None
                 ),
             }
-    report = verify_convergence(convergence_trials)
-    summary["convergence"] = {
-        "trials": report.trials,
-        "total_violations": report.total_violations,
-        "boundary_skips": report.boundary_skips,
-    }
     path = Path(out_dir) / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

@@ -54,13 +54,11 @@ def rotate_then_move(angle_deg: float) -> TrackerDecision:
 class HotColdConfig:
     """Tunables of the double-window differential decision rule. The
     rotation angle is signed, CCW positive: its sign is the turn's
-    direction. Left as None, the halt threshold is derived from the world's
-    halt distance."""
+    direction. The halt threshold is the world's, from its halt distance."""
 
     name: ClassVar[str] = "hotcold"
     sws: int = 4
     rotation_angle_deg: float = 137.0
-    halt_threshold_dbm: float | None = None
 
     def __post_init__(self) -> None:
         require_finite_fields(self)

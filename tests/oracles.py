@@ -509,9 +509,8 @@ def _place(config: WorldConfig, rng: np.random.Generator) -> tuple[Vec2, Vec2 | 
     """The target's start and first waypoint (None if the model has none)."""
     mobility = config.mobility
     if isinstance(mobility, RandomWaypoint):
-        # draw order is fixed: start point first (when not given), then waypoint
-        start = mobility.start or _uniform_point(config, rng)
-        return _clamp_to_space(start, config), _uniform_point(config, rng)
+        # draw order is fixed: start point first, then waypoint
+        return _uniform_point(config, rng), _uniform_point(config, rng)
     return _clamp_to_space(_position_at(mobility, 0.0), config), None  # a FixedPath
 
 

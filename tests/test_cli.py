@@ -101,9 +101,10 @@ def test_rotation_sweep_command(tmp_path, capsys):
     assert fig3[0] == "phi_deg,overall_mean_rotations,percent_valid"
 
 
-def test_verify_lemmas_command(capsys, tmp_path):
+def test_verify_lemmas_command(capsys, tmp_path, monkeypatch):
     out = tmp_path / "out"
-    assert run_cli(["--out-dir", str(out), "verify-lemmas"]) == 0
+    monkeypatch.setenv("HOTCOLD_OUT_DIR", str(out))
+    assert run_cli(["verify-lemmas"]) == 0
     assert "violations 0" in capsys.readouterr().out
     assert not out.exists()  # it writes nothing
 
@@ -119,11 +120,49 @@ CONFIG_FREE_COMMANDS = [
 def test_config_free_commands_refuse_config_and_set(tmp_path, capsys, command, flag):
     value = str(tmp_path / "missing.ini") if flag == "--config" else "world.seed=1"
     out = tmp_path / "out"
-    assert run_cli([flag, value, "--out-dir", str(out)] + command) == 2
+    out_dir = [] if command == ["verify-lemmas"] else ["--out-dir", str(out)]
+    assert run_cli([flag, value] + out_dir + command) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "--config and --set" in err
+    assert f"does not read {flag};" in err
     assert not out.exists()
+
+
+# command -> the global flags it reads; it refuses the others
+READS = {
+    "simulate": ("--config", "--set", "--seed", "--quick", "--out-dir"),
+    "grid": ("--config", "--set", "--seed", "--quick", "--out-dir", "--runs", "--workers"),
+    "report": ("--config", "--set", "--seed", "--quick", "--out-dir", "--runs", "--workers"),
+    "rotation-sweep": ("--out-dir",),
+    "exhaustive-sweep": ("--out-dir",),
+    "verify-lemmas": ("--seed",),
+    "scenario": ("--seed", "--runs", "--quick", "--out-dir"),
+}
+COMMAND_ARGV = {"scenario": ["scenario", "--preset", "scenario1"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in READS.items() for flag in READS["grid"]
+    if flag not in reads
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    out = tmp_path / "out"
+    monkeypatch.setenv("HOTCOLD_OUT_DIR", str(out))
+    value = {"--config": [str(tmp_path / "x.ini")], "--set": ["world.seed=1"], "--seed": ["1"],
+             "--out-dir": [str(out)], "--runs": ["5"], "--quick": [], "--workers": ["1"]}[flag]
+    assert run_cli([flag, *value] + COMMAND_ARGV.get(command, [command])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} does not read {flag};") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_every_unread_flag_is_named(tmp_path, capsys):
+    argv = ["--runs", "5", "--workers", "3", "--quick", "--out-dir", str(tmp_path / "x")]
+    assert run_cli(argv + ["verify-lemmas"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: verify-lemmas does not read --out-dir, --runs, --quick, --workers; "
+                   "it reads --seed\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_scenario_command(tmp_path):
@@ -288,31 +327,15 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert run_cli(["--out-dir", str(out)] + repeated) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
-    # a target start beyond the robot start's bound was clamped into the space
-    far = ["--set", "world.target_start_x_m=1e300", "--set", "world.target_start_y_m=-1e300",
-           "--set", "world.duration_s=2", "simulate"]
-    for mobility in ("random_waypoint", "static"):
-        assert run_cli(["--out-dir", str(out), "--set", f"world.mobility={mobility}"] + far) == 2
-        assert "world.target_start_x_m/y_m" in capsys.readouterr().err
-    assert not out.exists()
-    # a target start that would be ignored: half set, or under a fixed path
-    fixed = ["--set", "world.mobility=fixed_path", "--set", "world.fixed_path=0:10:10"]
-    for start in ([], fixed + ["--set", "world.target_start_y_m=10"]):
-        args = start + ["--set", "world.target_start_x_m=10", "simulate"]
-        assert run_cli(["--out-dir", str(out)] + args) == 2
     # a fixed path that would be ignored under another mobility model
-    static = ["--set", "world.mobility=static", "--set", "world.target_start_x_m=10",
-              "--set", "world.target_start_y_m=10"]
-    for mobility in ([], static):
-        args = mobility + ["--set", "world.duration_s=50", "--set",
-                           "world.fixed_path=0:10:10; 30:90:90", "simulate"]
-        assert run_cli(["--out-dir", str(out)] + args) == 2
+    ignored = ["--set", "world.fixed_path=0:10:10; 30:90:90", "simulate"]
+    assert run_cli(["--out-dir", str(out), "--set", "world.duration_s=50"] + ignored) == 2
     # a clockwise turn is a negative rotation angle: no direction key
     direction = ["--set", "hotcold.rotation_direction=cw", "simulate"]
     assert run_cli(["--out-dir", str(out)] + direction) == 2
     assert not out.exists()
     # numpy rejects a negative seed with a traceback; the CLI checks it first
-    assert run_cli(["--out-dir", str(out), "--seed", "-1", "verify-lemmas"]) == 2
+    assert run_cli(["--seed", "-1", "verify-lemmas"]) == 2
     assert not out.exists()
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
@@ -468,8 +491,15 @@ def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
     ("", ["--set", "world.obstacles=1:2:a:4", "simulate"]),
     ("", ["--set", "grid.sws_values=,", "grid"]),
     ("", ["--set", "world.mobility=fixed_path", "simulate"]),  # world.fixed_path left blank
+    # each world input has one spelling: a standing target is a one-point
+    # world.fixed_path, and the halt threshold comes from world.halt_distance_m
+    ("", ["--set", "world.mobility=static", "simulate"]),
+    ("", ["--set", "world.target_start_x_m=5", "simulate"]),
+    ("", ["--set", "hotcold.halt_threshold_dbm=-60", "simulate"]),
+    ("[hotcold]\nhalt_threshold_dbm = -60\n", ["simulate"]),
 ], ids=["unreadable", "no-section", "unknown-section", "obstacle-not-numeric", "empty-axis",
-        "fixed-path-blank"])
+        "fixed-path-blank", "static-mobility", "target-start", "halt-threshold-set",
+        "halt-threshold-ini"])
 def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, args):
     config = tmp_path / "config.ini"
     if config_text is not None:
@@ -526,9 +556,7 @@ LIVE_KEYS = {
     "world.halt_distance_m": ("40", {}),
     "world.seed": ("2", {}),
     "world.tracker": ("trilateration", {}),
-    "world.mobility": (
-        "static", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
-    ),
+    "world.mobility": ("fixed_path", {}),
     "world.robot_start_x_m": (
         "20", {"world.robot_start_x_m": "50", "world.robot_start_y_m": "50"}
     ),
@@ -537,12 +565,6 @@ LIVE_KEYS = {
     ),
     "world.robot_heading_deg": (
         "90", {"world.robot_start_x_m": "50", "world.robot_start_y_m": "50"}
-    ),
-    "world.target_start_x_m": (
-        "80", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
-    ),
-    "world.target_start_y_m": (
-        "80", {"world.target_start_x_m": "10", "world.target_start_y_m": "10"}
     ),
     "world.fixed_path": (
         "0:10:10; 30:90:90", {"world.mobility": "fixed_path", "world.fixed_path": "0:10:10"}
@@ -557,7 +579,6 @@ LIVE_KEYS = {
     "channel.rx_sensitivity_dbm": ("-60", {}),
     "hotcold.sws": ("2", {}),
     "hotcold.rotation_angle_deg": ("90", {}),
-    "hotcold.halt_threshold_dbm": ("-80", {}),
     **{
         f"trilateration.{key}": (value, {"world.tracker": "trilateration"})
         for key, value in (
@@ -580,6 +601,11 @@ def _simulate_bytes(settings: dict[str, str]) -> str:
         return _files_digest(Path(out))
 
 
+# a key that changes only together with another: key -> the other's setting
+# (world.fixed_path is refused unless world.mobility=fixed_path)
+ALONG_WITH = {"world.mobility": {"world.fixed_path": "0:80:60"}}
+
+
 def test_every_world_and_tracker_key_changes_the_output():
     sections = ("world", "channel", "hotcold", "trilateration")
     assert set(LIVE_KEYS) == {f"{s}.{key}" for s in sections for key in DEFAULTS[s]}
@@ -587,7 +613,8 @@ def test_every_world_and_tracker_key_changes_the_output():
     for key, (value, companions) in LIVE_KEYS.items():
         section, name = key.split(".")
         assert value != DEFAULTS[section][name], key
-        if _simulate_bytes(companions) == _simulate_bytes(companions | {key: value}):
+        changed = companions | {key: value} | ALONG_WITH.get(key, {})
+        if _simulate_bytes(companions) == _simulate_bytes(changed):
             dead.append(key)
     assert dead == []
 

@@ -49,8 +49,6 @@ def test_robot_step_from_speeds():
 
 def test_halt_threshold_derived_from_halt_distance():
     assert WorldConfig().halt_threshold_dbm() == pytest.approx(-51.41, abs=0.01)
-    explicit = WorldConfig(tracker=HotColdConfig(halt_threshold_dbm=-60.0))
-    assert explicit.halt_threshold_dbm() == -60.0
 
 
 def test_config_validation():
@@ -124,15 +122,12 @@ def test_world_bounds():
             WorldConfig(**bad)
     with pytest.raises(ValueError, match="within"):
         FixedPath(((0.0, Vec2(1e308, 0.0)), (1.0, Vec2(-1e308, 0.0))))
-    # a target start takes the robot start's bound; it was clamped into the space
+    # a path point takes the robot start's bound; it was clamped into the space
     for point in (Vec2(0.0, -over), Vec2(1e300, -1e300)):
-        with pytest.raises(ValueError, match="beyond"):
-            RandomWaypoint(start=point)
         with pytest.raises(ValueError, match="within"):
             FixedPath(((0.0, point),))
     for corner in (Vec2(MAX_EXTENT_M, -MAX_EXTENT_M), Vec2(-MAX_EXTENT_M, MAX_EXTENT_M)):
-        RandomWaypoint(start=corner)  # the bound itself is allowed
-        FixedPath(((0.0, corner),))
+        FixedPath(((0.0, corner),))  # the bound itself is allowed
     edge = WorldConfig(
         width_m=MAX_EXTENT_M,
         height_m=MAX_EXTENT_M,
@@ -179,9 +174,9 @@ def test_mobility_models_place_and_move_the_target():
     path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
     x, y, wx, wy = path.place(cfg, rng)
     assert (x, y) == (1.0, 2.0) and math.isnan(wx) and math.isnan(wy)
-    x, y, wx, wy = RandomWaypoint(start=Vec2(5.0, 6.0)).place(cfg, rng)
-    assert (x, y) == (5.0, 6.0)
-    assert 0.0 <= wx <= 50.0 and 0.0 <= wy <= 50.0
+    # the start is drawn first, then the first waypoint, each x first
+    draws = tuple(float(v) for v in np.random.default_rng(0).uniform(0.0, 50.0, 4))
+    assert RandomWaypoint().place(cfg, rng) == draws
     for mobility, end in ((FixedPath(((0.0, Vec2(7.0, 8.0)),)), (7.0, 8.0)), (path, (6.0, 2.0))):
         config = WorldConfig(mobility=mobility, duration_s=5.0)
         state = init_world(config)
@@ -678,7 +673,7 @@ def _worlds(draw) -> WorldConfig:
         st.just(StaticControl()),
     ))
     mobility = draw(st.one_of(
-        st.builds(RandomWaypoint, start=st.none() | _point),
+        st.just(RandomWaypoint()),
         _point.map(lambda p: FixedPath(((0.0, p),))),
         st.lists(_point, min_size=1, max_size=4).map(
             lambda points: FixedPath(tuple((20.0 * i, p) for i, p in enumerate(points)))

@@ -27,6 +27,7 @@ from hotcold.experiments import (
     write_summary_json,
     write_sws_difference_csv,
 )
+from hotcold.analysis import verify_convergence
 from hotcold.channel import ChannelParams
 from hotcold.geometry import Pose, Vec2, distance
 from hotcold.tracker import HotColdConfig
@@ -59,6 +60,19 @@ def test_derive_seed_stable_and_distinct():
     assert a != derive_seed(1, "hotcold", 4, 2.0, 1)
     assert a != derive_seed(2, "hotcold", 4, 2.0, 0)
     assert 0 <= a < 2**63
+
+
+def test_seeds_do_not_depend_on_how_sigma_is_typed(tmp_path):
+    # each seed hashes sigma as a float: an int sigma of 2 gave another world than 2.0
+    for sigma in (0, 2):
+        typed = [run_scenario("scenario2", 1, value, 1) for value in (sigma, float(sigma))]
+        assert typed[0].metrics == typed[1].metrics and typed[0].traces == typed[1].traces
+    ints = replace(MINI_GRID, sigma_values=(0, 2), runs_per_point=1)
+    written = []
+    for grid in (ints, replace(ints, sigma_values=(0.0, 2.0))):
+        out = tmp_path / str(len(written))
+        written.append(write_grid_runs_csv(run_grid(grid), out).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_grid_points_shape():
@@ -255,7 +269,7 @@ def test_failed_points_write_nan_and_leave_the_best_sws(tmp_path, monkeypatch):
     rows = fig8.read_text().splitlines()
     assert "trilateration,0.000000,nan,nan" in rows
     assert any(r.startswith("static,2.000000,") and r.endswith(",0.000000") for r in rows)
-    path = write_summary_json(tmp_path, grid=result, convergence_trials=10)
+    path = write_summary_json(tmp_path, verify_convergence(10), grid=result)
     summary = json.loads(path.read_text())
     assert summary["grid"]["best_sws_by_mean_average_distance"] == 4
 
@@ -265,7 +279,7 @@ def test_every_hotcold_point_failed_has_no_best_sws(tmp_path, monkeypatch):
     result = run_grid(MINI_GRID)
     fig6 = write_sws_difference_csv(result, "cycles_in_range_pct", "fig6.csv", tmp_path)
     assert all(row.endswith("nan,nan,nan") for row in fig6.read_text().splitlines()[1:5])
-    path = write_summary_json(tmp_path, grid=result, convergence_trials=10)
+    path = write_summary_json(tmp_path, verify_convergence(10), grid=result)
     summary = json.loads(path.read_text())
     assert summary["grid"]["best_sws_by_mean_average_distance"] is None
 
@@ -357,10 +371,11 @@ def test_summary_json(tmp_path):
     rotation = rotation_sweep(range(138, 140), range(0, 3))
     exhaustive = exhaustive_sweep(phi_range=range(135, 136), rho_range=range(10, 21, 10))
     grid = run_grid(MINI_GRID)
-    path = write_summary_json(tmp_path, rotation, exhaustive, grid, convergence_trials=500)
+    path = write_summary_json(tmp_path, verify_convergence(500), rotation, exhaustive, grid)
     summary = json.loads(path.read_text())
     assert summary["rotation_sweep"]["best_phi_deg"] in (138, 139)
     assert summary["exhaustive_sweep"]["best_phi_deg"] == 135
+    assert summary["convergence"]["trials"] == 500
     assert summary["convergence"]["total_violations"] == 0
     assert "best_sws_by_mean_average_distance" in summary["grid"]
 
@@ -443,12 +458,15 @@ def test_fixed_path_and_static_mobility_from_config():
     world = build_world(cfg)
     assert isinstance(world.mobility, FixedPath)
     assert world.mobility.waypoints[1][0] == 28.0
+    # a target that stands still is a path of one point
+    for x, y in ((5.0, 5.0), (0.25, 80.0)):
+        cfg = default_config()
+        apply_overrides(cfg, ["world.mobility=fixed_path", f"world.fixed_path=0:{x}:{y}"])
+        assert build_world(cfg).mobility == FixedPath(((0.0, Vec2(x, y)),))
     cfg = default_config()
     apply_overrides(cfg, ["world.mobility=static"])
-    with pytest.raises(ConfigError):
-        build_world(cfg)  # static target needs coordinates
-    apply_overrides(cfg, ["world.target_start_x_m=5", "world.target_start_y_m=5"])
-    assert build_world(cfg).mobility == FixedPath(((0.0, Vec2(5.0, 5.0)),))
+    with pytest.raises(ConfigError, match="random_waypoint or fixed_path, got 'static'"):
+        build_world(cfg)
 
 
 def test_config_file_round_trip(tmp_path):
