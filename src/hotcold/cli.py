@@ -4,8 +4,8 @@ Everything is seeded and rerunning any command with the same seed and
 arguments produces byte-identical output files. The output directory comes
 from --out-dir, or the HOTCOLD_OUT_DIR environment variable, or ./out, and
 is made only once a command's inputs pass. `main` refuses a global flag
-that the command does not read (COMMANDS lists the ones each reads), and is
-the one place that reads --config and --set.
+that the command does not read (COMMANDS lists the ones each reads; report's
+depend on its figures), and is the one place that reads --config and --set.
 """
 
 from __future__ import annotations
@@ -245,21 +245,30 @@ def _cmd_scenario(args) -> None:
     _scenario(args, args.preset, sigma, _scenario_iterations(args))
 
 
-def _cmd_report(args) -> int:
-    wanted = {f.strip() for f in args.figures.split(",") if f.strip()}
+def _report_reads(args) -> tuple[str, ...]:
+    """The global flags report reads for its figures (kept as args.wanted):
+    --runs only for a grid figure or fig12, --workers only for a grid figure."""
+    args.wanted = wanted = {f.strip() for f in args.figures.split(",") if f.strip()}
     unknown = wanted - set(FIGURE_NAMES)
     if unknown:
         raise ConfigError(f"unknown figures {sorted(unknown)}; choose from {FIGURE_NAMES}")
-    cfg = args.cfg
-    grid = build_grid(cfg, build_world(cfg)) if wanted & GRID_FIGURES.keys() else None
+    grid = bool(wanted & GRID_FIGURES.keys())
+    reads = {"--runs": grid or "fig12" in wanted, "--workers": grid}
+    return tuple(flag for flag in GLOBAL_FLAGS if reads.get(flag, True))
+
+
+def _cmd_report(args) -> int:
+    wanted = args.wanted
+    # checked before the output directory is made; the world and the grid
+    # are built whatever the figures
+    iterations = _scenario_iterations(args) if "fig12" in wanted else None
+    grid = build_grid(args.cfg, build_world(args.cfg))
     if wanted & SWS_FIGURES and "hotcold" not in grid.tracker_names:
         raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
-    # checked before the output directory is made
-    iterations = _scenario_iterations(args) if "fig12" in wanted else None
     out = _out_dir(args)
     rotation = _rotation_sweep(args) if wanted & {"fig2", "fig3"} else None
     exhaustive = _exhaustive_sweep(args) if "fig4" in wanted else None
-    grid_result = _grid(args, grid, wanted) if grid else None
+    grid_result = _grid(args, grid, wanted) if wanted & GRID_FIGURES.keys() else None
     if "fig12" in wanted:  # the presets, whatever the config
         for name in SCENARIO_NAMES:
             _scenario(args, name, SCENARIO_SIGMA_DB, iterations)
@@ -271,7 +280,8 @@ def _cmd_report(args) -> int:
 # global flag -> the attribute argparse gives it
 GLOBAL_FLAGS = {"--config": "config", "--set": "overrides", "--seed": "seed",
                 "--out-dir": "out_dir", "--runs": "runs", "--quick": "quick", "--workers": "workers"}
-# command -> (handler, the global flags it reads); main refuses the others
+# command -> (handler, the global flags it reads, or a function of the
+# arguments that gives them); main refuses the others
 COMMANDS = {
     "simulate": (_cmd_simulate, ("--config", "--set", "--seed", "--quick", "--out-dir")),
     "grid": (_cmd_grid, tuple(GLOBAL_FLAGS)),
@@ -279,7 +289,7 @@ COMMANDS = {
     "exhaustive-sweep": (_exhaustive_sweep, ("--out-dir",)),
     "verify-lemmas": (_cmd_verify_lemmas, ("--seed",)),
     "scenario": (_cmd_scenario, ("--seed", "--runs", "--quick", "--out-dir")),
-    "report": (_cmd_report, tuple(GLOBAL_FLAGS)),
+    "report": (_cmd_report, _report_reads),
 }
 
 
@@ -288,6 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command, reads = COMMANDS[args.command]
     try:
+        reads = reads(args) if callable(reads) else reads
         unread = [flag for flag, dest in GLOBAL_FLAGS.items()
                   if flag not in reads and getattr(args, dest) != parser.get_default(dest)]
         if unread:

@@ -9,15 +9,18 @@ robot is free to leave it.
 
 Determinism: a run is fully determined by its config. The seed feeds two
 independent streams (channel shadowing, target mobility) so that runs
-differing only in tracker behavior see the same world. The shadowing stream
-is drawn up front, one standard normal per cycle.
+differing only in tracker behavior see the same world. Both are iterators
+that step_world zips with its cycle count, so neither is drawn past the run:
+the mobility model's path yields the target's positions, and the shadowing
+normals are drawn NORMALS_CHUNK at a time, the same bits as one per cycle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
@@ -43,17 +46,19 @@ from .trilateration import (
 
 KMH_TO_MS = 1.0 / 3.6
 
-# Bounds far beyond any tracking scene. They keep a run's per-cycle normals
-# allocatable and every number of its cycle loop finite, which is why the
-# loop checks none: a step is at most 1e4 / 3.6 * 1e4 < 2.8e7 m (a back-up
-# is 0.1 m), so in 1e7 cycles the robot moves at most 2.8e14 m from a start
-# within 1e6 m, and the target stays in the space. Every coordinate is then
-# below 3e14 m, every distance below 5e14 m, a distance sum below 5e21 m and
-# a squared coordinate (trilateration) below 1e29 m^2.
+# Bounds far beyond any tracking scene. They keep every number of a run's
+# cycle loop finite, which is why the loop checks none: a step is at most
+# 1e4 / 3.6 * 1e4 < 2.8e7 m (a back-up is 0.1 m), so in 1e7 cycles the robot
+# moves at most 2.8e14 m from a start within 1e6 m, and the target stays in
+# the space. Every coordinate is then below 3e14 m, every distance below
+# 5e14 m, a distance sum below 5e21 m and a squared coordinate
+# (trilateration) below 1e29 m^2.
 MAX_EXTENT_M = 1e6
 MAX_SPEED_KMH = 1e4
 MAX_CYCLES = 10**7
 MAX_CYCLE_PERIOD_S = 1e4
+# shadowing normals drawn at a time: a run's set-up memory does not grow with its length
+NORMALS_CHUNK = 4096
 
 
 def within_extent(point: Vec2) -> bool:  # within +-MAX_EXTENT_M m on both axes
@@ -79,10 +84,8 @@ class StaticControl:
     name: ClassVar[str] = "static"  # the INI name, as on every tracker config
 
 
-# Each mobility model places the target, returning its start point and first
-# waypoint as (x, y, waypoint_x, waypoint_y), the waypoint NaN if it has none,
-# and steps it from there through the cycle ending at t_end, returning the
-# same four floats.
+# Each mobility model's path(config, rng) yields the target's start (x, y),
+# then its position after each cycle: the target never reacts to the robot.
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,14 @@ class RandomWaypoint:
     """Start at a uniformly drawn point and walk at constant speed to
     uniformly drawn points; zero pause on arrival."""
 
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
+    def path(self, config: WorldConfig, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
         # draw order is fixed: start point first, then waypoint
-        return (*_uniform_point(config, rng), *_uniform_point(config, rng))
-
-    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
-             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
-        return random_waypoint_step(x, y, waypoint_x, waypoint_y, config, rng)
+        x, y = _uniform_point(config, rng)
+        wx, wy = _uniform_point(config, rng)
+        yield x, y
+        while True:  # random_waypoint_step is looked up on this module each step
+            x, y, wx, wy = random_waypoint_step(x, y, wx, wy, config, rng)
+            yield x, y
 
 
 @dataclass(frozen=True)
@@ -119,22 +123,20 @@ class FixedPath:
         if not all(within_extent(p) for _, p in self.waypoints):
             raise ValueError(f"fixed path waypoints must lie within +-{MAX_EXTENT_M:g} m")
 
-    def _xy_at(self, time_s: float) -> tuple[float, float]:
-        points = self.waypoints
-        if time_s <= points[0][0]:
-            return points[0][1].x, points[0][1].y
+    def path(self, config: WorldConfig, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
+        # on step_world's clock (0.0 plus the period, once per cycle), each
+        # point lies on the first segment that ends at or after the clock,
+        # clamped to the space; past the last waypoint the target stands there
+        points, period = self.waypoints, config.cycle_period_s
+        yield _clamp_to_space(points[0][1].x, points[0][1].y, config)
+        t = 0.0 + period
         for (t0, p0), (t1, p1) in zip(points, points[1:]):
-            if time_s <= t1:
-                frac = (time_s - t0) / (t1 - t0)
-                return p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)
-        return points[-1][1].x, points[-1][1].y
-
-    def place(self, config: WorldConfig, rng: np.random.Generator) -> tuple[float, ...]:
-        return (*_clamp_to_space(*self._xy_at(0.0), config), math.nan, math.nan)
-
-    def step(self, x: float, y: float, waypoint_x: float, waypoint_y: float, config: WorldConfig,
-             rng: np.random.Generator, t_end: float) -> tuple[float, float, float, float]:
-        return (*_clamp_to_space(*self._xy_at(t_end), config), waypoint_x, waypoint_y)
+            dx, dy, span = p1.x - p0.x, p1.y - p0.y, t1 - t0
+            while t <= t1:
+                frac = (t - t0) / span
+                yield _clamp_to_space(p0.x + frac * dx, p0.y + frac * dy, config)
+                t += period
+        yield from itertools.repeat(_clamp_to_space(points[-1][1].x, points[-1][1].y, config))
 
 
 Mobility = Union[RandomWaypoint, FixedPath]
@@ -259,13 +261,11 @@ class WorldState:
     robot_heading_rad: float  # in [0, 2*pi), as a Pose keeps it
     target_x: float  # the target has no heading: nothing reads one
     target_y: float
-    waypoint_x: float  # NaN for a mobility model without waypoints
-    waypoint_y: float
+    target_path: Iterator[tuple[float, float]]  # the target's (x, y) after each later cycle
     tracker_state: HotColdState | TrilaterationState | None
     decide: Decide
     halt_threshold_dbm: float
-    shadowing_normals: list[float]  # the standard normal of each cycle's broadcast
-    mobility_rng: np.random.Generator
+    shadowing_normals: Iterator[float]  # the standard normal of each later cycle's broadcast
     last_decision: TrackerDecision | None = None
     trace: list[CycleRecord] | None = None  # None: the run keeps no trace
     # KPI sums; distances are added left to right from 0.0, uncompensated
@@ -313,14 +313,15 @@ TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
 
 def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
     channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
-    mobility_rng = np.random.default_rng(mobility_ss)
     shadowing_rng = np.random.default_rng(channel_ss)
 
     start = config.robot_start
     x, y, heading = ((config.width_m / 2.0, config.height_m / 2.0, 0.0) if start is None
                      else (start.position.x, start.position.y, start.heading_rad))
-    target_x, target_y, waypoint_x, waypoint_y = config.mobility.place(config, mobility_rng)
+    target_path = config.mobility.path(config, np.random.default_rng(mobility_ss))
+    target_x, target_y = next(target_path)
     new_state, decide = TRACKERS[type(config.tracker)]
+    whole, rest = divmod(config.total_cycles, NORMALS_CHUNK)
 
     return WorldState(
         time_s=0.0,
@@ -329,14 +330,13 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
         robot_heading_rad=heading,
         target_x=target_x,
         target_y=target_y,
-        waypoint_x=waypoint_x,
-        waypoint_y=waypoint_y,
+        target_path=target_path,
         tracker_state=new_state(),
         decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),
-        # one batch gives the same bits as one scalar draw per cycle
-        shadowing_normals=shadowing_rng.standard_normal(config.total_cycles).tolist(),
-        mobility_rng=mobility_rng,
+        # drawn as the run reaches them: the same bits as one scalar draw per cycle
+        shadowing_normals=itertools.chain.from_iterable(
+            shadowing_rng.standard_normal(n).tolist() for n in [NORMALS_CHUNK] * whole + [rest]),
         trace=[] if keep_trace else None,
     )
 
@@ -473,8 +473,9 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
 
     The world is read out of the state once, stepped in locals and written
     back once; the functions the cycle calls are looked up on this module
-    here, once per call. A count that is negative or runs past the run's
-    end raises before anything changes.
+    here, once per call; the cycle count comes first in the zip, so neither
+    the target's path nor the normals is drawn past these cycles. A count
+    that is negative or runs past the run's end raises before anything changes.
     """
     first = state.cycles
     if not 0 <= cycles <= config.total_cycles - first:
@@ -483,21 +484,19 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
     rssi_, rotate_, advance_, sensor_reading_cm_ = rssi, rotate, advance, sensor_reading_cm
     cos, sin, radians, hypot = math.cos, math.sin, math.radians, math.hypot
     period, channel, obstacles = config.cycle_period_s, config.channel, config.obstacles
-    robot_step_m, move = config.robot_step_m, config.mobility.step
+    robot_step_m, trace = config.robot_step_m, state.trace
     tracker_state, decide, halt = state.tracker_state, state.decide, state.halt_threshold_dbm
-    normals, mobility_rng, trace = state.shadowing_normals, state.mobility_rng, state.trace
     t, x, y, heading = state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad
-    tx, ty, wx, wy = state.target_x, state.target_y, state.waypoint_x, state.waypoint_y
+    tx, ty = state.target_x, state.target_y
     last = state.last_decision
     rotate_kind, halt_kind, avoid_kind = (
         DecisionKind.ROTATE_THEN_MOVE, DecisionKind.HALT, DecisionKind.AVOID)
     distance_sum, in_range_sum, in_halt_sum = (
         state.distance_sum, state.cycles_in_range, state.cycles_in_halt)
 
-    for cycle in range(first, first + cycles):
+    for _, (tx, ty), normal in zip(range(cycles), state.target_path, state.shadowing_normals):
         t += period
-        tx, ty, wx, wy = move(tx, ty, wx, wy, config, mobility_rng, t)
-        value, in_range = rssi_(tx, ty, x, y, channel, normals[cycle])
+        value, in_range = rssi_(tx, ty, x, y, channel, normal)
         if in_range:
             last = decide(tracker_state, value, x, y, heading, config, halt)
         act = last  # out of range: repeat the last decision
@@ -534,7 +533,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
             trace.append(CycleRecord(t, x, y, heading, tx, ty, value, in_range, in_halt, label))
 
     state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad = t, x, y, heading
-    state.target_x, state.target_y, state.waypoint_x, state.waypoint_y = tx, ty, wx, wy
+    state.target_x, state.target_y = tx, ty
     state.last_decision = last
     state.cycles = first + cycles
     state.distance_sum, state.cycles_in_range, state.cycles_in_halt = (

@@ -116,7 +116,8 @@ def test_rssi_shadowing_is_sigma_times_the_normal():
 
 def test_run_shadowing_statistics():
     # a run's shadowing samples are sigma times the normals init_world draws
-    samples = 3.0 * np.array(init_world(WorldConfig(duration_s=5e5, seed=11)).shadowing_normals)
+    normals = init_world(WorldConfig(duration_s=5e5, seed=11)).shadowing_normals
+    samples = 3.0 * np.array(list(normals))
     assert samples.size == 10**6
     assert abs(samples.mean()) < 0.02
     assert abs(samples.std() - 3.0) < 0.02

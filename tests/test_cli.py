@@ -497,9 +497,15 @@ def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
     ("", ["--set", "world.target_start_x_m=5", "simulate"]),
     ("", ["--set", "hotcold.halt_threshold_dbm=-60", "simulate"]),
     ("[hotcold]\nhalt_threshold_dbm = -60\n", ["simulate"]),
+    # report builds its config whatever --figures says, and reads --runs
+    # only for a grid figure or fig12 and --workers only for a grid figure
+    ("", ["--set", "world.duration_s=abc", "report", "--figures", "fig2"]),
+    ("", ["--runs", "5", "--workers", "2", "report", "--figures", "fig2"]),
+    ("", ["--workers", "2", "report", "--figures", "fig12"]),
 ], ids=["unreadable", "no-section", "unknown-section", "obstacle-not-numeric", "empty-axis",
         "fixed-path-blank", "static-mobility", "target-start", "halt-threshold-set",
-        "halt-threshold-ini"])
+        "halt-threshold-ini", "report-bad-world-key", "report-runs-and-workers",
+        "report-workers-for-fig12"])
 def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, args):
     config = tmp_path / "config.ini"
     if config_text is not None:

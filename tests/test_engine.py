@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 import typing
 
 import numpy as np
@@ -18,6 +20,7 @@ from hotcold.engine import (
     MAX_EXTENT_M,
     AVOID_BACK_UP_M,
     MAX_SPEED_KMH,
+    NORMALS_CHUNK,
     TRACKERS,
     CycleRecord,
     FixedPath,
@@ -156,33 +159,64 @@ def test_every_tracker_type_has_one_table_entry():
         assert type(state.tracker_state) is type(new_state())
 
 
-def _path_at(path: FixedPath, time_s: float, config: WorldConfig = WorldConfig()) -> tuple:
-    """Where `path` puts the target after the cycle ending at time_s."""
-    x, y, wx, wy = path.step(math.nan, math.nan, math.nan, math.nan, config, None, time_s)
-    assert math.isnan(wx) and math.isnan(wy)  # a path has no waypoint to carry
-    return x, y
+def _path_at(path: FixedPath, cycles: int, config: WorldConfig = WorldConfig()) -> tuple:
+    """Where `path` puts the target after `cycles` cycles (0: its start)."""
+    return next(itertools.islice(path.path(config, None), cycles, None))
 
 
 def test_mobility_models_place_and_move_the_target():
     cfg = WorldConfig(width_m=50.0, height_m=50.0)
-    rng = np.random.default_rng(0)
     still = FixedPath(((0.0, Vec2(80.0, 10.0)),))  # a static target: one waypoint
-    x, y, wx, wy = still.place(cfg, rng)
-    assert (x, y) == (50.0, 10.0) and math.isnan(wx) and math.isnan(wy)  # clamped to the space
-    assert _path_at(still, 123.0, cfg) == (50.0, 10.0)
-    assert _path_at(still, 123.0, WorldConfig(width_m=90.0)) == (80.0, 10.0)
+    assert _path_at(still, 0, cfg) == (50.0, 10.0)  # clamped to the space
+    assert _path_at(still, 246, cfg) == (50.0, 10.0)
+    assert _path_at(still, 246, WorldConfig(width_m=90.0)) == (80.0, 10.0)
     path = FixedPath(((0.0, Vec2(1.0, 2.0)), (10.0, Vec2(11.0, 2.0))))
-    x, y, wx, wy = path.place(cfg, rng)
-    assert (x, y) == (1.0, 2.0) and math.isnan(wx) and math.isnan(wy)
-    # the start is drawn first, then the first waypoint, each x first
+    assert _path_at(path, 0, cfg) == (1.0, 2.0)
+    # the start is drawn first, then the first waypoint, each x first; the
+    # first step walks toward that waypoint
     draws = tuple(float(v) for v in np.random.default_rng(0).uniform(0.0, 50.0, 4))
-    assert RandomWaypoint().place(cfg, rng) == draws
+    walk = RandomWaypoint().path(cfg, np.random.default_rng(0))
+    assert next(walk) == draws[:2]
+    after = np.random.default_rng(0)
+    after.uniform(0.0, 50.0, 4)
+    assert next(walk) == random_waypoint_step(*draws, cfg, after)[:2]
     for mobility, end in ((FixedPath(((0.0, Vec2(7.0, 8.0)),)), (7.0, 8.0)), (path, (6.0, 2.0))):
         config = WorldConfig(mobility=mobility, duration_s=5.0)
         state = init_world(config)
         for _ in range(config.total_cycles):
             step_world(state, config)
-        assert (state.target_x, state.target_y) == end == _path_at(mobility, state.time_s)
+        assert (state.target_x, state.target_y) == end == _path_at(mobility, config.total_cycles)
+
+
+# name -> (waypoints as (time, (x, y)), cycle period, cycles); the space is 100 m square
+FIXED_PATH_CASES = {
+    # a 0.1 s clock lands beside the waypoint times: ten periods add to 0.9999999999999999
+    "clock-beside-waypoints": (((0.0, (1.0, 2.0)), (1.0, (7.0, 3.0)), (2.0, (3.0, 9.0)),
+                                (3.0, (0.3, 0.7))), 0.1, 40),
+    # 0.5 s adds up exactly, onto each waypoint time, where 1.1 + 1.0 * (0.1 - 1.1) != 0.1
+    "clock-on-waypoints": (((0.0, (1.0, 2.0)), (2.0, (1.1, 2.3)), (2.5, (0.1, 0.2))), 0.5, 9),
+    "ends-before-the-run": (((0.0, (10.0, 10.0)), (3.0, (40.0, 20.0))), 0.5, 30),
+    "outside-the-space": (((0.0, (-5.0, 120.0)), (4.0, (130.0, -7.5)), (9.0, (50.0, 50.0))),
+                          0.25, 50),
+    "one-point": (((0.0, (12.5, 7.25)),), 0.5, 10),
+    "minus-zero": (((0.0, (-0.0, -0.0)), (1.0, (-0.0, 5.0)), (2.0, (-3.0, -0.0))), 0.25, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PATH_CASES))
+def test_fixed_path_yields_the_reference_positions_on_the_accumulated_clock(name):
+    """FixedPath.path against the reference's clamped interpolation at
+    step_world's clock, 0.0 plus the period once per cycle, as float.hex."""
+    waypoints, period, cycles = FIXED_PATH_CASES[name]
+    path = FixedPath(tuple((t, Vec2(*xy)) for t, xy in waypoints))
+    config = WorldConfig(cycle_period_s=period, duration_s=period * cycles, mobility=path)
+    ours = list(itertools.islice(path.path(config, None), cycles + 1))
+    t, want = 0.0, []
+    for _ in range(cycles + 1):
+        point = oracles._clamp_to_space(oracles._position_at(path, t), config)
+        want.append((point.x, point.y))
+        t += period
+    assert [_bits(p) for p in ours] == [_bits(p) for p in want]
 
 
 def test_step_world_stops_after_total_cycles():
@@ -202,11 +236,24 @@ def test_step_world_stops_after_total_cycles():
 
 
 def test_shadowing_normals_are_the_channel_stream_drawn_up_front():
-    config = WorldConfig(duration_s=2000.5, seed=5)
-    channel_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
-    scalar = [float(channel_rng.standard_normal()) for _ in range(config.total_cycles)]
-    assert init_world(config).shadowing_normals == scalar
-    assert len(scalar) == 4001
+    # drawn a chunk at a time: the bits of one scalar draw per cycle, and
+    # no more of them than the run has cycles
+    for cycles in (4001, 2 * NORMALS_CHUNK + 3):
+        config = WorldConfig(duration_s=0.5 * cycles, seed=5)
+        channel_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
+        scalar = [float(channel_rng.standard_normal()) for _ in range(cycles)]
+        assert _bits(init_world(config).shadowing_normals) == _bits(scalar)
+
+
+def test_a_long_run_sets_up_in_bounded_memory():
+    config = WorldConfig(duration_s=5e5)  # 10**6 cycles
+    tracemalloc.start()
+    try:
+        init_world(config, keep_trace=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.total_cycles == 10**6 and peak < 4e6
 
 
 def test_random_waypoint_step_toward_waypoint():
@@ -251,10 +298,10 @@ def test_waypoints_uniform_chi_square():
 
 def test_fixed_path_interpolation():
     path = FixedPath(((0.0, Vec2(0.0, 0.0)), (10.0, Vec2(10.0, 0.0)), (20.0, Vec2(10.0, 20.0))))
-    assert _path_at(path, -1.0) == (0.0, 0.0)
-    assert _path_at(path, 5.0) == (5.0, 0.0)
-    assert _path_at(path, 15.0) == (10.0, 10.0)
-    assert _path_at(path, 99.0) == (10.0, 20.0)
+    assert _path_at(path, 0) == (0.0, 0.0)
+    assert _path_at(path, 10) == (5.0, 0.0)  # 5 s at 0.5 s a cycle
+    assert _path_at(path, 30) == (10.0, 10.0)
+    assert _path_at(path, 198) == (10.0, 20.0)
     with pytest.raises(ValueError):
         FixedPath(((1.0, Vec2(0.0, 0.0)),))
     with pytest.raises(ValueError):
@@ -734,12 +781,11 @@ def test_traced_run_builds_no_vec2_or_pose_per_cycle(monkeypatch):
 
 def _floats_of(state) -> tuple[float, ...]:
     if isinstance(state, oracles.WorldState):
-        robot, target, waypoint = state.robot, state.target, state.target_waypoint
+        robot, target = state.robot, state.target
         floats = (robot.position.x, robot.position.y, robot.heading_rad, target.x, target.y)
-        floats += (math.nan, math.nan) if waypoint is None else (waypoint.x, waypoint.y)
     else:
         floats = (state.robot_x, state.robot_y, state.robot_heading_rad, state.target_x,
-                  state.target_y, state.waypoint_x, state.waypoint_y)
+                  state.target_y)
     return floats + (state.time_s, state.distance_sum)
 
 
@@ -751,7 +797,7 @@ def _floats_of(state) -> tuple[float, ...]:
                             seed=1, robot_start=Pose(Vec2(37.9, 46.0), 0.0)))
 def test_float_cycle_loop_matches_the_pose_loop(config):
     """The cycle loop on floats against the one on Vec2 and Pose, with and
-    without a trace, every cycle: the robot, target and waypoint floats and
+    without a trace, every cycle: the robot and target floats and
     the KPI sums bit for bit, and the decision labels; each flat trace record
     against the nested one field by field, its floats bit for bit."""
     theirs = oracles.init_world(config)
@@ -781,15 +827,21 @@ def _record_bits(rec: CycleRecord) -> tuple:
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(config=_worlds(), data=st.data())
-def test_chunked_stepping_matches_single_cycles(config, data):
+@given(config=_worlds(), cuts=st.lists(st.integers(0, 300), max_size=6))
+# past the first chunk of normals: cut on its boundary and beside it
+@example(config=WorldConfig(duration_s=0.5 * (NORMALS_CHUNK + 5), channel=_SIGMA2, seed=3),
+         cuts=[NORMALS_CHUNK - 1, NORMALS_CHUNK, NORMALS_CHUNK + 1])
+@example(config=WorldConfig(duration_s=0.5 * (NORMALS_CHUNK + 5), channel=_SIGMA2, seed=4,
+                            mobility=FixedPath(((0.0, Vec2(1.0, 2.0)), (1000.0, Vec2(90.0, 3.0))))),
+         cuts=[NORMALS_CHUNK, NORMALS_CHUNK + 2])
+def test_chunked_stepping_matches_single_cycles(config, cuts):
     """A run stepped in chunks of random sizes ends where the run stepped one
     cycle at a time ends, with and without a trace: every float bit for bit,
     the counters, the last decision and every trace record. Between chunks,
     a count of 0 changes nothing, and a negative count or one past the run's
     end raises and changes nothing."""
     total = config.total_cycles
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
+    cuts = sorted(min(cut, total) for cut in cuts)
     for keep_trace in (True, False):
         single, chunked = init_world(config, keep_trace), init_world(config, keep_trace)
         for _ in range(total):

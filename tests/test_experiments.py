@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import fields, replace
@@ -295,10 +296,9 @@ def test_scenario_presets_geometry():
 
     s2 = scenario_preset("scenario2")
     assert isinstance(s2.mobility, FixedPath)
-    step = s2.mobility.step
-    end = step(math.nan, math.nan, math.nan, math.nan, s2, None, 28.0)[:2]
-    assert end == (50.0, 35.0)
-    assert step(*end, math.nan, math.nan, s2, None, 60.0)[:2] == end  # parked at the destination
+    positions = list(itertools.islice(s2.mobility.path(s2, None), s2.total_cycles + 1))
+    assert positions[56] == (50.0, 35.0)  # at 28 s, 0.5 s a cycle
+    assert positions[-1] == positions[56]  # parked at the destination
 
     s3 = scenario_preset("scenario3")
     times = [t for t, _ in s3.mobility.waypoints]
@@ -344,7 +344,7 @@ def test_scenario1_noise_free_converges():
 def test_scenario3_distance_rises_then_falls():
     result = run_scenario("scenario3", iterations=2, sigma_db=2.0, master_seed=1)
     for cfg, trace in zip(result.configs, result.traces):
-        x, y, _, _ = cfg.mobility.place(cfg, None)
+        x, y = next(cfg.mobility.path(cfg, None))
         d0 = math.hypot(cfg.robot_start.position.x - x, cfg.robot_start.position.y - y)
         ds = [math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y) for r in trace]
         assert d0 == pytest.approx(25.0)
