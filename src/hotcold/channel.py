@@ -108,7 +108,7 @@ def rssi(target_x: float, target_y: float, robot_x: float, robot_y: float,
     `normal` is the broadcast's standard-normal draw; the shadowing sample is
     sigma times it, exactly 0 when sigma is 0. A run draws one per broadcast
     whatever sigma is, so runs that differ only in sigma share the same noise
-    shape.
+    shape: in the grid, run r of every point has one seed and so shares it.
     """
     d = math.hypot(target_x - robot_x, target_y - robot_y)
     if d < MIN_DISTANCE_M:

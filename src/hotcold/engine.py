@@ -13,6 +13,9 @@ differing only in tracker behavior see the same world. Both are iterators
 that step_world zips with its cycle count, so neither is drawn past the run:
 the mobility model's path yields the target's positions, and the shadowing
 normals are drawn NORMALS_CHUNK at a time, the same bits as one per cycle.
+The path reads only the seed and the target's keys (mobility, space, cycle
+period, target speed), so worlds that share them may share one recording of
+target_path(config), as each run index of the grid does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
@@ -311,15 +314,26 @@ TRACKERS: dict[type, tuple[Callable[[], object], Decide]] = {
 }
 
 
-def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
-    channel_ss, mobility_ss = np.random.SeedSequence(config.seed).spawn(2)
+def target_path(config: WorldConfig) -> Iterator[tuple[float, float]]:
+    """The target's start, then its position after each cycle, from the
+    mobility stream of the world's seed (the second of its two)."""
+    mobility_ss = np.random.SeedSequence(config.seed).spawn(2)[1]
+    return config.mobility.path(config, np.random.default_rng(mobility_ss))
+
+
+def init_world(config: WorldConfig, keep_trace: bool = True,
+               path: Iterable[tuple[float, float]] | None = None) -> WorldState:
+    """The world before its first cycle. `path`, when given, holds the
+    positions that target_path(config) would yield: the start, then at
+    least one per cycle."""
+    channel_ss = np.random.SeedSequence(config.seed).spawn(2)[0]  # target_path takes [1]
     shadowing_rng = np.random.default_rng(channel_ss)
 
     start = config.robot_start
     x, y, heading = ((config.width_m / 2.0, config.height_m / 2.0, 0.0) if start is None
                      else (start.position.x, start.position.y, start.heading_rad))
-    target_path = config.mobility.path(config, np.random.default_rng(mobility_ss))
-    target_x, target_y = next(target_path)
+    positions = target_path(config) if path is None else iter(path)
+    target_x, target_y = next(positions)
     new_state, decide = TRACKERS[type(config.tracker)]
     whole, rest = divmod(config.total_cycles, NORMALS_CHUNK)
 
@@ -330,7 +344,7 @@ def init_world(config: WorldConfig, keep_trace: bool = True) -> WorldState:
         robot_heading_rad=heading,
         target_x=target_x,
         target_y=target_y,
-        target_path=target_path,
+        target_path=positions,
         tracker_state=new_state(),
         decide=decide,
         halt_threshold_dbm=config.halt_threshold_dbm(),
@@ -579,9 +593,12 @@ def compute_metrics(state: WorldState) -> MetricsReport:
     return MetricsReport(state.distance_sum / total, state.cycles_in_range, state.cycles_in_halt, total)
 
 
-def run_simulation(config: WorldConfig, keep_trace: bool = True) -> tuple[MetricsReport, list | None]:
-    """Run the configured world for its whole duration; without keep_trace, trace is None."""
-    state = step_world(init_world(config, keep_trace), config, config.total_cycles)
+def run_simulation(config: WorldConfig, keep_trace: bool = True,
+                   path: Iterable[tuple[float, float]] | None = None,
+                   ) -> tuple[MetricsReport, list | None]:
+    """Run the configured world for its whole duration; without keep_trace,
+    trace is None. `path` is init_world's: the target's recorded positions."""
+    state = step_world(init_world(config, keep_trace, path), config, config.total_cycles)
     return compute_metrics(state), state.trace
 
 

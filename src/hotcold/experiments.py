@@ -11,8 +11,9 @@ import json
 import math
 import os
 import statistics
+from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .analysis import ConvergenceReport, ExhaustiveSweepResult, RotationSweepResult
@@ -23,6 +24,7 @@ from .engine import (
     Tracker,
     WorldConfig,
     run_simulation,
+    target_path,
 )
 from .geometry import distance
 from .tracker import HotColdConfig
@@ -30,8 +32,8 @@ from .trilateration import TrilaterationConfig
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    """Stable 63-bit seed from the master seed and any point coordinates.
-    Callers pass a sigma as a float: str(2) and str(2.0) hash apart."""
+    """Stable 63-bit seed from the master seed and any parts. run_scenario
+    passes its sigma as a float: str(2) and str(2.0) hash apart."""
     text = "|".join([str(master_seed), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -133,9 +135,9 @@ class GridResult:
         return self._points[tracker, sws, sigma]
 
 
-def _run_point(config: WorldConfig) -> tuple[MetricsReport, None] | tuple[None, str]:
+def _run_point(config: WorldConfig, path) -> tuple[MetricsReport, None] | tuple[None, str]:
     try:
-        return run_simulation(config, keep_trace=False)[0], None
+        return run_simulation(config, keep_trace=False, path=path)[0], None
     except Exception as exc:  # recorded, never aborts the grid
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -147,45 +149,69 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
-    """Run every (tracker, sws, sigma) point of the grid with derived seeds.
+def _record_path(config: WorldConfig) -> tuple[array, array]:
+    """The target's start and its position after each cycle, as x and y
+    arrays of exactly total_cycles + 1 doubles each."""
+    n = config.total_cycles + 1
+    xs, ys = array("d", [0.0]) * n, array("d", [0.0]) * n
+    for i, (x, y) in zip(range(n), target_path(config)):
+        xs[i] = x
+        ys[i] = y
+    return xs, ys
 
-    The pool gets min(workers, jobs, usable CPUs) processes, all started at
-    the first submit; at one it is skipped and the runs go in-process.
+
+def _run_seed(grid: ExperimentGrid, seed: int) -> list[tuple[MetricsReport | None, str | None]]:
+    """_run_point of every point's world on `seed`, in grid.points() order.
+    The worlds differ only in tracker and channel, which the target's path
+    never reads, so it is recorded once and replayed to each; if the
+    recording fails, every world fails with it."""
+    configs = [grid_world_config(grid, *point, seed) for point in grid.points()]
+    try:
+        xs, ys = _record_path(configs[0])
+    except Exception as exc:
+        return [(None, f"{type(exc).__name__}: {exc}")] * len(configs)
+    return [_run_point(config, zip(xs, ys)) for config in configs]
+
+
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
+    """Run every (tracker, sws, sigma) point of the grid, runs_per_point times.
+
+    Common random numbers: run r of every point has the seed
+    derive_seed(master_seed, r), so it sees the same target path and the
+    same standard normals, scaled by its own sigma; each world is the
+    `simulate --seed` run of that seed with the point's keys. A job is one
+    run index. The pool gets min(workers, runs_per_point, usable CPUs)
+    processes, all started at the first submit; at one it is skipped and
+    the jobs go in-process. Results are gathered in job order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs: list[tuple[tuple[str, int | None, float], int, WorldConfig]] = []
-    for tracker, sws, sigma in grid.points():
-        for run in range(grid.runs_per_point):
-            seed = derive_seed(grid.master_seed, tracker, sws, float(sigma), run)
-            jobs.append(((tracker, sws, sigma), seed, grid_world_config(grid, tracker, sws, sigma, seed)))
-
-    pool_size = min(workers, len(jobs), usable_cpus())
+    seeds = [derive_seed(grid.master_seed, run) for run in range(grid.runs_per_point)]
+    job = partial(_run_seed, grid)
+    pool_size = min(workers, len(seeds), usable_cpus())
     if pool_size > 1:
         # imported here: the module costs every command's start-up otherwise
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_run_point, (cfg for _, _, cfg in jobs), chunksize=4))
+            outcomes = list(pool.map(job, seeds))
     else:
-        outcomes = [_run_point(cfg) for _, _, cfg in jobs]
+        outcomes = list(map(job, seeds))
 
-    by_point: dict[tuple[str, int | None, float], tuple[list[int], list[MetricsReport]]] = {}
+    points: list[GridPoint] = []
     failures: list[str] = []
-    for (point, seed, _), (report, error) in zip(jobs, outcomes):
-        seeds, runs = by_point.setdefault(point, ([], []))
-        if report is None:
-            failures.append(f"{point} seed={seed}: {error}")
-            continue
-        seeds.append(seed)
-        runs.append(report)
-
-    points = tuple(
-        GridPoint(tracker, sws, sigma, tuple(seeds), tuple(runs))
-        for (tracker, sws, sigma), (seeds, runs) in by_point.items()
-    )
-    return GridResult(grid, points, tuple(failures))
+    for i, point in enumerate(grid.points()):
+        ran: list[int] = []
+        reports: list[MetricsReport] = []
+        for seed, results in zip(seeds, outcomes):
+            report, error = results[i]
+            if report is None:
+                failures.append(f"{point} seed={seed}: {error}")
+                continue
+            ran.append(seed)
+            reports.append(report)
+        points.append(GridPoint(*point, tuple(ran), tuple(reports)))
+    return GridResult(grid, tuple(points), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ PINNED_COMMANDS = {
 # to seeding, stepping, tracker or mobility dispatch, or the CSV writers
 # changes a digest; a refactor must leave all four alone.
 PINNED_COMMAND_DIGESTS = {
-    "grid": "93ee8278ad0e7333d39afac6a6495b1904311cb4ccb1eac51f9df2f2d11837c6",
+    "grid": "5b7c50f898934c3673181bcd10250b9baebca71848a31a072a0519b292c95b33",
     "scenario1": "bb17d9c6d997fa3593d0c4ed44de18e87058f5f7f59eacb1600ab27e8a8999ea",
     "scenario2": "098270538e9a2ed9fd4e134991ef8a9e9f468e6d8a03469041d6b650919238bd",
     "scenario3": "69d348d68eb790807a874d1d509b727c3b587c73630bed72ab8df65f637df46c",
@@ -482,6 +482,29 @@ def test_report_fig12_writes_the_scenario_outputs(tmp_path, capsys):
 def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
     assert run_cli(QUICK_GRID + ["--out-dir", str(tmp_path), "--workers", "2", "grid"]) == 0
     assert _files_digest(tmp_path) == PINNED_COMMAND_DIGESTS["grid"]
+
+
+def test_simulate_reproduces_every_grid_row(tmp_path, capsys):
+    # a grid_runs.csv row is the `simulate` run of the row's seed (its run
+    # index's seed, shared by every point) with the point's keys
+    grid_out = tmp_path / "grid"
+    assert run_cli(QUICK_GRID + ["--runs", "2", "--out-dir", str(grid_out), "grid"]) == 0
+    header, *rows = (grid_out / "grid_runs.csv").read_text().splitlines()
+    columns = header.split(",")
+    assert len(rows) == 8 * 2
+    for i, row in enumerate(rows):
+        cells = dict(zip(columns, row.split(",")))
+        keys = [f"world.tracker={cells['tracker']}", f"channel.shadowing_sigma_db={cells['sigma_db']}",
+                "world.duration_s=20"]
+        if cells["sws"]:
+            keys.append(f"hotcold.sws={cells['sws']}")
+        out = tmp_path / f"row{i}"
+        args = [arg for key in keys for arg in ("--set", key)]
+        assert run_cli(args + ["--seed", cells["seed"], "--out-dir", str(out), "simulate"]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        kpis = columns[columns.index("seed") + 1:]
+        written = [str(v) if isinstance(v, int) else f"{v:.6f}" for v in map(metrics.get, kpis)]
+        assert written == [cells[k] for k in kpis], row
 
 
 @pytest.mark.parametrize("config_text, args", [

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -90,11 +91,95 @@ def test_run_grid_structure():
     assert len(result.points) == len(MINI_GRID.points())
     point = result.point("hotcold", 4, 0.0)
     assert len(point.runs) == 2
-    assert point.seeds == tuple(
-        derive_seed(99, "hotcold", 4, 0.0, run) for run in range(2)
-    )
+    assert point.seeds == tuple(derive_seed(99, run) for run in range(2))
     assert all(r.total_cycles == 40 for r in point.runs)
     assert point.mean("average_distance_m") > 0.0
+
+
+def test_run_r_of_every_point_shares_the_run_index_seed():
+    # common random numbers: run r of every point sees one target path and
+    # one set of standard normals, so a robot that stands still reads the
+    # same distance at every sigma
+    grid = replace(MINI_GRID, sigma_values=(0.0, 1.0, 2.0, 6.0), runs_per_point=3)
+    result = run_grid(grid)
+    assert not result.failures
+    for point in result.points:
+        assert point.seeds == tuple(derive_seed(99, run) for run in range(3)), point
+    for run in range(3):
+        control = {result.point("static", None, sigma).runs[run].average_distance_m
+                   for sigma in grid.sigma_values}
+        assert len(control) == 1, (run, control)
+    # the sigmas still act on the trackers that move
+    assert len({result.point("trilateration", None, sigma).runs[0]
+                for sigma in grid.sigma_values}) > 1
+
+
+def test_every_grid_world_is_its_unshared_run():
+    # the recorded path a run index shares gives every world the bits of
+    # run_simulation of the same config, which draws its own path
+    result = run_grid(MINI_GRID)
+    for p in result.points:
+        for seed, report in zip(p.seeds, p.runs):
+            config = experiments.grid_world_config(MINI_GRID, p.tracker, p.sws, p.sigma, seed)
+            assert report == engine.run_simulation(config, keep_trace=False)[0], (p, seed)
+
+
+def test_a_run_index_records_its_target_path_once(monkeypatch):
+    calls = []
+    real = experiments.target_path
+
+    def target_path(config):
+        calls.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(experiments, "target_path", target_path)
+    run_grid(MINI_GRID)
+    assert calls == [derive_seed(99, 0), derive_seed(99, 1)]
+
+
+def test_a_failed_path_recording_fails_only_its_run_index(tmp_path, monkeypatch):
+    # each world of the run index becomes one failure; the other run index
+    # runs as before and every writer still writes
+    real = experiments.target_path
+    pinned = run_grid(MINI_GRID)
+
+    def target_path(config):
+        if config.seed == derive_seed(99, 1):
+            raise RuntimeError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(experiments, "target_path", target_path)
+    result = run_grid(MINI_GRID)
+    assert len(result.failures) == len(MINI_GRID.points())
+    assert all(f.endswith(f"seed={derive_seed(99, 1)}: RuntimeError: forced failure")
+               for f in result.failures)
+    for p in result.points:
+        assert p.seeds == (derive_seed(99, 0),)
+        assert p.runs == pinned.point(p.tracker, p.sws, p.sigma).runs[:1]
+    runs = write_grid_runs_csv(result, tmp_path).read_text().splitlines()
+    assert len(runs) == 1 + len(MINI_GRID.points())
+    write_sws_difference_csv(result, "average_distance_m", "fig5.csv", tmp_path)
+    write_sigma_comparison_csv(result, "average_distance_m", "fig8.csv", tmp_path)
+    summary = json.loads(write_summary_json(tmp_path, verify_convergence(10), grid=result).read_text())
+    assert summary["grid"]["best_sws_by_mean_average_distance"] in MINI_GRID.sws_values
+
+
+def test_a_run_index_of_long_worlds_records_its_path_in_bounded_memory():
+    # the shared path is two arrays of doubles, 16 bytes a cycle; each
+    # world's normals stay chunked (about 160 kB), so nothing else grows
+    # with the run
+    grid = replace(MINI_GRID, trackers=(StaticControl(),), sigma_values=(0.0,), runs_per_point=1,
+                   base=replace(MINI_BASE, duration_s=25000.0))
+    cycles = grid.base.total_cycles
+    run_grid(replace(grid, base=MINI_BASE))  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        result = run_grid(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cycles == 50000 and result.point("static", None, 0.0).runs[0].total_cycles == cycles
+    assert peak <= 16 * cycles + 256_000, peak
 
 
 class _RecordingPool:
@@ -115,7 +200,7 @@ class _RecordingPool:
         return map(fn, iterable)
 
 
-# (workers, usable CPUs, jobs, pool size or None for in-process runs)
+# (workers, usable CPUs, jobs (run indices), pool size or None for in-process runs)
 @pytest.mark.parametrize(
     "workers, cpus, jobs, size",
     [
@@ -136,12 +221,10 @@ def test_run_grid_pool_size(monkeypatch, workers, cpus, jobs, size):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
-    grid = MINI_GRID if jobs == 16 else replace(
-        MINI_GRID, trackers=(StaticControl(),), sigma_values=(0.0, 2.0)[:jobs], runs_per_point=1
-    )
+    grid = replace(MINI_GRID, runs_per_point=jobs)  # a job is one run index
     result = run_grid(grid, workers=workers)
     assert _RecordingPool.sizes == ([] if size is None else [size])
-    assert sum(len(p.runs) for p in result.points) == jobs
+    assert sum(len(p.runs) for p in result.points) == jobs * len(grid.points())
     assert result.points == run_grid(grid).points
 
 
@@ -203,14 +286,14 @@ def test_miniature_grid_golden_file(tmp_path):
     lines = data.decode().splitlines()
     assert len(lines) == 17
     assert lines[1] == (
-        "hotcold,2,0.000000,0,1237563001499027042,4.363293,40,100.000000,15,37.500000,40"
+        "hotcold,2,0.000000,0,2866525450354206303,13.354850,40,100.000000,0,0.000000,40"
     )
     assert lines[5] == (
-        "hotcold,4,0.000000,0,6328699237035289256,37.000651,40,100.000000,0,0.000000,40"
+        "hotcold,4,0.000000,0,2866525450354206303,15.025996,40,100.000000,0,0.000000,40"
     )
     assert (
         hashlib.sha256(data).hexdigest()
-        == "db8812171fe3ad158cc5f304d05002a2f74cfc2c6bf9a29f61d61436dfc82692"
+        == "8fbad6d6c196d442a76dfb13c49acd26f80e4f3b96e2d876f351809092ab3abd"
     )
 
 
@@ -250,7 +333,7 @@ def test_failed_points_write_nan_and_leave_the_best_sws(tmp_path, monkeypatch):
             return tracker.sws == 2 and sigma == 2.0
         if isinstance(tracker, TrilaterationConfig):
             return sigma == 0.0
-        return sigma == 2.0 and config.seed == derive_seed(99, "static", None, 2.0, 1)
+        return sigma == 2.0 and config.seed == derive_seed(99, 1)
 
     _failing_runs(monkeypatch, fails)
     result = run_grid(MINI_GRID)
