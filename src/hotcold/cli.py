@@ -3,9 +3,10 @@
 Everything is seeded and rerunning any command with the same seed and
 arguments produces byte-identical output files. The output directory comes
 from --out-dir, or the HOTCOLD_OUT_DIR environment variable, or ./out, and
-is made only once a command's inputs pass. `main` refuses a global flag
-that the command does not read (COMMANDS lists the ones each reads; report's
-depend on its figures), and is the one place that reads --config and --set.
+is made only once a command's inputs pass. `report` runs every study and
+writes every figure; a subset is its family command. `main` refuses a
+global flag that the command does not read (COMMANDS lists the ones each
+reads), and is the one place that reads --config and --set.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .experiments import (
 
 QUICK_DURATION_S = 200.0
 QUICK_RUNS = 2
-
-FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12")
 
 # grid figures in output order: figure -> (metric, writer)
 GRID_FIGURES = {
@@ -102,12 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--sigma", type=float, default=SCENARIO_SIGMA_DB, help="shadowing sigma in dB"
     )
-    report = sub.add_parser("report", help="emit requested figure CSVs plus summary.json")
-    report.add_argument(
-        "--figures",
-        default=",".join(FIGURE_NAMES),
-        help=f"comma list from {','.join(FIGURE_NAMES)} (default: all)",
-    )
+    sub.add_parser("report", help="every study: all figure CSVs plus summary.json")
     return parser
 
 
@@ -150,14 +144,13 @@ def _cmd_simulate(args) -> None:
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
 
 
-def _grid(args, grid, figures):
-    """Run the grid and write grid_runs.csv plus the wanted grid figures;
-    the SWS figures are dropped when the grid has no hotcold."""
-    if "hotcold" not in grid.tracker_names:
-        figures = figures - SWS_FIGURES
+def _grid(args, grid):
+    """Run the grid and write grid_runs.csv plus every grid figure but the
+    SWS ones when the grid has no hotcold."""
+    hotcold = "hotcold" in grid.tracker_names
     dropped = [s for s in grid.comparison_sws if s not in grid.sws_values]
-    comparisons = [f for f in GRID_FIGURES if f in figures and f not in SWS_FIGURES]
-    if dropped and comparisons and "hotcold" in grid.tracker_names:
+    if dropped and hotcold:
+        comparisons = [f for f in GRID_FIGURES if f not in SWS_FIGURES]
         print(f"warning: grid.comparison_sws {','.join(map(str, dropped))} not in "
               f"grid.sws_values: no hotcold curve for them in {', '.join(comparisons)}",
               file=sys.stderr)
@@ -166,14 +159,14 @@ def _grid(args, grid, figures):
     print(f"grid: {len(result.points)} points x {grid.runs_per_point} runs")
     print(f"wrote {write_grid_runs_csv(result, out)}")
     for fig, (metric, writer) in GRID_FIGURES.items():
-        if fig in figures:
+        if hotcold or fig not in SWS_FIGURES:
             print(f"wrote {writer(result, metric, f'{fig}.csv', out)}")
     return result
 
 
 def _cmd_grid(args) -> int:
     grid = build_grid(args.cfg, build_world(args.cfg))
-    return _exit_on_failures(_grid(args, grid, GRID_FIGURES.keys()))
+    return _exit_on_failures(_grid(args, grid))
 
 
 def _exit_on_failures(result) -> int:
@@ -245,43 +238,27 @@ def _cmd_scenario(args) -> None:
     _scenario(args, args.preset, sigma, _scenario_iterations(args))
 
 
-def _report_reads(args) -> tuple[str, ...]:
-    """The global flags report reads for its figures (kept as args.wanted):
-    --runs only for a grid figure or fig12, --workers only for a grid figure."""
-    args.wanted = wanted = {f.strip() for f in args.figures.split(",") if f.strip()}
-    unknown = wanted - set(FIGURE_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown figures {sorted(unknown)}; choose from {FIGURE_NAMES}")
-    grid = bool(wanted & GRID_FIGURES.keys())
-    reads = {"--runs": grid or "fig12" in wanted, "--workers": grid}
-    return tuple(flag for flag in GLOBAL_FLAGS if reads.get(flag, True))
-
-
 def _cmd_report(args) -> int:
-    wanted = args.wanted
-    # checked before the output directory is made; the world and the grid
-    # are built whatever the figures
-    iterations = _scenario_iterations(args) if "fig12" in wanted else None
+    # checked before the output directory is made
+    iterations = _scenario_iterations(args)
     grid = build_grid(args.cfg, build_world(args.cfg))
-    if wanted & SWS_FIGURES and "hotcold" not in grid.tracker_names:
-        raise ConfigError(f"{sorted(wanted & SWS_FIGURES)} need hotcold in grid.trackers")
+    if "hotcold" not in grid.tracker_names:
+        raise ConfigError(f"{sorted(SWS_FIGURES)} need hotcold in grid.trackers")
     out = _out_dir(args)
-    rotation = _rotation_sweep(args) if wanted & {"fig2", "fig3"} else None
-    exhaustive = _exhaustive_sweep(args) if "fig4" in wanted else None
-    grid_result = _grid(args, grid, wanted) if wanted & GRID_FIGURES.keys() else None
-    if "fig12" in wanted:  # the presets, whatever the config
-        for name in SCENARIO_NAMES:
-            _scenario(args, name, SCENARIO_SIGMA_DB, iterations)
+    rotation = _rotation_sweep(args)
+    exhaustive = _exhaustive_sweep(args)
+    grid_result = _grid(args, grid)
+    for name in SCENARIO_NAMES:  # the presets, whatever the config
+        _scenario(args, name, SCENARIO_SIGMA_DB, iterations)
     convergence = verify_convergence()  # at seed 0, whatever --seed says
     print(f"wrote {write_summary_json(out, convergence, rotation, exhaustive, grid_result)}")
-    return 0 if grid_result is None else _exit_on_failures(grid_result)
+    return _exit_on_failures(grid_result)
 
 
 # global flag -> the attribute argparse gives it
 GLOBAL_FLAGS = {"--config": "config", "--set": "overrides", "--seed": "seed",
                 "--out-dir": "out_dir", "--runs": "runs", "--quick": "quick", "--workers": "workers"}
-# command -> (handler, the global flags it reads, or a function of the
-# arguments that gives them); main refuses the others
+# command -> (handler, the global flags it reads); main refuses the others
 COMMANDS = {
     "simulate": (_cmd_simulate, ("--config", "--set", "--seed", "--quick", "--out-dir")),
     "grid": (_cmd_grid, tuple(GLOBAL_FLAGS)),
@@ -289,7 +266,7 @@ COMMANDS = {
     "exhaustive-sweep": (_exhaustive_sweep, ("--out-dir",)),
     "verify-lemmas": (_cmd_verify_lemmas, ("--seed",)),
     "scenario": (_cmd_scenario, ("--seed", "--runs", "--quick", "--out-dir")),
-    "report": (_cmd_report, _report_reads),
+    "report": (_cmd_report, tuple(GLOBAL_FLAGS)),
 }
 
 
@@ -298,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command, reads = COMMANDS[args.command]
     try:
-        reads = reads(args) if callable(reads) else reads
         unread = [flag for flag, dest in GLOBAL_FLAGS.items()
                   if flag not in reads and getattr(args, dest) != parser.get_default(dest)]
         if unread:

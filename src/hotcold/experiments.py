@@ -125,6 +125,7 @@ def _std(values: list[float]) -> float:
 class GridResult:
     grid: ExperimentGrid
     points: tuple[GridPoint, ...]
+    seeds: tuple[int, ...]  # run index r's seed; a point's seeds skip its failed runs
     failures: tuple[str, ...] = ()
 
     @cached_property
@@ -211,7 +212,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
             ran.append(seed)
             reports.append(report)
         points.append(GridPoint(*point, tuple(ran), tuple(reports)))
-    return GridResult(grid, tuple(points), tuple(failures))
+    return GridResult(grid, tuple(points), tuple(seeds), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +341,17 @@ def write_exhaustive_csv(result: ExhaustiveSweepResult, out_dir: Path) -> Path:
 
 
 def write_grid_runs_csv(result: GridResult, out_dir: Path) -> Path:
-    """grid_runs.csv: one row per run with its seed and all KPIs, which are
-    the keys of MetricsReport.to_dict in its order: ints as they are, floats
-    through _fmt."""
+    """grid_runs.csv: one row per run with its run index, its seed and all
+    KPIs, which are the keys of MetricsReport.to_dict in its order: ints as
+    they are, floats through _fmt."""
     kpis = MetricsReport(math.nan, 0, 0, 0).to_dict()  # an empty run's report, for its keys
     lines = [",".join(("tracker,sws,sigma_db,run,seed", *kpis))]
+    run_of = {seed: str(run) for run, seed in enumerate(result.seeds)}
     for p in sorted(result.points, key=lambda p: (p.tracker, p.sws or 0, p.sigma)):
         sws = "" if p.sws is None else str(p.sws)
-        for run, (seed, rep) in enumerate(zip(p.seeds, p.runs)):
+        for seed, rep in zip(p.seeds, p.runs):
             cells = (str(v) if isinstance(v, int) else _fmt(v) for v in rep.to_dict().values())
-            lines.append(",".join((p.tracker, sws, _fmt(p.sigma), str(run), str(seed), *cells)))
+            lines.append(",".join((p.tracker, sws, _fmt(p.sigma), run_of[seed], str(seed), *cells)))
     path = Path(out_dir) / "grid_runs.csv"
     _write_lines(path, lines)
     return path
@@ -436,48 +438,41 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
 def write_summary_json(
     out_dir: Path,
     convergence: ConvergenceReport,
-    rotation: RotationSweepResult | None = None,
-    exhaustive: ExhaustiveSweepResult | None = None,
-    grid: GridResult | None = None,
+    rotation: RotationSweepResult,
+    exhaustive: ExhaustiveSweepResult,
+    grid: GridResult,
 ) -> Path:
-    """summary.json: headline numbers of the convergence check and of
-    whichever other studies were run."""
-    summary: dict = {
+    """summary.json: headline numbers of the convergence check, both sweeps
+    and the grid's hotcold points."""
+    best = rotation.summary(rotation.best_phi)
+    hc = [p for p in grid.points if p.tracker == "hotcold"]
+    by_sws: dict[int, list[float]] = {}
+    for p in hc:
+        by_sws.setdefault(p.sws, []).append(p.mean("average_distance_m"))
+    mean_ad = {sws: statistics.fmean(v) for sws, v in by_sws.items()}
+    mean_ad = {sws: m for sws, m in mean_ad.items() if not math.isnan(m)}
+    summary = {
         "convergence": {
             "trials": convergence.trials,
             "total_violations": convergence.total_violations,
             "boundary_skips": convergence.boundary_skips,
-        }
-    }
-    if rotation is not None:
-        best = rotation.summary(rotation.best_phi)
-        summary["rotation_sweep"] = {
+        },
+        "rotation_sweep": {
             "best_phi_deg": rotation.best_phi,
             "overall_mean_rotations": best.overall_mean,
             "percent_valid": best.percent_valid,
-        }
-    if exhaustive is not None:
-        summary["exhaustive_sweep"] = {
+        },
+        "exhaustive_sweep": {
             "best_phi_deg": exhaustive.best_phi,
             "overall_mean_steps": exhaustive.overall_means[exhaustive.best_phi],
             "total_runs": exhaustive.total_runs,
             "cap_hits": exhaustive.cap_hits,
-        }
-    if grid is not None:
-        hc = [p for p in grid.points if p.tracker == "hotcold"]
-        if hc:
-            sigmas = sorted({p.sigma for p in hc})
-            by_sws: dict[int, list[float]] = {}
-            for p in hc:
-                by_sws.setdefault(p.sws, []).append(p.mean("average_distance_m"))
-            mean_ad = {sws: statistics.fmean(v) for sws, v in by_sws.items()}
-            mean_ad = {sws: m for sws, m in mean_ad.items() if not math.isnan(m)}
-            summary["grid"] = {
-                "sigma_values": sigmas,
-                "best_sws_by_mean_average_distance": (
-                    min(mean_ad, key=mean_ad.get) if mean_ad else None
-                ),
-            }
+        },
+        "grid": {
+            "sigma_values": sorted({p.sigma for p in hc}),
+            "best_sws_by_mean_average_distance": min(mean_ad, key=mean_ad.get) if mean_ad else None,
+        },
+    }
     path = Path(out_dir) / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

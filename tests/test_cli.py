@@ -4,13 +4,15 @@ import io
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotcold import experiments
+from hotcold import cli, experiments
+from hotcold.analysis import exhaustive_sweep, rotation_sweep
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
 from hotcold.engine import write_trace_csv
@@ -19,6 +21,12 @@ from hotcold.tracker import HotColdConfig
 
 def run_cli(args):
     return main(list(args))
+
+
+def _one_angle_sweeps(monkeypatch):
+    """report's two sweeps at one angle, for the tests of its wiring."""
+    monkeypatch.setattr(cli, "rotation_sweep", partial(rotation_sweep, range(139, 140)))
+    monkeypatch.setattr(cli, "exhaustive_sweep", partial(exhaustive_sweep, range(139, 140)))
 
 
 def test_simulate_writes_trace_and_metrics(tmp_path, capsys):
@@ -205,18 +213,8 @@ def test_scenario_iteration_is_the_simulate_run_of_its_keys(tmp_path, capsys, na
     assert metrics["average_distance_m"] == result.metrics[iteration].average_distance_m
 
 
-def test_report_figures_subset(tmp_path):
-    out = tmp_path / "rep"
-    code = run_cli(["--out-dir", str(out), "report", "--figures", "fig2,fig3"])
-    assert code == 0
-    assert (out / "fig2.csv").exists() and (out / "fig3.csv").exists()
-    assert not (out / "fig4.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["rotation_sweep"]["best_phi_deg"] == 139
-    assert summary["convergence"]["total_violations"] == 0
-
-
-def test_report_grid_figures(tmp_path):
+def test_report_grid_figures(tmp_path, monkeypatch):
+    _one_angle_sweeps(monkeypatch)
     out = tmp_path / "repgrid"
     code = run_cli(
         [
@@ -235,13 +233,11 @@ def test_report_grid_figures(tmp_path):
             "--set",
             "grid.comparison_sws=3,4",
             "report",
-            "--figures",
-            "fig5,fig8",
         ]
     )
     assert code == 0
-    assert (out / "fig5.csv").exists() and (out / "fig8.csv").exists()
-    assert not (out / "fig6.csv").exists()
+    for name in ("grid_runs", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"):
+        assert (out / f"{name}.csv").exists(), name
     summary = json.loads((out / "summary.json").read_text())
     assert summary["grid"]["best_sws_by_mean_average_distance"] in (3, 4)
 
@@ -252,8 +248,9 @@ TINY_GRID = [
 ]
 
 
-@pytest.mark.parametrize("command", [["grid"], ["report", "--figures", "fig5,fig8"]])
+@pytest.mark.parametrize("command", [["grid"], ["report"]])
 def test_failed_grid_runs_exit_1_after_writing(tmp_path, capsys, monkeypatch, command):
+    _one_angle_sweeps(monkeypatch)
     real = experiments.run_simulation
 
     def run_simulation(config, *args, **kwargs):
@@ -280,21 +277,14 @@ def test_grid_without_hotcold_skips_the_sws_figures(tmp_path):
     ]
 
 
-def test_grid_and_report_write_the_same_figures(tmp_path):
-    figures = ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
-    assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "grid"), "grid"]) == 0
-    report = ["report", "--figures", ",".join(figures)]
-    assert run_cli(TINY_GRID + ["--out-dir", str(tmp_path / "report")] + report) == 0
-    for name in ["grid_runs"] + figures:
-        grid_bytes = (tmp_path / "grid" / f"{name}.csv").read_bytes()
-        assert grid_bytes == (tmp_path / "report" / f"{name}.csv").read_bytes(), name
-
-
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     out = tmp_path / "out"  # an input error must not make it
-    assert run_cli(["--out-dir", str(out), "report", "--figures", "fig99"]) == 2
-    no_hotcold = ["--set", "grid.trackers=static", "report", "--figures", "fig5"]
-    assert run_cli(["--out-dir", str(out)] + no_hotcold) == 2
+    # report writes every figure: a subset is its family command
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--out-dir", str(out), "report", "--figures", "fig99"])
+    assert exc.value.code == 2
+    assert run_cli(["--out-dir", str(out), "--set", "grid.trackers=static", "report"]) == 2
+    assert "error: ['fig5', 'fig6', 'fig7'] need hotcold in grid.trackers" in capsys.readouterr().err
     assert (
         run_cli(["--out-dir", str(out), "--set", "world.duration_s=1.3", "simulate"]) == 2
     )
@@ -468,15 +458,33 @@ def test_exhaustive_sweep_command_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
 
 
-def test_report_fig12_writes_the_scenario_outputs(tmp_path, capsys):
-    assert run_cli(["--out-dir", str(tmp_path), "--runs", "1", "report", "--figures", "fig12"]) == 0
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == [f"fig12_{name}.csv" for name in experiments.SCENARIO_NAMES] + ["summary.json"]
-    for name in experiments.SCENARIO_NAMES:
-        scenario_out = tmp_path / name
-        scenario_out.mkdir()
-        (tmp_path / f"fig12_{name}.csv").rename(scenario_out / f"fig12_{name}.csv")
-        assert _files_digest(scenario_out) == PINNED_COMMAND_DIGESTS[name], name
+def test_report_writes_what_the_family_commands_write(tmp_path, capsys):
+    # report is the family commands in one directory plus summary.json:
+    # figs 2/3 of rotation-sweep, fig4 of exhaustive-sweep, the files of
+    # grid and fig12 of each scenario preset, byte for byte
+    out = tmp_path / "report"
+    assert run_cli(QUICK_GRID + ["--out-dir", str(out), "report"]) == 0
+    families = {
+        "grid": ["grid_runs.csv"] + [f"fig{n}.csv" for n in range(5, 11)],
+        **{name: [f"fig12_{name}.csv"] for name in experiments.SCENARIO_NAMES},
+    }
+    written = ["fig2.csv", "fig3.csv", "fig4.csv", "summary.json", *sum(families.values(), [])]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    assert run_cli(["--out-dir", str(tmp_path / "rotation"), "rotation-sweep"]) == 0
+    for name in ("fig2.csv", "fig3.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "rotation" / name).read_bytes(), name
+    assert hashlib.sha256((out / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
+    for family, names in families.items():
+        (tmp_path / family).mkdir()
+        for name in names:
+            (out / name).rename(tmp_path / family / name)
+        assert _files_digest(tmp_path / family) == PINNED_COMMAND_DIGESTS[family], family
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == ["convergence", "exhaustive_sweep", "grid", "rotation_sweep"]
+    assert summary["rotation_sweep"]["best_phi_deg"] == 139
+    assert summary["exhaustive_sweep"]["best_phi_deg"] == 135
+    assert summary["grid"]["best_sws_by_mean_average_distance"] in (3, 4)
+    assert summary["convergence"]["total_violations"] == 0
 
 
 def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
@@ -520,15 +528,11 @@ def test_simulate_reproduces_every_grid_row(tmp_path, capsys):
     ("", ["--set", "world.target_start_x_m=5", "simulate"]),
     ("", ["--set", "hotcold.halt_threshold_dbm=-60", "simulate"]),
     ("[hotcold]\nhalt_threshold_dbm = -60\n", ["simulate"]),
-    # report builds its config whatever --figures says, and reads --runs
-    # only for a grid figure or fig12 and --workers only for a grid figure
-    ("", ["--set", "world.duration_s=abc", "report", "--figures", "fig2"]),
-    ("", ["--runs", "5", "--workers", "2", "report", "--figures", "fig2"]),
-    ("", ["--workers", "2", "report", "--figures", "fig12"]),
+    # report builds and checks its config before it runs anything
+    ("", ["--set", "world.duration_s=abc", "report"]),
 ], ids=["unreadable", "no-section", "unknown-section", "obstacle-not-numeric", "empty-axis",
         "fixed-path-blank", "static-mobility", "target-start", "halt-threshold-set",
-        "halt-threshold-ini", "report-bad-world-key", "report-runs-and-workers",
-        "report-workers-for-fig12"])
+        "halt-threshold-ini", "report-bad-world-key"])
 def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, args):
     config = tmp_path / "config.ini"
     if config_text is not None:
@@ -662,8 +666,9 @@ def test_robot_heading_applies_to_a_blank_start(tmp_path, capsys):
     assert turned == centered  # a blank start is the space center
 
 
-@pytest.mark.parametrize("command", [["grid"], ["report", "--figures", "fig5,fig8"]])
-def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", [["grid"], ["report"]])
+def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, monkeypatch, command):
+    _one_angle_sweeps(monkeypatch)
     args = TINY_GRID + ["--set", "grid.comparison_sws=3,9,11", "--out-dir", str(tmp_path)]
     assert run_cli(args + command) == 0
     err = capsys.readouterr().err
@@ -683,8 +688,9 @@ def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, command):
         ["scenario", "--preset", "scenario1", "--sigma", "nan"],
         ["scenario", "--preset", "scenario1", "--sigma", "-1"],
         ["scenario", "--preset", "scenario1", "--sigma", "inf"],
-        ["--runs", "0", "report", "--figures", "fig12"],
-        ["--runs", "0", "report", "--figures", "fig2,fig12"],  # checked before fig2 is written
+        # checked before any figure is written
+        ["--runs", "0", "report"],
+        ["--runs", "-1", "report"],
     ],
 )
 def test_scenario_flags_out_of_bounds_exit_2(tmp_path, capsys, args):

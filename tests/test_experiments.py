@@ -29,7 +29,7 @@ from hotcold.experiments import (
     write_summary_json,
     write_sws_difference_csv,
 )
-from hotcold.analysis import verify_convergence
+from hotcold.analysis import exhaustive_sweep, rotation_sweep, verify_convergence
 from hotcold.channel import ChannelParams
 from hotcold.geometry import Pose, Vec2, distance
 from hotcold.tracker import HotColdConfig
@@ -139,29 +139,35 @@ def test_a_run_index_records_its_target_path_once(monkeypatch):
 
 def test_a_failed_path_recording_fails_only_its_run_index(tmp_path, monkeypatch):
     # each world of the run index becomes one failure; the other run index
-    # runs as before and every writer still writes
+    # runs as before, keeps its index in grid_runs.csv's run column, and
+    # every writer still writes
     real = experiments.target_path
     pinned = run_grid(MINI_GRID)
+    for failing, kept in ((0, 1), (1, 0)):
 
-    def target_path(config):
-        if config.seed == derive_seed(99, 1):
-            raise RuntimeError("forced failure")
-        return real(config)
+        def target_path(config, failing=failing):
+            if config.seed == derive_seed(99, failing):
+                raise RuntimeError("forced failure")
+            return real(config)
 
-    monkeypatch.setattr(experiments, "target_path", target_path)
-    result = run_grid(MINI_GRID)
-    assert len(result.failures) == len(MINI_GRID.points())
-    assert all(f.endswith(f"seed={derive_seed(99, 1)}: RuntimeError: forced failure")
-               for f in result.failures)
-    for p in result.points:
-        assert p.seeds == (derive_seed(99, 0),)
-        assert p.runs == pinned.point(p.tracker, p.sws, p.sigma).runs[:1]
-    runs = write_grid_runs_csv(result, tmp_path).read_text().splitlines()
-    assert len(runs) == 1 + len(MINI_GRID.points())
-    write_sws_difference_csv(result, "average_distance_m", "fig5.csv", tmp_path)
-    write_sigma_comparison_csv(result, "average_distance_m", "fig8.csv", tmp_path)
-    summary = json.loads(write_summary_json(tmp_path, verify_convergence(10), grid=result).read_text())
-    assert summary["grid"]["best_sws_by_mean_average_distance"] in MINI_GRID.sws_values
+        monkeypatch.setattr(experiments, "target_path", target_path)
+        result = run_grid(MINI_GRID)
+        assert len(result.failures) == len(MINI_GRID.points())
+        assert all(f.endswith(f"seed={derive_seed(99, failing)}: RuntimeError: forced failure")
+                   for f in result.failures)
+        for p in result.points:
+            assert p.seeds == (derive_seed(99, kept),)
+            assert p.runs == pinned.point(p.tracker, p.sws, p.sigma).runs[kept:kept + 1]
+        header, *rows = write_grid_runs_csv(result, tmp_path).read_text().splitlines()
+        assert len(rows) == len(MINI_GRID.points())
+        columns = header.split(",")
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert (cells["run"], cells["seed"]) == (str(kept), str(derive_seed(99, kept))), row
+        write_sws_difference_csv(result, "average_distance_m", "fig5.csv", tmp_path)
+        write_sigma_comparison_csv(result, "average_distance_m", "fig8.csv", tmp_path)
+        summary = _summary(tmp_path, result)
+        assert summary["grid"]["best_sws_by_mean_average_distance"] in MINI_GRID.sws_values
 
 
 def test_a_run_index_of_long_worlds_records_its_path_in_bounded_memory():
@@ -311,6 +317,15 @@ def test_grid_runs_build_no_trace(tmp_path, monkeypatch):
     assert write_grid_runs_csv(result, tmp_path / "bare").read_bytes() == pinned
 
 
+def _summary(out_dir, grid) -> dict:
+    """summary.json of `grid`, next to small sweeps and convergence check."""
+    rotation = rotation_sweep(range(138, 140), range(0, 3))
+    exhaustive = exhaustive_sweep(phi_range=range(135, 136), rho_range=range(10, 21, 10))
+    return json.loads(
+        write_summary_json(out_dir, verify_convergence(10), rotation, exhaustive, grid).read_text()
+    )
+
+
 def _failing_runs(monkeypatch, fails):
     """Make run_simulation raise for every world config that `fails` picks."""
     real = experiments.run_simulation
@@ -353,8 +368,7 @@ def test_failed_points_write_nan_and_leave_the_best_sws(tmp_path, monkeypatch):
     rows = fig8.read_text().splitlines()
     assert "trilateration,0.000000,nan,nan" in rows
     assert any(r.startswith("static,2.000000,") and r.endswith(",0.000000") for r in rows)
-    path = write_summary_json(tmp_path, verify_convergence(10), grid=result)
-    summary = json.loads(path.read_text())
+    summary = _summary(tmp_path, result)
     assert summary["grid"]["best_sws_by_mean_average_distance"] == 4
 
 
@@ -363,8 +377,7 @@ def test_every_hotcold_point_failed_has_no_best_sws(tmp_path, monkeypatch):
     result = run_grid(MINI_GRID)
     fig6 = write_sws_difference_csv(result, "cycles_in_range_pct", "fig6.csv", tmp_path)
     assert all(row.endswith("nan,nan,nan") for row in fig6.read_text().splitlines()[1:5])
-    path = write_summary_json(tmp_path, verify_convergence(10), grid=result)
-    summary = json.loads(path.read_text())
+    summary = _summary(tmp_path, result)
     assert summary["grid"]["best_sws_by_mean_average_distance"] is None
 
 
