@@ -458,33 +458,52 @@ def test_exhaustive_sweep_command_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
 
 
-def test_report_writes_what_the_family_commands_write(tmp_path, capsys):
-    # report is the family commands in one directory plus summary.json:
-    # figs 2/3 of rotation-sweep, fig4 of exhaustive-sweep, the files of
-    # grid and fig12 of each scenario preset, byte for byte
-    out = tmp_path / "report"
+@pytest.fixture(scope="module")
+def quick_report(tmp_path_factory):
+    """One `QUICK_GRID` `report`, read by the tests of what it writes."""
+    out = tmp_path_factory.mktemp("report")
     assert run_cli(QUICK_GRID + ["--out-dir", str(out), "report"]) == 0
-    families = {
-        "grid": ["grid_runs.csv"] + [f"fig{n}.csv" for n in range(5, 11)],
-        **{name: [f"fig12_{name}.csv"] for name in experiments.SCENARIO_NAMES},
-    }
-    written = ["fig2.csv", "fig3.csv", "fig4.csv", "summary.json", *sum(families.values(), [])]
-    assert sorted(p.name for p in out.iterdir()) == sorted(written)
-    assert run_cli(["--out-dir", str(tmp_path / "rotation"), "rotation-sweep"]) == 0
+    return out
+
+
+def _family_digest(report: Path, names, tmp_path: Path) -> str:
+    """`_files_digest` of the named report files alone, copied aside."""
+    for name in names:
+        (tmp_path / name).write_bytes((report / name).read_bytes())
+    return _files_digest(tmp_path)
+
+
+def test_report_figures_subset(tmp_path, capsys, quick_report):
+    # report is the family commands in one directory plus summary.json; figs
+    # 2/3 are rotation-sweep's bytes and fig4 is exhaustive-sweep's
+    written = ["fig2.csv", "fig3.csv", "fig4.csv", "summary.json", "grid_runs.csv",
+               *(f"fig{n}.csv" for n in range(5, 11)),
+               *(f"fig12_{name}.csv" for name in experiments.SCENARIO_NAMES)]
+    assert sorted(p.name for p in quick_report.iterdir()) == sorted(written)
+    assert run_cli(["--out-dir", str(tmp_path), "rotation-sweep"]) == 0
     for name in ("fig2.csv", "fig3.csv"):
-        assert (out / name).read_bytes() == (tmp_path / "rotation" / name).read_bytes(), name
-    assert hashlib.sha256((out / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
-    for family, names in families.items():
-        (tmp_path / family).mkdir()
-        for name in names:
-            (out / name).rename(tmp_path / family / name)
-        assert _files_digest(tmp_path / family) == PINNED_COMMAND_DIGESTS[family], family
-    summary = json.loads((out / "summary.json").read_text())
+        assert (quick_report / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert hashlib.sha256((quick_report / "fig4.csv").read_bytes()).hexdigest() == FIG4_SHA256
+    summary = json.loads((quick_report / "summary.json").read_text())
     assert sorted(summary) == ["convergence", "exhaustive_sweep", "grid", "rotation_sweep"]
     assert summary["rotation_sweep"]["best_phi_deg"] == 139
     assert summary["exhaustive_sweep"]["best_phi_deg"] == 135
     assert summary["grid"]["best_sws_by_mean_average_distance"] in (3, 4)
     assert summary["convergence"]["total_violations"] == 0
+
+
+def test_grid_and_report_write_the_same_figures(tmp_path, quick_report):
+    # grid_runs.csv and figs 5-10 of report are the bytes `grid` writes
+    names = ["grid_runs.csv"] + [f"fig{n}.csv" for n in range(5, 11)]
+    assert _family_digest(quick_report, names, tmp_path) == PINNED_COMMAND_DIGESTS["grid"]
+
+
+def test_report_fig12_writes_the_scenario_outputs(tmp_path, quick_report):
+    # each fig12 file of report is the bytes `scenario --preset` writes
+    for name in experiments.SCENARIO_NAMES:
+        (tmp_path / name).mkdir()
+        digest = _family_digest(quick_report, [f"fig12_{name}.csv"], tmp_path / name)
+        assert digest == PINNED_COMMAND_DIGESTS[name], name
 
 
 def test_workers_2_grid_equals_the_serial_grid(tmp_path, capsys):
