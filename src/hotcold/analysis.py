@@ -260,8 +260,8 @@ class ExhaustiveSweepResult:
 # * s is rounded three times: |s - r*r| <= 2**-51.9 * r*r + 2**-1073 (the
 #   second term covers underflow). Nothing overflows while r < 2**402:
 #   positions stay within 2 * step_cap + 2 of the origin (a start taken up
-#   after its first leg, see below, can step past the cap by its offset),
-#   so _MAX_DISTANCE ensures it.
+#   after its first leg can step past the cap by its offset), so
+#   _MAX_DISTANCE ensures it.
 # * Assume only that hypot is within 256 ulp of r (math.hypot is within 1):
 #   |h - r| <= 2**-44 * r, or <= 2**-1066 for a subnormal h, so
 #   |h*h - r*r| <= 2**-42.9 * r*r + 2**-2000.
@@ -286,28 +286,8 @@ class ExhaustiveSweepResult:
 # starts it passes.
 # First leg: every trajectory starts at the origin heading along +x, and as
 # _COS_DEG[0] == 1.0 and _SIN_DEG[0] == 0.0 it sits exactly on (j, 0.0) at
-# step j until its first turn k1, whatever phi. There dy = -ty and
-# a_j = |fl(j - tx)|. Rounding is monotone and symmetric, so a_j falls and
-# then rises in j, and it rises strictly only where |j - tx| does, for
-# j > tx + 1/2. math.hypot is taken to be monotone in a_j, as a correctly
-# rounded hypot is, so the distances h_j fall and then rise as well, and a
-# turn at j needs j >= kc, the smallest integer above tx + 1/2 and at
-# least 1. The candidate k = floor(fl(tx + 1/2)) + 1, at least 1, is kc or
-# kc + 1: rounding can move tx + 1/2 up onto the next integer but never
-# past one. Hence the first turn is the first of k - 1 (if >= 1), k and
-# k + 1 that turns (a rounded tie can hold kc back a step), and when none
-# of them turns there is no turn within a cap of k + 1 or less. The
-# distances do not rise up to k1 - 1, so a level is crossed on the leg at
-# the first step within it, if any: step j when j is within it and j - 1
-# (if any) is not. A level that step k1 - 1 is not within is not crossed
-# on the leg, nor at k1, where the distance rose. Nor is a level with
-# |ty| * (1 - 2**-40) > tau + _NEAR_TIE_FLOOR: every distance on the leg is
-# at least |ty| * (1 - 2**-44) - 2**-1066 > tau. For the other (start,
-# level) pairs the kernel looks for that step among c - 1, c and c + 1,
-# for c = ceil(tx - sqrt(tau**2 - ty**2)) clipped to the leg. Every check
-# applies the rules above; a start that fails one (a rounding that misses
-# by more than a step, or distances too large to change along the leg)
-# walks its leg in the loop instead.
+# step j until its first turn, whatever phi: _first_leg steps it once for
+# every angle with these same rules.
 _NEAR_TIE = 2.0**-40
 _NEAR_TIE_FLOOR = 2.0**-1000
 _MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**402
@@ -331,113 +311,110 @@ def _levels(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return thresholds, squared, reaches, insides
 
 
+def _crossings(rows, s, left, hypot, taus, reaches, insides):
+    """The crossing rule, for the `rows` with s <= reaches[left]: those that
+    cross a level, and the lowest level each crosses. Most surely cross
+    their largest level left and surely not the one below; the rest are
+    decided on `hypot(rows)`, their math.hypot distances."""
+    levels = left[rows]
+    first = levels - 1
+    candidate_s = s[rows]
+    unsure = np.flatnonzero((candidate_s > insides[levels]) | (candidate_s <= reaches[first]))
+    if unsure.size:
+        first[unsure] = np.minimum(np.searchsorted(taus, hypot(rows[unsure])), levels[unsure])
+        crossed = first < levels
+        rows, first = rows[crossed], first[crossed]
+    return rows, first
+
+
 class _FirstLeg(NamedTuple):
     """What every angle shares: each start's walk along +x to its first turn.
 
-    The leg crosses level `level` of start `start` at step `steps[i]`, for
-    `crossed[i] = start * n_taus + level`. `offset` is the step at which
-    the loop takes each start up, 0 where it does not. The other arrays
-    hold one element per start of the loop: first the `walk` starts, whose
-    leg could not be confirmed and which step from the origin, then the
-    starts that turn at `turn_step` (below step_cap) with levels left, with
-    their squared distance there. Starts done on the leg, or capped before
-    their turn, are not in the loop.
+    The leg crosses level `crossed[i] % n_taus` of start
+    `crossed[i] // n_taus` at step `steps[i]`, the lowest level crossed at
+    that step, as the loop writes it. `offset` is the step at which the
+    loop takes each start up, 0 where it does not. The other arrays hold
+    one element per start of the loop: the starts that turn at `turn_step`
+    (below step_cap) with levels left, with their squared distance there.
+    Starts done on the leg, or capped before their turn, are not in the
+    loop.
     """
 
     crossed: np.ndarray
     steps: np.ndarray
     offset: np.ndarray
-    walk: int
     lane: np.ndarray  # start * n_taus
-    turn_step: np.ndarray  # 0 for a walking start
-    turn_s: np.ndarray  # inf for a walking start
+    turn_step: np.ndarray
+    turn_s: np.ndarray
     left: np.ndarray  # levels not crossed yet
     target_x: np.ndarray
     target_y: np.ndarray
 
 
 def _first_leg(rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int) -> _FirstLeg:
-    """Each start's first turn and its crossings before it, in closed form
-    and confirmed with the kernel's rules (see _NEAR_TIE)."""
+    """Each start's first turn and its crossings before it: every start is
+    stepped along +x once, for every angle, with the kernel's crossing and
+    turn rules (see _NEAR_TIE), until it turns or has crossed every level."""
     target_x = (rhos[:, None] * _COS_DEG[betas]).ravel()  # row-major over (rho, beta)
     target_y = (rhos[:, None] * _SIN_DEG[betas]).ravel()
-    thresholds, squared, reaches, insides = _levels(taus)
-    dy = 0.0 - target_y
+    _, _, reaches, insides = _levels(taus)
     # counts reach 2 * step_cap + 1 before the cap clears them: int16 at the default cap
     dtype = np.min_scalar_type(-2 * step_cap - 2)
-
-    def s_at(j, tx, dy):  # squared distance from (j, 0.0), rounded as in the kernel
+    turn_step = np.full(target_x.size, float(step_cap))  # the cap: not taken up
+    turn_s = np.empty(target_x.size)
+    turn_left = np.zeros(target_x.size, dtype=np.int32)
+    crossed, steps = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=dtype)]
+    # the starts still on the leg, at (j, 0.0)
+    on = np.arange(target_x.size)
+    tx, dy, prev_s = target_x, 0.0 - target_y, np.full(target_x.size, np.inf)
+    left = np.full(target_x.size, taus.size, dtype=np.int32)
+    for j in map(float, range(step_cap + 1)):
         dx = j - tx
-        return dx * dx + dy * dy
-
-    def turns_at(j):  # the turn rule at steps j >= 1, for every start
-        s = s_at(j, target_x, dy)
-        diff = s - s_at(j - 1.0, target_x, dy)
+        s = dx * dx + dy * dy
+        rows = np.flatnonzero(s <= reaches[left])
+        if rows.size:
+            rows, first = _crossings(rows, s, left, lambda u: _hypot(j - tx[u], dy[u]),
+                                     taus, reaches, insides)
+            crossed.append(on[rows] * taus.size + first)
+            steps.append(np.full(rows.size, j, dtype=dtype))
+            left[rows] = first
+        diff = s - prev_s
         turn = diff > 0.0
         near = np.flatnonzero(np.abs(diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
-        tx, ty = target_x[near], dy[near]
-        turn[near] = _hypot(j[near] - tx, ty) > _hypot(j[near] - 1.0 - tx, ty)
-        return turn
+        if near.size:
+            turn[near] = _hypot(j - tx[near], dy[near]) > _hypot(j - 1.0 - tx[near], dy[near])
+        turned = on[turn]
+        turn_step[turned], turn_s[turned], turn_left[turned] = j, s[turn], left[turn]
+        stay = np.flatnonzero(~turn & (left > 0))
+        if not stay.size:
+            break
+        on, tx, dy, prev_s, left = on[stay], tx[stay], dy[stay], s[stay], left[stay]
 
-    def within(j, tx, dy, level):  # the crossing rule, for one level per element
-        s = s_at(j, tx, dy)
-        inside = s <= insides[level]
-        unsure = np.flatnonzero(~inside & (s <= reaches[level]))
-        inside[unsure] = _hypot(j[unsure] - tx[unsure], dy[unsure]) <= thresholds[level[unsure]]
-        return inside
-
-    k = np.clip(np.floor(target_x + 0.5) + 1.0, 1.0, float(min(step_cap, 2**52) + 1))
-    turn_step = k + 2.0  # past the cap when none of k - 1, k and k + 1 turns
-    for j in (k + 1.0, k, k - 1.0):
-        turn_step = np.where((j >= 1.0) & turns_at(j), j, turn_step)
-    ok = (turn_step <= k + 1.0) | (k + 1.0 >= step_cap)
-    last = np.minimum(turn_step - 1.0, float(step_cap))  # the last step on the leg that counts
-
-    start, level = np.nonzero(np.abs(target_y)[:, None] * (1.0 - 2.0**-40)
-                              <= taus + _NEAR_TIE_FLOOR)  # the pairs the leg can cross
-    tx, ty, end, level = target_x[start], dy[start], last[start], level + 1
-    with np.errstate(invalid="ignore"):  # NaN: the line misses the level
-        c = np.ceil(tx - np.sqrt(squared[level] - ty * ty))
-    c = np.maximum(np.fmin(c, end), 0.0)
-    lo, hi = np.maximum(c - 1.0, 0.0), np.minimum(c + 1.0, end)
-    in_lo, in_mid, in_hi = (within(j, tx, ty, level) for j in (lo, lo + 1.0, hi))
-    crossed = in_hi & ((lo == 0.0) | ~within(lo - 1.0, tx, ty, level))
-    ok[start[~crossed & (in_hi | (hi < end))]] = False  # neither crossed nor missed
-    crossed &= ok[start]
-    steps = np.where(in_lo, lo, np.where(in_mid, lo + 1.0, hi))[crossed].astype(dtype)
-    start, level = start[crossed], level[crossed]
-
-    left = taus.size - np.bincount(start, minlength=target_x.size)
-    walk = np.flatnonzero(~ok)
-    enter = np.flatnonzero(ok & (left > 0) & (turn_step < step_cap))
-    loop = np.concatenate((walk, enter))
-    turn_step = np.concatenate((np.zeros(walk.size), turn_step[enter]))
+    enter = np.flatnonzero((turn_left > 0) & (turn_step < step_cap))
     offset = np.zeros(target_x.size, dtype=dtype)
-    offset[enter] = turn_step[walk.size:] + 1.0
-    turn_s = s_at(turn_step, target_x[loop], dy[loop])
-    turn_s[:walk.size] = np.inf
-    lane = (loop * taus.size).astype(np.min_scalar_type(-target_x.size * taus.size))
-    return _FirstLeg(start * taus.size + level - 1, steps, offset, walk.size, lane, turn_step,
-                     turn_s, left[loop].astype(np.int32), target_x[loop], target_y[loop])
+    offset[enter] = turn_step[enter] + 1.0
+    lane = (enter * taus.size).astype(np.min_scalar_type(-target_x.size * taus.size))
+    return _FirstLeg(np.concatenate(crossed), np.concatenate(steps), offset, lane,
+                     turn_step[enter], turn_s[enter], turn_left[enter], target_x[enter],
+                     target_y[enter])
 
 
 def _sweep_one_phi(
     phi_deg: int,
     rhos: np.ndarray,
-    betas: np.ndarray,
     taus: np.ndarray,
     step_cap: int,
-    leg: _FirstLeg | None = None,
+    leg: _FirstLeg,
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
     `taus` must be finite, ascending and distinct; columns follow its order.
     step_cap must be >= 0 and |rhos| + step_cap below _MAX_DISTANCE. `leg`
-    is _first_leg of the same arguments, computed here when not given.
+    is _first_leg of the same rhos, taus and step_cap.
 
     All tau levels share one trajectory per (rho, beta): tau only decides
     when counting stops, so each trajectory is stepped once, from the step
-    after its first turn (see _NEAR_TIE), each start with its own step
+    after its first turn (see _first_leg), each start with its own step
     offset. Since d <= tau implies d <= every larger tau, a start crosses
     its levels from the largest down. Each start therefore carries one
     bound, for the largest tau it has not crossed yet (-inf once all are
@@ -453,19 +430,12 @@ def _sweep_one_phi(
     their crossings there are cleared. Starts that have not crossed the
     smallest tau within step_cap steps are the returned cap count.
     """
-    if leg is None:
-        leg = _first_leg(rhos, betas, taus, step_cap)
     _, _, reaches, insides = _levels(taus)
     successor = ((np.arange(360) + phi_deg) % 360).astype(np.int16)
     # the loop's crossings, by loop step
     counts = np.full((leg.offset.size, taus.size), -1, dtype=leg.offset.dtype)
     flat = counts.reshape(-1)
-    walk, live = leg.walk, leg.lane.size
-
-    def fill(values, value, at_origin):  # the walking starts come first
-        values.fill(value)
-        values[:walk] = at_origin
-        return values
+    live = leg.lane.size
 
     # the float state and scratch as the rows of one block: an angle
     # allocates and frees it whole, so its buffers leave one hole in the
@@ -474,16 +444,15 @@ def _sweep_one_phi(
     target_x[:], target_y[:], px[:], prev_s[:] = (leg.target_x, leg.target_y, leg.turn_step,
                                                   leg.turn_s)
     np.add(leg.turn_step, _COS_DEG[phi_deg], out=x)
-    x[:walk] = 0.0
-    fill(y, 0.0 + _SIN_DEG[phi_deg], 0.0)
+    y.fill(0.0 + _SIN_DEG[phi_deg])
     py.fill(0.0)
-    fill(cos_h, _COS_DEG[phi_deg], _COS_DEG[0])
-    fill(sin_h, _SIN_DEG[phi_deg], _SIN_DEG[0])
-    heading = fill(np.empty(live, dtype=np.int16), phi_deg % 360, 0)
+    cos_h.fill(_COS_DEG[phi_deg])
+    sin_h.fill(_SIN_DEG[phi_deg])
+    heading = np.full(live, phi_deg, dtype=np.int16)
     lane, left = leg.lane.copy(), leg.left.copy()
     np.take(reaches, left, out=reach)
     rho_max = float(np.abs(rhos).max())
-    start = 0 if walk else int(leg.turn_step.min(initial=step_cap)) + 1  # the first loop step
+    start = int(leg.turn_step.min(initial=step_cap)) + 1  # the first loop step
     top = int(leg.offset.max(initial=0))  # the largest step offset
     mask = np.empty(live, dtype=bool)
 
@@ -494,20 +463,9 @@ def _sweep_one_phi(
         s += np.multiply(dx, dx, out=dx)
         rows = np.flatnonzero(np.less_equal(s, reach, out=mask))
         if rows.size:
-            # most candidates surely cross their threshold's level and surely
-            # not the one below; the rest are decided on math.hypot
-            levels = left[rows]
-            first = levels - 1  # lowest level now crossed
-            candidate_s = s[rows]
-            unsure = np.flatnonzero(
-                (candidate_s > insides[levels]) | (candidate_s <= reaches[first])
-            )
-            if unsure.size:
-                u = rows[unsure]
-                d = _hypot(x[u] - target_x[u], y[u] - target_y[u])
-                first[unsure] = np.minimum(np.searchsorted(taus, d), levels[unsure])
-                crossed = first < levels
-                rows, first = rows[crossed], first[crossed]
+            rows, first = _crossings(rows, s, left,
+                                     lambda u: _hypot(x[u] - target_x[u], y[u] - target_y[u]),
+                                     taus, reaches, insides)
             flat[lane[rows] + first] = step
             left[rows] = first
             reach[rows] = reaches[first]
@@ -571,7 +529,7 @@ def exhaustive_sweep(
     distinct integers in [0, 359] and taus distinct integers in [0, 2**53],
     in any order; each range is read once. Counts equal steps_to_reach
     exactly: every decision is the one math.hypot's distances give. The
-    first leg, the same for every angle, is walked once for the sweep.
+    first leg, the same for every angle, is stepped once for the sweep.
     """
     phis = _distinct_ints(phi_range, "angles", range(1, 360), "phi_range", "an angle")
     rhos = np.asarray(list(rho_range), dtype=np.float64)
@@ -589,7 +547,7 @@ def exhaustive_sweep(
     overall: dict[int, float] = {}
     cap_hits = 0
     for phi in phis:
-        counts, capped = _sweep_one_phi(phi, rhos, betas, taus, step_cap, leg)
+        counts, capped = _sweep_one_phi(phi, rhos, taus, step_cap, leg)
         cap_hits += capped
         # exact integer sums over the reached starts (the -1s added back):
         # sum / n has the bits of the float mean of the reached counts, as a

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_rotations, sweep_cell_rotations, sweep_one_phi
 
@@ -254,8 +256,9 @@ def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
     column = taus.tolist().index(10.0)
     rows = [rhos.tolist().index(rho) * betas.size + betas.tolist().index(beta)
             for rho, beta in _NP_HYPOT_LOW_STARTS]
+    leg = analysis._first_leg(rhos, betas, taus, step_cap)
     for phi in (121, 135, 143):
-        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
         for row, (rho, beta) in zip(rows, _NP_HYPOT_LOW_STARTS):
             scalar = steps_to_reach(phi, rho, beta, 10.0, step_cap=step_cap)
@@ -273,8 +276,9 @@ def test_exhaustive_kernel_near_ties_and_skipped_levels():
     rhos = np.array([0.5, 2.0, 5.588, 23.752, 23.944, 99.979])
     betas = np.array([0, 45, 181, 234, 359])
     taus = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 1.0, 3.0])
+    leg = analysis._first_leg(rhos, betas, taus, 200)
     for phi in (1, 72, 135, 180, 359):
-        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, 200)
+        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, 200, leg)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, 200)
         assert np.array_equal(counts, expected), phi
         assert capped == expected_capped
@@ -353,16 +357,15 @@ def _scalar_counts(phi, rhos, betas, taus, step_cap):
 
 
 def _assert_kernel_exact(phis, rhos, betas, taus, step_cap, oracle=True):
-    """_sweep_one_phi equals steps_to_reach (and the np.hypot oracle, where
-    asked), with the first leg passed in or computed, and no start leaves
-    the leg for the loop's walk from the origin."""
+    """_sweep_one_phi with its _first_leg equals steps_to_reach (and the
+    np.hypot oracle, where asked), and a second call with the same leg
+    gives the same counts: the kernel does not mutate the leg."""
     rhos, betas, taus = (np.asarray(v, dtype=dtype) for v, dtype in (
         (rhos, np.float64), (betas, np.int64), (taus, np.float64)))
     leg = analysis._first_leg(rhos, betas, taus, step_cap)
-    assert leg.walk == 0
     for phi in phis:
-        counts, capped = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap, leg)
-        again, _ = analysis._sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
+        again, _ = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
         assert np.array_equal(counts, again)
         expected = _scalar_counts(phi, rhos.tolist(), betas.tolist(), taus.tolist(), step_cap)
         assert np.array_equal(counts, expected), phi
@@ -428,18 +431,18 @@ def test_first_leg_turns_at_once_on_axis_bearings():
 def test_first_leg_crossings_at_step_0():
     # at range 10 the start distance rounds to either side of tau 10, and
     # np.hypot's to 10.0 at two bearings where math.hypot's is above it;
-    # tau 10.5 is crossed at step 0 everywhere
-    leg = _assert_kernel_exact((121, 135), (10.0,), range(360), (1.0, 10.0, 10.5), 10_000,
-                               oracle=False)
-    on_leg = np.full((360, 3), -1)
-    on_leg.ravel()[leg.crossed] = leg.steps
+    # tau 10.5 is reached at step 0 everywhere
+    rhos, betas, taus = np.array([10.0]), np.arange(360), np.array([1.0, 10.0, 10.5])
+    leg = _assert_kernel_exact((121, 135), rhos, betas, taus, 10_000, oracle=False)
     rows = [beta for _, beta in _NP_HYPOT_LOW_STARTS]
-    assert (on_leg[rows, 1] != 0).all() and (on_leg[:, 2] == 0).all()
-    assert (on_leg[:, 1] == 0).any()
+    for phi in (121, 135):
+        counts, _ = analysis._sweep_one_phi(phi, rhos, taus, 10_000, leg)
+        assert (counts[rows, 1] != 0).all() and (counts[:, 2] == 0).all()
+        assert (counts[:, 1] == 0).any()
 
 
 def test_first_leg_longer_than_the_step_cap():
-    for step_cap in (5, 12):
+    for step_cap in (0, 1, 5, 12):
         leg = _assert_kernel_exact((121, 135, 143), range(10, 101, 10), (0, 1, 5, 30, 355),
                                    (1.0, 5.0, 10.0), step_cap)
         assert leg.lane.size < 50  # the long legs turn past the cap
@@ -448,6 +451,25 @@ def test_first_leg_longer_than_the_step_cap():
 def test_first_leg_non_integer_ranges():
     _assert_kernel_exact((97, 135, 143), (0.3, 10.25, 33.3, 57.75, 99.9),
                          (0, 45, 123, 200, 359), (0.5, 1.0, 2.5, 10.0), 10_000)
+
+
+_half_step_ranges = st.builds(lambda k, up: math.nextafter(k + 0.5, math.inf if up else -math.inf),
+                              st.integers(0, 119), st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(phi=st.integers(1, 359),
+       rhos=st.lists(st.floats(0.0, 120.0) | _half_step_ranges, min_size=1, max_size=4),
+       betas=st.lists(st.integers(0, 359), min_size=1, max_size=4, unique=True),
+       taus=st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 10.5)), min_size=1,
+                     max_size=4, unique=True).map(sorted),
+       step_cap=st.integers(0, 250))
+# targets an ulp from x = 0.5 and 7.5: first-leg near ties that the squared
+# distances alone order wrongly
+@example(phi=135, rhos=[1.9318516525781366, 28.977774788672047], betas=[75], taus=[0.25, 1.0],
+         step_cap=200)
+def test_first_leg_and_kernel_equal_steps_to_reach(phi, rhos, betas, taus, step_cap):
+    _assert_kernel_exact((phi,), rhos, betas, taus, step_cap, oracle=False)
 
 
 def test_cold_thresholds_right_angle_case():
