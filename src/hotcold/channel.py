@@ -117,7 +117,8 @@ def rssi(target_x: float, target_y: float, robot_x: float, robot_y: float,
     # sigma times a drawn normal is finite, so its checks cannot fail here
     value = params.link_budget_dbm - (10.0 * params.path_loss_exponent * math.log10(d)
                                       + params.reference_loss_db + params.shadowing_sigma_db * normal)
-    return RssiReading(value, value >= params.rx_sensitivity_dbm)
+    # tuple.__new__ builds the same RssiReading without the generated __new__'s frame
+    return tuple.__new__(RssiReading, (value, value >= params.rx_sensitivity_dbm))
 
 
 def noiseless_rssi(distance_m: float, params: ChannelParams) -> float:

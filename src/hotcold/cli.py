@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -59,6 +60,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@cache  # one parser per process: callers share it and must not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hotcold",
@@ -202,10 +204,7 @@ def _exhaustive_sweep(args):
 def _cmd_verify_lemmas(args) -> int:
     import numpy as np
 
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {seed}")
-    report = verify_convergence(rng=np.random.default_rng(seed))
+    report = verify_convergence(rng=np.random.default_rng(args.seed or 0))
     print(f"verify-lemmas: {report.trials} trials per check, "
           f"violations {report.total_violations} "
           f"(hot {report.hot_mode_violations}, first {report.first_rotation_violations}, "
@@ -280,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}; "
                               f"it reads {', '.join(reads)}")
+        if args.seed is not None and args.seed < 0:  # for every command that reads --seed
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         if "--config" in reads:
             args.cfg = _load(args)
         status = command(args)

@@ -496,7 +496,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
         raise ValueError(f"{cycles} cycles from cycle {first} do not fit the simulation's "
                          f"full duration of {config.total_cycles}")
     rssi_, rotate_, advance_, sensor_reading_cm_ = rssi, rotate, advance, sensor_reading_cm
-    cos, sin, radians, hypot = math.cos, math.sin, math.radians, math.hypot
+    cos, sin, radians, hypot, new = math.cos, math.sin, math.radians, math.hypot, tuple.__new__
     period, channel, obstacles = config.cycle_period_s, config.channel, config.obstacles
     robot_step_m, trace = config.robot_step_m, state.trace
     tracker_state, decide, halt = state.tracker_state, state.decide, state.halt_threshold_dbm
@@ -544,7 +544,8 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
                 label = AVOID_LABELS[act.rotation_deg]
             else:
                 label = act.label
-            trace.append(CycleRecord(t, x, y, heading, tx, ty, value, in_range, in_halt, label))
+            # tuple.__new__ builds the same CycleRecord without the generated __new__'s frame
+            trace.append(new(CycleRecord, (t, x, y, heading, tx, ty, value, in_range, in_halt, label)))
 
     state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad = t, x, y, heading
     state.target_x, state.target_y = tx, ty

@@ -59,8 +59,9 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not self.sws_values or not self.sigma_values or not self.trackers:
             raise ValueError("grid axes must be non-empty")
-        if self.runs_per_point < 1:
-            raise ValueError(f"runs_per_point must be >= 1, got {self.runs_per_point}")
+        for name, low in (("runs_per_point", 1), ("master_seed", 0)):
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if len(set(self.tracker_names)) < len(self.trackers):
             raise ValueError(f"grid trackers repeat a name: {self.tracker_names}")
         for name in ("sws_values", "sigma_values", "comparison_sws"):  # a repeat runs twice
@@ -268,8 +269,9 @@ def run_scenario(
     sigma_db: float = SCENARIO_SIGMA_DB,
     master_seed: int = 1,
 ) -> ScenarioResult:
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    for arg, value, low in (("iterations", iterations, 1), ("master_seed", master_seed, 0)):
+        if value < low:
+            raise ValueError(f"{arg} must be >= {low}, got {value}")
     configs = []
     traces = []
     metrics = []

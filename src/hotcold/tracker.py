@@ -47,7 +47,8 @@ HALT = TrackerDecision(DecisionKind.HALT)
 
 
 def rotate_then_move(angle_deg: float) -> TrackerDecision:
-    return TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle_deg)
+    # the same TrackerDecision without the generated __new__'s frame: one per trilateration steer
+    return tuple.__new__(TrackerDecision, (DecisionKind.ROTATE_THEN_MOVE, angle_deg))
 
 
 @dataclass(frozen=True)

@@ -176,5 +176,15 @@ def test_rssi_reading_is_an_immutable_named_tuple():
     reading = rssi(0.0, 0.0, 10.0, 0.0, PARAMS, 0.5)
     assert reading == RssiReading(value_dbm=reading.value_dbm, in_range=True)
     assert reading._fields == ("value_dbm", "in_range")
+    # the sampler builds its tuple without the class's constructor: the same
+    # type and the same bits as the reading the constructor builds
+    noisy = ChannelParams(shadowing_sigma_db=2.0)
+    for distance, normal in ((10.0, 0.5), (1e4, -1.25)):  # in range, then out of it
+        sample = rssi(distance, 0.0, 0.0, 0.0, noisy, normal)
+        value = noisy.link_budget_dbm - path_loss(distance, noisy, 2.0 * normal)
+        built = RssiReading(value, value >= noisy.rx_sensitivity_dbm)
+        assert type(sample) is RssiReading
+        assert [sample.value_dbm.hex(), sample.in_range] == [built.value_dbm.hex(), built.in_range]
+        assert sample.in_range is (distance == 10.0)
     with pytest.raises(AttributeError):
         reading.value_dbm = 0.0

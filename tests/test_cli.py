@@ -15,7 +15,7 @@ from hotcold import cli, experiments
 from hotcold.analysis import exhaustive_sweep, rotation_sweep
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
-from hotcold.engine import write_trace_csv
+from hotcold.engine import WorldConfig, write_trace_csv
 from hotcold.tracker import HotColdConfig
 
 
@@ -49,6 +49,23 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert run_cli(args + ["--out-dir", str(out_b), "simulate"]) == 0
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; nothing a call parses may
+    # reach the next call, also when the parse exits 2
+    assert cli.build_parser() is cli.build_parser()
+    short = ["--set", "world.duration_s=20", "--set", "channel.shadowing_sigma_db=2"]
+    assert run_cli(short + ["--out-dir", str(tmp_path / "short"), "simulate"]) == 0
+    assert run_cli(short + ["verify-lemmas"]) == 2  # verify-lemmas reads no --set
+    with pytest.raises(SystemExit) as exc:
+        run_cli(short + ["no-such-command"])
+    assert exc.value.code == 2
+    assert run_cli(["--out-dir", str(tmp_path / "default"), "simulate"]) == 0
+    totals = [json.loads((tmp_path / name / "metrics.json").read_text())["total_cycles"]
+              for name in ("short", "default")]
+    assert totals == [40, WorldConfig().total_cycles]
+    assert cli.build_parser().get_default("overrides") == []
 
 
 def test_quick_flag_shrinks_run(tmp_path):
@@ -549,9 +566,10 @@ def test_simulate_reproduces_every_grid_row(tmp_path, capsys):
     ("[hotcold]\nhalt_threshold_dbm = -60\n", ["simulate"]),
     # report builds and checks its config before it runs anything
     ("", ["--set", "world.duration_s=abc", "report"]),
+    ("", ["--set", "grid.master_seed=-3", "--quick", "grid"]),  # as world.seed
 ], ids=["unreadable", "no-section", "unknown-section", "obstacle-not-numeric", "empty-axis",
         "fixed-path-blank", "static-mobility", "target-start", "halt-threshold-set",
-        "halt-threshold-ini", "report-bad-world-key"])
+        "halt-threshold-ini", "report-bad-world-key", "negative-master-seed"])
 def test_input_errors_exit_2_and_write_nothing(tmp_path, capsys, config_text, args):
     config = tmp_path / "config.ini"
     if config_text is not None:
@@ -710,6 +728,7 @@ def test_comparison_sws_outside_the_grid_are_named(tmp_path, capsys, monkeypatch
         # checked before any figure is written
         ["--runs", "0", "report"],
         ["--runs", "-1", "report"],
+        ["--seed", "-1", "scenario", "--preset", "scenario1"],  # as every other command
     ],
 )
 def test_scenario_flags_out_of_bounds_exit_2(tmp_path, capsys, args):

@@ -21,6 +21,7 @@ from hotcold.engine import (
     AVOID_BACK_UP_M,
     MAX_SPEED_KMH,
     NORMALS_CHUNK,
+    TRACE_COLUMNS,
     TRACKERS,
     CycleRecord,
     FixedPath,
@@ -585,13 +586,19 @@ def test_engine_output_bytes_pinned(name):
 
 
 def test_cycle_record_is_an_immutable_named_tuple():
-    _, trace = run_simulation(WorldConfig(duration_s=1.0, seed=18))
+    # every kind of decision: Hot-Cold turns, trilateration steers, avoidances
+    obstacles = (Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0))
+    labels = set()
+    for tracker in (HotColdConfig(), TrilaterationConfig()):
+        world = WorldConfig(duration_s=300.0, channel=_SIGMA2, tracker=tracker,
+                            obstacles=obstacles, seed=18)
+        _, trace = run_simulation(world)
+        # the loop builds each record without the class's constructor
+        assert all(type(rec) is CycleRecord for rec in trace)
+        labels.update(rec.decision.split("(")[0] for rec in trace)
+    assert labels >= {"move_forward", "rotate_then_move", "avoid"}
     rec = trace[0]
-    assert isinstance(rec, CycleRecord)
-    assert rec._fields == (
-        "time_s", "robot_x", "robot_y", "robot_heading_rad", "target_x", "target_y", "rssi_dbm",
-        "in_range", "in_halt", "decision",
-    )
+    assert rec._fields == tuple(c.replace("heading_deg", "heading_rad") for c in TRACE_COLUMNS)
     with pytest.raises(AttributeError):
         rec.decision = "halt"
 

@@ -56,6 +56,15 @@ def test_grid_axes_must_not_repeat_a_value():
             replace(MINI_GRID, **{axis: values})
 
 
+def test_a_negative_master_seed_is_refused():
+    # a world seed must be >= 0, and so must the master seed that derives it,
+    # whose digest would otherwise hide the sign
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -3"):
+        replace(MINI_GRID, master_seed=-3)
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        run_scenario("scenario1", iterations=1, master_seed=-1)
+
+
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(1, "hotcold", 4, 2.0, 0)
     assert a == derive_seed(1, "hotcold", 4, 2.0, 0)

@@ -17,6 +17,7 @@ from hotcold.tracker import (
     TrackerDecision,
     decide,
     ingest_sample,
+    rotate_then_move,
 )
 
 HALT_DBM = -51.41
@@ -135,6 +136,13 @@ def test_cold_turn_is_built_once_per_config():
         assert len(turns) == 3
         assert all(d is cfg.cold_turn for d in turns)
         assert cfg.cold_turn == TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle)
+    # rotate_then_move builds its tuple without the class's constructor: the
+    # same type and fields, at a config's angle or a trilateration steer's
+    for angle in (137.0, -137.0, math.degrees(-2.5), 0.0):
+        turn = rotate_then_move(angle)
+        assert type(turn) is TrackerDecision
+        assert turn == TrackerDecision(DecisionKind.ROTATE_THEN_MOVE, angle)
+        assert turn.rotation_deg.hex() == angle.hex() and turn._fields == ("kind", "rotation_deg")
     # the cached decision is no field: equality, replace and pickling ignore it
     assert dataclasses.replace(CFG1, rotation_angle_deg=120.0).cold_turn.rotation_deg == 120.0
     assert pickle.loads(pickle.dumps(CFG1)) == CFG1
