@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import exhaustive_sweep, rotation_sweep, verify_convergence
 from .channel import MAX_SHADOWING_SIGMA_DB
 from .config import ConfigError, apply_overrides, build_grid, build_world, load_config
-from .engine import run_simulation, write_metrics_json, write_trace_csv
+from .engine import run_simulation, trace_csv_sink, write_metrics_json
 from .experiments import (
     SCENARIO_ITERATIONS,
     SCENARIO_NAMES,
@@ -136,8 +136,8 @@ def _load(args):
 def _cmd_simulate(args) -> None:
     world = build_world(args.cfg)
     out = _out_dir(args)
-    metrics, trace = run_simulation(world)
-    write_trace_csv(trace, out / "trace.csv")
+    with open(out / "trace.csv", "w", newline="") as fh:  # streamed, NORMALS_CHUNK cycles at a time
+        metrics, _ = run_simulation(world, sink=trace_csv_sink(fh))
     write_metrics_json(metrics, out / "metrics.json")
     print(f"simulate: {metrics.total_cycles} cycles, "
           f"average distance {metrics.average_distance_m:.2f} m, "

@@ -33,6 +33,8 @@ import numpy as np
 from .channel import MIN_DISTANCE_M, ChannelParams, noiseless_rssi, rssi
 from .geometry import Pose, Vec2, advance, require_finite_fields, rotate, wrap_heading
 from .tracker import (
+    HALT,
+    MOVE_FORWARD,
     DecisionKind,
     HotColdConfig,
     HotColdState,
@@ -72,7 +74,7 @@ SENSOR_MAX_CM = 255.0
 SENSOR_TRIGGER_CM = 25.0
 SENSOR_RAY_OFFSET_RAD = math.radians(30.0)
 # Rectangles farther than this along x or y are culled: the sensor reads its
-# cap from 2.55 m on, and the cull in obstacles_in_reach is exact.
+# cap from 2.55 m on, and the cull in sensor_reading_cm is exact.
 SENSOR_REACH_M = 2.6
 
 
@@ -388,8 +390,15 @@ AVOID_BACK_UP_M = 0.10  # every avoidance backs up this far along the heading, t
 AVOID_BOTH = TrackerDecision(DecisionKind.AVOID, 45.0)
 AVOID_RIGHT = TrackerDecision(DecisionKind.AVOID, 10.0)
 AVOID_LEFT = TrackerDecision(DecisionKind.AVOID, -10.0)
-# the trace labels of the three avoidances, formatted once: by turn angle
-AVOID_LABELS = {act.rotation_deg: act.label for act in (AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT)}
+
+
+def trace_labels(tracker: Tracker) -> dict[TrackerDecision | None, str]:
+    """The trace labels of the decisions a run repeats, formatted once; keyed
+    by the whole decision, so a steer never reads as an avoidance's angle."""
+    acts = [MOVE_FORWARD, HALT, AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT]
+    if isinstance(tracker, HotColdConfig):  # its one turn; trilateration steers format their own
+        acts.append(tracker.cold_turn)
+    return {None: "none"} | {act: act.label for act in acts}
 
 
 def obstacle_avoidance(left_cm: float, right_cm: float) -> TrackerDecision | None:
@@ -406,76 +415,71 @@ def obstacle_avoidance(left_cm: float, right_cm: float) -> TrackerDecision | Non
     return None
 
 
-def obstacles_in_reach(ox: float, oy: float, obstacles: tuple[Rect, ...]) -> list[Rect]:
-    """The obstacles that either sensor at (ox, oy) could read below its cap.
+def sensor_reading_cm(ox: float, oy: float, heading_rad: float,
+                      obstacles: Sequence[Rect]) -> tuple[float, float] | None:
+    """The readings (left_cm, right_cm) of the two front ultrasonic sensors
+    of a robot at (ox, oy), or None when no rectangle is in reach.
 
-    Exact for every finite coordinate: a rectangle more than SENSOR_REACH_M
-    beyond the position along x or y reads as the cap to either sensor,
-    judged on the very differences sensor_reading_cm divides. Take
-    x_lo = x_min - ox > 2.6 (the other three cases mirror it): a parallel
-    ray misses, dx < 0 gives two negative slab distances and a miss, and for
+    A rectangle more than SENSOR_REACH_M beyond (ox, oy) along x or y is
+    culled, exactly for every finite coordinate: judged on the very
+    differences the slab tests divide, it reads as the cap. Take x_lo =
+    x_min - ox > 2.6 (the other three cases mirror it): a parallel ray
+    misses, dx < 0 gives two negative slab distances and a miss, and for
     0 < dx <= 1 the computed entry x_lo / dx is >= x_lo > 2.6 m, rounding
-    being monotone. Either way the reading is the cap. No rounding enters
-    the test; an edge widened by the margin instead (ox < x_min - 2.6) would
-    be exact only while the 5 cm margin beats its half-ulp error, for
-    coordinates below 2**49 m. With no rectangle in reach both sensors read
-    the cap and obstacle_avoidance returns None.
+    being monotone. No rounding enters the test; an edge widened by the
+    margin instead (ox < x_min - 2.6) would be exact only while the 5 cm
+    margin beats its half-ulp error, for coordinates below 2**49 m. With
+    none in reach both would read the cap, and obstacle_avoidance would
+    return None. Both rays are cast at the rest: a slab test, x slab then
+    y slab; a ray within 1e-15 of parallel to a slab misses unless its
+    origin lies inside it.
     """
-    return [
-        rect for rect in obstacles
-        if not (rect.x_min - ox > SENSOR_REACH_M or rect.x_max - ox < -SENSOR_REACH_M
-                or rect.y_min - oy > SENSOR_REACH_M or rect.y_max - oy < -SENSOR_REACH_M)
-    ]
-
-
-def sensor_reading_cm(ox: float, oy: float, heading_rad: float, obstacles: Sequence[Rect],
-                      side: int) -> float:
-    """Ultrasonic reading for the left (+1) or right (-1) front sensor of a
-    robot at (ox, oy), in cm.
-
-    A slab test per rectangle, x slab then y slab; a ray within 1e-15 of
-    parallel to a slab misses unless its origin lies inside that slab. The
-    step gives it only the rectangles obstacles_in_reach keeps.
-    """
-    direction = heading_rad + side * SENSOR_RAY_OFFSET_RAD
-    dx, dy = math.cos(direction), math.sin(direction)
-    x_parallel = abs(dx) < 1e-15
-    y_parallel = abs(dy) < 1e-15
-    nearest = math.inf
+    rays = None  # per ray [dx, dy, nearest entry in m], once a rectangle is in reach
     for rect in obstacles:
         x_lo = rect.x_min - ox
         x_hi = rect.x_max - ox
         y_lo = rect.y_min - oy
         y_hi = rect.y_max - oy
-        # x_lo > 0 is exactly ox < x_min, and x_hi < 0 is ox > x_max
-        if x_parallel:
-            if x_lo > 0.0 or x_hi < 0.0:
-                continue
-            t_min, t_max = 0.0, math.inf
-        else:
-            t1 = x_lo / dx
-            t2 = x_hi / dx
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_min = t1 if t1 > 0.0 else 0.0
-            t_max = t2
-            if t_min > t_max:
-                continue
-        if y_parallel:
-            if y_lo > 0.0 or y_hi < 0.0:
-                continue
-        else:
-            t1 = y_lo / dy
-            t2 = y_hi / dy
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_min = t1 if t1 > t_min else t_min
-            t_max = t2 if t2 < t_max else t_max
-            if t_min > t_max:
-                continue
-        if t_min < nearest:
-            nearest = t_min
-    return min(nearest * 100.0, SENSOR_MAX_CM)
+        if (x_lo > SENSOR_REACH_M or x_hi < -SENSOR_REACH_M
+                or y_lo > SENSOR_REACH_M or y_hi < -SENSOR_REACH_M):
+            continue
+        if rays is None:
+            left, right = heading_rad + SENSOR_RAY_OFFSET_RAD, heading_rad - SENSOR_RAY_OFFSET_RAD
+            rays = ([math.cos(left), math.sin(left), math.inf],
+                    [math.cos(right), math.sin(right), math.inf])
+        for ray in rays:
+            dx, dy, nearest = ray
+            # x_lo > 0 is exactly ox < x_min, and x_hi < 0 is ox > x_max
+            if abs(dx) < 1e-15:
+                if x_lo > 0.0 or x_hi < 0.0:
+                    continue
+                t_min, t_max = 0.0, math.inf
+            else:
+                t1 = x_lo / dx
+                t2 = x_hi / dx
+                if t1 > t2:
+                    t1, t2 = t2, t1
+                t_min = t1 if t1 > 0.0 else 0.0
+                t_max = t2
+                if t_min > t_max:
+                    continue
+            if abs(dy) < 1e-15:
+                if y_lo > 0.0 or y_hi < 0.0:
+                    continue
+            else:
+                t1 = y_lo / dy
+                t2 = y_hi / dy
+                if t1 > t2:
+                    t1, t2 = t2, t1
+                t_min = t1 if t1 > t_min else t_min
+                t_max = t2 if t2 < t_max else t_max
+                if t_min > t_max:
+                    continue
+            if t_min < nearest:
+                ray[2] = t_min
+    if rays is None:
+        return None
+    return min(rays[0][2] * 100.0, SENSOR_MAX_CM), min(rays[1][2] * 100.0, SENSOR_MAX_CM)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +503,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
     cos, sin, radians, hypot, new = math.cos, math.sin, math.radians, math.hypot, tuple.__new__
     period, channel, obstacles = config.cycle_period_s, config.channel, config.obstacles
     robot_step_m, trace = config.robot_step_m, state.trace
+    labels = None if trace is None else trace_labels(config.tracker)
     tracker_state, decide, halt = state.tracker_state, state.decide, state.halt_threshold_dbm
     t, x, y, heading = state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad
     tx, ty = state.target_x, state.target_y
@@ -515,12 +520,8 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
             last = decide(tracker_state, value, x, y, heading, config, halt)
         act = last  # out of range: repeat the last decision
 
-        if obstacles:
-            near = obstacles_in_reach(x, y, obstacles)
-            if near:
-                left = sensor_reading_cm_(x, y, heading, near, +1)
-                right = sensor_reading_cm_(x, y, heading, near, -1)
-                act = obstacle_avoidance(left, right) or act  # an avoidance preempts the tracker
+        if obstacles and (readings := sensor_reading_cm_(x, y, heading, obstacles)) is not None:
+            act = obstacle_avoidance(*readings) or act  # an avoidance preempts the tracker
 
         if act is not None:
             kind = act.kind
@@ -538,12 +539,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
         in_range_sum += in_range
         in_halt_sum += in_halt
         if trace is not None:
-            if act is None:
-                label = "none"
-            elif act.kind is avoid_kind:
-                label = AVOID_LABELS[act.rotation_deg]
-            else:
-                label = act.label
+            label = labels.get(act) or act.label  # a trilateration steer formats its own
             # tuple.__new__ builds the same CycleRecord without the generated __new__'s frame
             trace.append(new(CycleRecord, (t, x, y, heading, tx, ty, value, in_range, in_halt, label)))
 
@@ -596,36 +592,32 @@ def compute_metrics(state: WorldState) -> MetricsReport:
 
 def run_simulation(config: WorldConfig, keep_trace: bool = True,
                    path: Iterable[tuple[float, float]] | None = None,
+                   sink: Callable[[list[CycleRecord]], object] | None = None,
                    ) -> tuple[MetricsReport, list | None]:
     """Run the configured world for its whole duration; without keep_trace,
-    trace is None. `path` is init_world's: the target's recorded positions."""
-    state = step_world(init_world(config, keep_trace, path), config, config.total_cycles)
-    return compute_metrics(state), state.trace
+    trace is None. `path` is init_world's: the target's recorded positions.
+    With a sink, trace is None: sink(records) gets NORMALS_CHUNK cycles at a
+    time, in order, and keeps what it wants (no cycles: one empty call)."""
+    state = init_world(config, keep_trace or sink is not None, path)
+    total = config.total_cycles
+    if sink is None:
+        return compute_metrics(step_world(state, config, total)), state.trace
+    for first in range(0, max(total, 1), NORMALS_CHUNK):
+        state.trace = []
+        sink(step_world(state, config, min(NORMALS_CHUNK, total - first)).trace)
+    return compute_metrics(state), None
 
 
 # ---------------------------------------------------------------------------
 # trace / metrics serialization
 
-TRACE_COLUMNS = (
-    "time_s",
-    "robot_x",
-    "robot_y",
-    "robot_heading_deg",
-    "target_x",
-    "target_y",
-    "rssi_dbm",
-    "in_range",
-    "in_halt",
-    "decision",
-)
-
-
-# a CycleRecord's fields in TRACE_COLUMNS order, the heading in degrees
+# the trace.csv header, and the format of one row: a CycleRecord's fields, the heading in degrees
+TRACE_COLUMNS = tuple(name.replace("_rad", "_deg") for name in CycleRecord._fields)
 _TRACE_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%s"
 
 
-def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
-    lines = [",".join(TRACE_COLUMNS)]
+def trace_csv_lines(trace: list[CycleRecord], header: bool = True) -> list[str]:
+    lines = [",".join(TRACE_COLUMNS)] if header else []
     lines.extend(
         _TRACE_ROW % (time_s, x, y, math.degrees(heading), tx, ty, rssi_dbm, in_range, in_halt,
                       decision)
@@ -634,9 +626,15 @@ def trace_csv_lines(trace: list[CycleRecord]) -> list[str]:
     return lines
 
 
+def trace_csv_sink(fh) -> Callable[[list[CycleRecord]], object]:
+    """A run_simulation sink: each chunk's rows to the text file fh, the header first."""
+    headers = itertools.chain([True], itertools.repeat(False))
+    return lambda trace: fh.write("\n".join(trace_csv_lines(trace, next(headers))) + "\n")
+
+
 def write_trace_csv(trace: list[CycleRecord], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(trace_csv_lines(trace)) + "\n")
+        trace_csv_sink(fh)(trace)
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:

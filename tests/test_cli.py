@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotcold import cli, experiments
+from hotcold import cli, engine, experiments
 from hotcold.analysis import exhaustive_sweep, rotation_sweep
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
-from hotcold.engine import WorldConfig, write_trace_csv
+from hotcold.engine import Rect, WorldConfig, write_trace_csv
 from hotcold.tracker import HotColdConfig
+from hotcold.trilateration import TrilaterationConfig
 
 
 def run_cli(args):
@@ -49,6 +50,32 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert run_cli(args + ["--out-dir", str(out_b), "simulate"]) == 0
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
+
+
+def test_simulate_streams_the_trace_of_a_run(tmp_path, monkeypatch):
+    """simulate writes trace.csv a chunk at a time, the bytes of the whole
+    trace; the formatter's calls sum to the run's records and bytes, the
+    header counted once."""
+    keys = ["--set", "world.duration_s=4097", "--set", "world.tracker=trilateration",
+            "--set", "world.obstacles=38:44:44:48; 55:52:58:60"]  # 8194 cycles, three chunks
+    calls = []
+    lines = engine.trace_csv_lines
+
+    def counted(trace, *args):
+        calls.append(lines(trace, *args))
+        return calls[-1]
+
+    monkeypatch.setattr(engine, "trace_csv_lines", counted)
+    assert run_cli(keys + ["--out-dir", str(tmp_path / "run"), "simulate"]) == 0
+    monkeypatch.undo()
+    streamed = (tmp_path / "run" / "trace.csv").read_bytes()
+    config = WorldConfig(duration_s=4097.0, tracker=TrilaterationConfig(),
+                         obstacles=(Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0)))
+    _, trace = engine.run_simulation(config)
+    write_trace_csv(trace, tmp_path / "whole.csv")
+    assert streamed == (tmp_path / "whole.csv").read_bytes()
+    assert [len(c) for c in calls] == [engine.NORMALS_CHUNK + 1, engine.NORMALS_CHUNK, 2]
+    assert sum(len(line) + 1 for c in calls for line in c) == len(streamed)
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):

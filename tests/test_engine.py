@@ -327,14 +327,19 @@ def test_obstacle_avoidance_rules():
 def test_sensor_reading_geometry():
     wall = Rect(1.0, -5.0, 1.5, 5.0)
     pose = (0.0, 0.0, 0.0)  # x, y, heading
-    left = sensor_reading_cm(*pose, (wall,), +1)
-    right = sensor_reading_cm(*pose, (wall,), -1)
+    left, right = sensor_reading_cm(*pose, (wall,))
     # both rays hit the wall at 1 m / cos(30 deg)
     assert left == pytest.approx(100.0 / math.cos(math.radians(30.0)), abs=1e-6)
     assert right == pytest.approx(left, abs=1e-9)
-    assert sensor_reading_cm(*pose, (), +1) == 255.0
+    origin = Pose(Vec2(0.0, 0.0), 0.0)
+    assert (left, right) == tuple(oracles.sensor_reading_cm(origin, (wall,), side) for side in (1, -1))
+    # no rectangle in reach: no readings, where each sensor would read the cap
+    assert sensor_reading_cm(*pose, ()) is None
     far = Rect(50.0, -5.0, 51.0, 5.0)
-    assert sensor_reading_cm(*pose, (far,), +1) == 255.0
+    assert sensor_reading_cm(*pose, (far,)) is None
+    assert oracles.sensor_reading_cm(origin, (far,), +1) == 255.0
+    behind = Rect(-2.0, -0.5, -1.0, 0.5)  # in reach, but neither ray meets it
+    assert sensor_reading_cm(*pose, (behind,)) == (255.0, 255.0)
 
 
 def test_avoidance_preempts_tracker():

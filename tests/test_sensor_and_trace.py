@@ -1,31 +1,42 @@
-"""The obstacle sensor, its reach cull and the trace writer against their
-earlier versions in oracles.py, bit for bit: float.hex for readings, string
-equality for trace lines."""
+"""The obstacle sensors, their reach cull and the trace writer against
+their earlier versions in oracles.py, bit for bit: float.hex for readings,
+string equality for trace lines; the trace labels and the streamed trace."""
 
 import math
 import operator
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hotcold.channel import ChannelParams
 from hotcold.engine import (
     AVOID_BOTH,
-    AVOID_LABELS,
     AVOID_LEFT,
     AVOID_RIGHT,
+    NORMALS_CHUNK,
     SENSOR_MAX_CM,
     SENSOR_RAY_OFFSET_RAD,
     SENSOR_REACH_M,
     CycleRecord,
+    FixedPath,
     Rect,
+    StaticControl,
+    WorldConfig,
+    init_world,
     obstacle_avoidance,
-    obstacles_in_reach,
+    run_simulation,
     sensor_reading_cm,
+    step_world,
     trace_csv_lines,
+    trace_csv_sink,
+    trace_labels,
+    write_trace_csv,
 )
 from hotcold.geometry import TWO_PI, Pose, Vec2
-from hotcold.tracker import DecisionKind, TrackerDecision
+from hotcold.tracker import HALT, MOVE_FORWARD, HotColdConfig, rotate_then_move
+from hotcold.trilateration import TrilaterationConfig
 
 
 def _nudge(value: float, ulps: int) -> float:
@@ -62,44 +73,55 @@ _widths = st.one_of(st.floats(min_value=1e-9, max_value=8.0), st.sampled_from([1
 
 
 @st.composite
-def _rect_near(draw, ox: float, oy: float) -> Rect:
+def _rect_near(draw, ox: float, oy: float, offsets=_offsets) -> Rect:
     """A rectangle whose edges sit at drawn offsets from the origin, each
     moved by up to two ulps: a corner or an edge can land exactly on the
     origin or exactly at the reach."""
-    x_min = _nudge(ox + draw(_offsets), draw(st.integers(-2, 2)))
-    y_min = _nudge(oy + draw(_offsets), draw(st.integers(-2, 2)))
+    x_min = _nudge(ox + draw(offsets), draw(st.integers(-2, 2)))
+    y_min = _nudge(oy + draw(offsets), draw(st.integers(-2, 2)))
     x_max = max(_nudge(x_min + draw(_widths), draw(st.integers(-1, 1))), math.nextafter(x_min, math.inf))
     y_max = max(_nudge(y_min + draw(_widths), draw(st.integers(-1, 1))), math.nextafter(y_min, math.inf))
     return Rect(x_min, y_min, x_max, y_max)
 
 
 @st.composite
-def _scenes(draw):
+def _scenes(draw, max_rects: int = 3, offsets=_offsets):
     ox, oy = draw(_coords), draw(_coords)
-    rects = draw(st.lists(_rect_near(ox, oy), max_size=3))
+    rects = draw(st.lists(_rect_near(ox, oy, offsets), max_size=max_rects))
     return Pose(Vec2(ox, oy), draw(_headings)), tuple(rects)
 
 
-def _check_reading(pose: Pose, rects: tuple[Rect, ...], side: int) -> None:
-    """The reading from all rectangles and from those in reach, against the
-    oracle's from all; with none in reach both sensors read the cap and no
-    maneuver follows."""
-    want = oracles.sensor_reading_cm(pose, rects, side)
+def _check_readings(pose: Pose, rects: tuple[Rect, ...]) -> None:
+    """Both readings, from all rectangles and from those in reach, against
+    the oracle's per-side readings from all; with none in reach there are
+    no readings, both oracle sensors read the cap and no maneuver follows."""
+    want = tuple(oracles.sensor_reading_cm(pose, rects, side) for side in (1, -1))
     x, y = pose.position.x, pose.position.y
-    near = obstacles_in_reach(x, y, rects)
+    near = tuple(oracles.obstacles_in_reach(pose.position, rects))
     for seen in (rects, near):
-        got = sensor_reading_cm(x, y, pose.heading_rad, seen, side)
-        assert got.hex() == want.hex(), (pose, seen, side)
+        got = sensor_reading_cm(x, y, pose.heading_rad, seen)
+        if not near:
+            assert got is None, (pose, seen)
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in want], (pose, seen)
     if not near:
-        other = oracles.sensor_reading_cm(pose, rects, -side)
-        assert (want, other) == (SENSOR_MAX_CM, SENSOR_MAX_CM), (pose, rects)
-        assert obstacle_avoidance(want, other) is None
+        assert want == (SENSOR_MAX_CM, SENSOR_MAX_CM), (pose, rects)
+        assert obstacle_avoidance(*want) is None
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
-@given(scene=_scenes(), side=st.sampled_from([1, -1]))
-def test_sensor_reading_matches_oracle(scene, side):
-    _check_reading(*scene, side)
+@given(scene=_scenes())
+def test_sensor_reading_matches_oracle(scene):
+    _check_readings(*scene)
+
+
+# up to six rectangles, any of them in reach or as far as 12 m
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(scene=_scenes(6, st.one_of(_offsets, st.floats(min_value=-12.0, max_value=12.0))))
+def test_no_readings_exactly_when_nothing_is_in_reach(scene):
+    pose, rects = scene
+    got = sensor_reading_cm(pose.position.x, pose.position.y, pose.heading_rad, rects)
+    assert (got is None) == (not oracles.obstacles_in_reach(pose.position, rects)), (pose, rects)
 
 
 def _straight_ahead(ox: float, gap: float) -> tuple[Pose, Rect]:
@@ -116,20 +138,18 @@ def test_sensor_reading_matches_oracle_at_fixed_cases():
         for gap in (reach, math.nextafter(reach, 0.0), math.nextafter(reach, math.inf),
                     2.55, math.nextafter(2.55, math.inf), 2.549, 0.0, 1.0):
             pose, wall = _straight_ahead(ox, gap)
-            for side in (1, -1):
-                _check_reading(pose, (wall,), side)
-                _check_reading(pose, (wall, wall, wall), side)
+            _check_readings(pose, (wall,))
+            _check_readings(pose, (wall, wall, wall))
         pose, _ = _straight_ahead(ox, 0.0)
-        _check_reading(pose, (), 1)
+        _check_readings(pose, ())
     # inside a rectangle, on its edges and corners, and grazing a corner
     box = Rect(-1.0, -1.0, 1.0, 1.0)
     for x in (-1.0, 0.0, 1.0):
         for y in (-1.0, 0.0, 1.0):
             for heading in [0.0, 1.0, *(h % TWO_PI for h in _AXIS_HEADINGS)]:
-                for side in (1, -1):
-                    _check_reading(Pose(Vec2(x, y), heading), (box,), side)
+                _check_readings(Pose(Vec2(x, y), heading), (box,))
     graze = Pose(Vec2(-2.0, -2.0), math.pi / 4.0 - SENSOR_RAY_OFFSET_RAD)
-    _check_reading(graze, (Rect(-1.0, -1.0, 0.0, 0.0),), 1)
+    _check_readings(graze, (Rect(-1.0, -1.0, 0.0, 0.0),))
 
 
 def test_sensor_rays_parallel_to_an_axis():
@@ -137,15 +157,15 @@ def test_sensor_rays_parallel_to_an_axis():
     ahead = Rect(-0.5, 1.0, 0.5, 2.0)
     beside = Rect(0.5, 1.0, 1.5, 2.0)
     assert math.cos(pose.heading_rad + SENSOR_RAY_OFFSET_RAD) < 1e-15
-    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (ahead,), 1) == 100.0
-    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (beside,), 1) == 255.0
+    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (ahead,))[0] == 100.0
+    assert sensor_reading_cm(0.0, 0.0, pose.heading_rad, (beside,))[0] == 255.0
     # the origin a hair outside the slab: a parallel ray misses, a ray just
     # off parallel crosses into the slab within reach
     hair = Rect(1e-15, 1.0, 1.0, 2.0)
     for turn in _AXIS_TURNS:
         turned = Pose(Vec2(0.0, 0.0), pose.heading_rad + turn)
         for rects in ((ahead,), (beside,), (ahead, beside), (hair,)):
-            _check_reading(turned, rects, 1)
+            _check_readings(turned, rects)
 
 
 _floats = st.one_of(
@@ -182,8 +202,64 @@ def test_avoidance_maneuvers_are_shared_and_labelled():
 
 
 def test_avoid_labels_are_the_formatted_labels():
-    # the trace reads an avoidance's label from the table, formatted once
-    assert sorted(AVOID_LABELS) == sorted(m.rotation_deg for m in (AVOID_BOTH, AVOID_RIGHT,
-                                                                   AVOID_LEFT))
-    for angle, label in AVOID_LABELS.items():
-        assert label == TrackerDecision(DecisionKind.AVOID, angle).label == f"avoid({angle:+.4f})"
+    # the trace reads a repeated decision's label from the table, formatted once
+    avoids = {AVOID_BOTH, AVOID_RIGHT, AVOID_LEFT}
+    for tracker in (HotColdConfig(), HotColdConfig(rotation_angle_deg=-45.0), TrilaterationConfig(),
+                    StaticControl()):
+        labels = trace_labels(tracker)
+        assert labels.pop(None) == "none"
+        turns = {tracker.cold_turn} if isinstance(tracker, HotColdConfig) else set()
+        assert set(labels) == {MOVE_FORWARD, HALT} | avoids | turns
+        for act, label in labels.items():
+            assert label == act.label
+        for act in avoids:
+            assert labels[act] == f"avoid({act.rotation_deg:+.4f})"
+
+
+_WALL = Rect(50.1, 40.0, 52.0, 60.0)  # 10 cm ahead of the default start: both sensors trigger
+
+
+@pytest.mark.parametrize("tracker", [TrilaterationConfig(), HotColdConfig(rotation_angle_deg=45.0)],
+                         ids=["trilateration", "hotcold-45"])
+@pytest.mark.parametrize("angle", [45.0, 10.0, -10.0, 0.0, -0.0])
+def test_a_steer_keeps_its_own_label_beside_avoidances_of_its_angle(tracker, angle):
+    """A steer of an avoidance's angle, or of -0.0, is traced with its own
+    formatted label, never one from the table keyed by a like angle."""
+    config = WorldConfig(duration_s=30.0, tracker=tracker, obstacles=(_WALL,),
+                         mobility=FixedPath(((0.0, Vec2(45.0, 50.0)),)))
+    state = init_world(config)
+    steer = rotate_then_move(angle)
+    state.decide = lambda *_: steer
+    seen = set()
+    for _ in range(config.total_cycles):
+        readings = sensor_reading_cm(state.robot_x, state.robot_y, state.robot_heading_rad,
+                                     config.obstacles)
+        act = (readings and obstacle_avoidance(*readings)) or steer
+        step_world(state, config)
+        assert state.trace[-1].decision == act.label
+        seen.add(state.trace[-1].decision)
+    assert seen == {"avoid(+10.0000)", "avoid(+45.0000)", f"rotate_then_move({angle:+.4f})"}
+
+
+_STREAMED = dict(channel=ChannelParams(shadowing_sigma_db=2.0), tracker=TrilaterationConfig(),
+                 obstacles=(Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0)), seed=27)
+
+
+@pytest.mark.parametrize("cycles", [0, 1, NORMALS_CHUNK, NORMALS_CHUNK + 1, 2 * NORMALS_CHUNK + 1])
+def test_a_streamed_trace_csv_equals_the_whole_trace(cycles, tmp_path):
+    """A run with a sink hands it NORMALS_CHUNK records at a time, keeps none
+    and writes the bytes of the whole trace written at once."""
+    config = WorldConfig(duration_s=0.5 * cycles, **_STREAMED)
+    metrics, trace = run_simulation(config)
+    write_trace_csv(trace, tmp_path / "whole.csv")
+    chunks = []
+    with open(tmp_path / "streamed.csv", "w", newline="") as fh:
+        sink = trace_csv_sink(fh)
+        streamed, kept = run_simulation(
+            config, sink=lambda records: chunks.append(records) or sink(records))
+    assert (streamed, kept) == (metrics, None)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    starts = range(0, max(cycles, 1), NORMALS_CHUNK)  # one empty chunk for no cycles
+    assert [len(c) for c in chunks] == [min(NORMALS_CHUNK, cycles - i) for i in starts]
+    assert [rec for chunk in chunks for rec in chunk] == trace
+    assert trace_csv_lines(trace[1:], header=False) == trace_csv_lines(trace)[2:]
