@@ -206,24 +206,38 @@ def steps_to_reach(
 ) -> int | None:
     """Steps a unit-step follower needs to get within tau of a fixed target.
 
-    The follower starts at the origin heading along +x, compares exact
-    ranges between consecutive positions, and turns by phi exactly when the
-    last step strictly increased the range. None when step_cap is reached.
+    The follower starts at the origin heading along +x, rho from the
+    target, so it has arrived at step 0 when rho <= tau. From step 1 on it
+    compares squared ranges s = dx*dx + dy*dy, with dx = x - target_x and
+    dy = y - target_y: it has arrived when s <= tau*tau (the rounded level),
+    and it turns by phi exactly when the last step strictly increased s.
+    None when step_cap is reached.
     """
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not rho >= 0.0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
+    if rho <= tau:
+        return 0
     target_x = rho * math.cos(math.radians(beta_deg))
     target_y = rho * math.sin(math.radians(beta_deg))
+    level = tau * tau
     x = y = 0.0
     heading = 0  # integer degrees; phi is integer so headings stay on the grid
-    prev_d = math.inf
-    for steps in range(step_cap + 1):
-        d = math.hypot(x - target_x, y - target_y)
-        if d <= tau:
-            return steps
-        if d > prev_d:
-            heading = (heading + phi_deg) % 360
-        prev_d = d
+    prev_s = target_x * target_x + target_y * target_y
+    for steps in range(1, step_cap + 1):
         x += _COS_DEG[heading]
         y += _SIN_DEG[heading]
+        dx = x - target_x
+        dy = y - target_y
+        s = dx * dx + dy * dy
+        if s <= level:
+            return steps
+        if s > prev_s:
+            heading = (heading + phi_deg) % 360
+        prev_s = s
     return None
 
 
@@ -252,79 +266,11 @@ class ExhaustiveSweepResult:
         return self._cells[phi_deg, tau]
 
 
-# The exhaustive kernel decides "d <= tau" and "d > previous d" from squared
-# distances s = dx*dx + dy*dy and hands every near tie to math.hypot, so each
-# decision is the one math.hypot's distances give, as in steps_to_reach.
-# Proof, with u = 2**-53, r = sqrt(dx**2 + dy**2) exact and
-# h = math.hypot(dx, dy):
-# * s is rounded three times: |s - r*r| <= 2**-51.9 * r*r + 2**-1073 (the
-#   second term covers underflow). Nothing overflows while r < 2**402:
-#   positions stay within 2 * step_cap + 2 of the origin (a start taken up
-#   after its first leg can step past the cap by its offset), so
-#   _MAX_DISTANCE ensures it.
-# * Assume only that hypot is within 256 ulp of r (math.hypot is within 1):
-#   |h - r| <= 2**-44 * r, or <= 2**-1066 for a subnormal h, so
-#   |h*h - r*r| <= 2**-42.9 * r*r + 2**-2000.
-# * Together |s - h*h| <= A*s + B with A = 2**-42.7 and B = 2**-1072.
-# Turn test: if |s - s_prev| > _NEAR_TIE * s + _NEAR_TIE_FLOOR, then s and
-# s_prev differ by more than A*s + A*s_prev + 2B, the sum of their errors (as
-# _NEAR_TIE > 3A, _NEAR_TIE_FLOOR > 3B, and the rounding of the test itself
-# costs under 4u), so s > s_prev exactly when h > h_prev.
-# Crossing test: h <= tau gives s <= (tau*tau + B) / (1 - A), which is below
-# tau*tau * (1 + _NEAR_TIE) + _NEAR_TIE_FLOOR, so no crossing is missed and
-# s above that bound means h > tau. Likewise s <= tau*tau * (1 - _NEAR_TIE)
-# - _NEAR_TIE_FLOOR gives h*h <= s * (1 + A) + B < tau*tau. Candidates that
-# neither bound decides are tested on h.
-# Near-tie screen: after t steps a position is within t * (1 + u)**(t + 1)
-# of the origin (each move adds at most 1 in norm and rounds once per
-# coordinate) and a target within rho_max * (1 + 2u) of it, so with dx, dy
-# and s rounded on top, s < 2 * (rho_max + t + 2)**2 for any t < 2**50, far
-# beyond a loop that ends. Rounding is monotone, so every start that passes
-# |s - s_prev| <= s * _NEAR_TIE + _NEAR_TIE_FLOOR also passes the same test
-# with that bound, for the largest t of the step, in place of s: the kernel
-# screens with the one scalar and applies the per-start test to the few
-# starts it passes.
 # First leg: every trajectory starts at the origin heading along +x, and as
 # _COS_DEG[0] == 1.0 and _SIN_DEG[0] == 0.0 it sits exactly on (j, 0.0) at
 # step j until its first turn, whatever phi: _first_leg steps it once for
-# every angle with these same rules.
-_NEAR_TIE = 2.0**-40
-_NEAR_TIE_FLOOR = 2.0**-1000
-_MAX_DISTANCE = 2.0**400  # bound on |rho| + step_cap, so |(dx, dy)| < 2**402
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """math.hypot per element: np.hypot can differ from it in the last bit
-    (glibc's rounds the rho 10, bearing 239 and 329 distances down to 10.0)."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.size)
-
-
-def _levels(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per number of levels left: the tau of the largest (-inf for none),
-    its square (-inf below zero), and the bounds on s of every start within
-    it and of the starts surely within it (see _NEAR_TIE)."""
-    thresholds = np.concatenate(([-np.inf], taus))
-    clipped = np.minimum(thresholds, 2.0 * _MAX_DISTANCE)
-    squared = np.where(thresholds >= 0.0, clipped * clipped, -np.inf)
-    reaches = squared * (1.0 + _NEAR_TIE) + _NEAR_TIE_FLOOR
-    insides = squared * (1.0 - _NEAR_TIE) - _NEAR_TIE_FLOOR
-    return thresholds, squared, reaches, insides
-
-
-def _crossings(rows, s, left, hypot, taus, reaches, insides):
-    """The crossing rule, for the `rows` with s <= reaches[left]: those that
-    cross a level, and the lowest level each crosses. Most surely cross
-    their largest level left and surely not the one below; the rest are
-    decided on `hypot(rows)`, their math.hypot distances."""
-    levels = left[rows]
-    first = levels - 1
-    candidate_s = s[rows]
-    unsure = np.flatnonzero((candidate_s > insides[levels]) | (candidate_s <= reaches[first]))
-    if unsure.size:
-        first[unsure] = np.minimum(np.searchsorted(taus, hypot(rows[unsure])), levels[unsure])
-        crossed = first < levels
-        rows, first = rows[crossed], first[crossed]
-    return rows, first
+# every angle with steps_to_reach's rules.
+_MAX_DISTANCE = 2.0**400  # bound on rho + step_cap: keeps every s finite
 
 
 class _FirstLeg(NamedTuple):
@@ -353,36 +299,35 @@ class _FirstLeg(NamedTuple):
 
 def _first_leg(rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: int) -> _FirstLeg:
     """Each start's first turn and its crossings before it: every start is
-    stepped along +x once, for every angle, with the kernel's crossing and
-    turn rules (see _NEAR_TIE), until it turns or has crossed every level."""
+    stepped along +x once, for every angle, with steps_to_reach's crossing
+    and turn rules, until it turns or has crossed every level."""
     target_x = (rhos[:, None] * _COS_DEG[betas]).ravel()  # row-major over (rho, beta)
     target_y = (rhos[:, None] * _SIN_DEG[betas]).ravel()
-    _, _, reaches, insides = _levels(taus)
+    squares = taus * taus
+    reaches = np.concatenate(([-np.inf], squares))  # by levels left
     # counts reach 2 * step_cap + 1 before the cap clears them: int16 at the default cap
     dtype = np.min_scalar_type(-2 * step_cap - 2)
     turn_step = np.full(target_x.size, float(step_cap))  # the cap: not taken up
     turn_s = np.empty(target_x.size)
     turn_left = np.zeros(target_x.size, dtype=np.int32)
-    crossed, steps = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=dtype)]
+    # step 0 is decided on rho: the levels left are the taus below it
+    left = np.searchsorted(taus, np.repeat(rhos, betas.size)).astype(np.int32)
+    rows = np.flatnonzero(left < taus.size)
+    crossed, steps = [rows * taus.size + left[rows]], [np.zeros(rows.size, dtype=dtype)]
     # the starts still on the leg, at (j, 0.0)
-    on = np.arange(target_x.size)
-    tx, dy, prev_s = target_x, 0.0 - target_y, np.full(target_x.size, np.inf)
-    left = np.full(target_x.size, taus.size, dtype=np.int32)
-    for j in map(float, range(step_cap + 1)):
+    on = np.flatnonzero(left)
+    tx, dy, left = target_x[on], 0.0 - target_y[on], left[on]
+    prev_s = tx * tx + dy * dy
+    for j in map(float, range(1, step_cap + 1)):
         dx = j - tx
         s = dx * dx + dy * dy
         rows = np.flatnonzero(s <= reaches[left])
         if rows.size:
-            rows, first = _crossings(rows, s, left, lambda u: _hypot(j - tx[u], dy[u]),
-                                     taus, reaches, insides)
+            first = np.searchsorted(squares, s[rows])
             crossed.append(on[rows] * taus.size + first)
             steps.append(np.full(rows.size, j, dtype=dtype))
             left[rows] = first
-        diff = s - prev_s
-        turn = diff > 0.0
-        near = np.flatnonzero(np.abs(diff) <= s * _NEAR_TIE + _NEAR_TIE_FLOOR)
-        if near.size:
-            turn[near] = _hypot(j - tx[near], dy[near]) > _hypot(j - 1.0 - tx[near], dy[near])
+        turn = s > prev_s
         turned = on[turn]
         turn_step[turned], turn_s[turned], turn_left[turned] = j, s[turn], left[turn]
         stay = np.flatnonzero(~turn & (left > 0))
@@ -408,29 +353,32 @@ def _sweep_one_phi(
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
-    `taus` must be finite, ascending and distinct; columns follow its order.
-    step_cap must be >= 0 and |rhos| + step_cap below _MAX_DISTANCE. `leg`
-    is _first_leg of the same rhos, taus and step_cap.
+    `taus` must be finite, non-negative, ascending and distinct; columns
+    follow its order. step_cap must be >= 0 and rhos + step_cap below
+    _MAX_DISTANCE. `leg` is _first_leg of the same rhos, taus and step_cap.
 
     All tau levels share one trajectory per (rho, beta): tau only decides
     when counting stops, so each trajectory is stepped once, from the step
     after its first turn (see _first_leg), each start with its own step
-    offset. Since d <= tau implies d <= every larger tau, a start crosses
-    its levels from the largest down. Each start therefore carries one
-    bound, for the largest tau it has not crossed yet (-inf once all are
-    crossed), and one test per step finds the starts with new crossings.
-    Only the lowest level crossed is written; the levels between it and the
-    previous crossing were crossed in the same step and are filled from the
-    level below after the loop. Distances are squared distances with an
-    exact math.hypot fallback (see _NEAR_TIE). Each start keeps its
-    heading's cosine and sine, updated only when it turns. Every step works
-    in buffers allocated once. Finished starts keep stepping harmlessly
-    until the live count drops below 3/4 of the state length, when the
-    state is compacted; starts with a later offset step past the cap, and
-    their crossings there are cleared. Starts that have not crossed the
-    smallest tau within step_cap steps are the returned cap count.
+    offset. Every decision is steps_to_reach's, on the squared distance s:
+    a start crosses each level with s <= tau*tau and turns when s exceeds
+    its previous s. Since s <= tau*tau implies s <= every larger square, a
+    start crosses its levels from the largest down. Each start therefore
+    carries one bound, the square of the largest tau it has not crossed yet
+    (-inf once all are crossed), and one test per step finds the starts
+    with new crossings. Only the lowest level crossed is written; the
+    levels between it and the previous crossing were crossed in the same
+    step and are filled from the level below after the loop. Each start
+    keeps its heading's cosine and sine, updated only when it turns. Every
+    step works in buffers allocated once. Finished starts keep stepping
+    harmlessly until the live count drops below 3/4 of the state length,
+    when the state is compacted; starts with a later offset step past the
+    cap, and their crossings there are cleared. Starts that have not
+    crossed the smallest tau within step_cap steps are the returned cap
+    count.
     """
-    _, _, reaches, insides = _levels(taus)
+    squares = taus * taus
+    reaches = np.concatenate(([-np.inf], squares))  # by levels left
     successor = ((np.arange(360) + phi_deg) % 360).astype(np.int16)
     # the loop's crossings, by loop step
     counts = np.full((leg.offset.size, taus.size), -1, dtype=leg.offset.dtype)
@@ -440,20 +388,16 @@ def _sweep_one_phi(
     # the float state and scratch as the rows of one block: an angle
     # allocates and frees it whole, so its buffers leave one hole in the
     # heap, not a dozen (a dozen raised the sweeps' peak RSS by 2 MB)
-    x, y, px, py, cos_h, sin_h, prev_s, target_x, target_y, reach, dx, s = np.empty((12, live))
-    target_x[:], target_y[:], px[:], prev_s[:] = (leg.target_x, leg.target_y, leg.turn_step,
-                                                  leg.turn_s)
+    x, y, cos_h, sin_h, prev_s, target_x, target_y, reach, dx, s = np.empty((10, live))
+    target_x[:], target_y[:], prev_s[:] = leg.target_x, leg.target_y, leg.turn_s
     np.add(leg.turn_step, _COS_DEG[phi_deg], out=x)
     y.fill(0.0 + _SIN_DEG[phi_deg])
-    py.fill(0.0)
     cos_h.fill(_COS_DEG[phi_deg])
     sin_h.fill(_SIN_DEG[phi_deg])
     heading = np.full(live, phi_deg, dtype=np.int16)
     lane, left = leg.lane.copy(), leg.left.copy()
     np.take(reaches, left, out=reach)
-    rho_max = float(np.abs(rhos).max())
     start = int(leg.turn_step.min(initial=step_cap)) + 1  # the first loop step
-    top = int(leg.offset.max(initial=0))  # the largest step offset
     mask = np.empty(live, dtype=bool)
 
     for step in range(step_cap + 1 - start):
@@ -463,45 +407,28 @@ def _sweep_one_phi(
         s += np.multiply(dx, dx, out=dx)
         rows = np.flatnonzero(np.less_equal(s, reach, out=mask))
         if rows.size:
-            rows, first = _crossings(rows, s, left,
-                                     lambda u: _hypot(x[u] - target_x[u], y[u] - target_y[u]),
-                                     taus, reaches, insides)
+            first = np.searchsorted(squares, s[rows])  # the lowest level crossed
             flat[lane[rows] + first] = step
             left[rows] = first
             reach[rows] = reaches[first]
             live -= int(np.count_nonzero(first == 0))
             if live == 0:
                 break
-        # rows below -screen surely do not turn: the rest are the turning
-        # rows and every near tie
-        diff = np.subtract(s, prev_s, out=dx)
-        screen = (rho_max + top + step + 2.0) ** 2 * (2.0 * _NEAR_TIE) + _NEAR_TIE_FLOOR
-        turning = np.flatnonzero(np.greater_equal(diff, -screen, out=mask))
-        rising = diff[turning]
-        near = np.flatnonzero(rising <= screen)
-        turn = rising > 0.0
-        if near.size:
-            near = near[np.abs(rising[near]) <= s[turning[near]] * _NEAR_TIE + _NEAR_TIE_FLOOR]
-            rows = turning[near]
-            tx, ty = target_x[rows], target_y[rows]
-            d = _hypot(x[rows] - tx, y[rows] - ty)
-            turn[near] = d > _hypot(px[rows] - tx, py[rows] - ty)
-        turning = turning[turn]
+        turning = np.flatnonzero(np.greater(s, prev_s, out=mask))
         turned = successor[heading[turning]]
         heading[turning] = turned
         cos_h[turning] = _COS_DEG[turned]
         sin_h[turning] = _SIN_DEG[turned]
         prev_s, s = s, prev_s
-        px, x = x, np.add(x, cos_h, out=px)
-        py, y = y, np.add(y, sin_h, out=py)
+        x += cos_h
+        y += sin_h
         if live < 0.75 * lane.size:
             keep = np.flatnonzero(left)
-            arrays = (lane, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y,
-                      left, reach)
+            arrays = (lane, x, y, heading, cos_h, sin_h, prev_s, target_x, target_y, left, reach)
             for a in arrays:
                 a[:live] = a[keep]  # in place, so that no buffer is allocated again
-            (lane, x, y, px, py, heading, cos_h, sin_h, prev_s, target_x, target_y, left,
-             reach) = (a[:live] for a in arrays)
+            lane, x, y, heading, cos_h, sin_h, prev_s, target_x, target_y, left, reach = (
+                a[:live] for a in arrays)
             dx, s, mask = dx[:live], s[:live], mask[:live]
 
     np.add(counts, leg.offset[:, None], out=counts, where=counts >= 0)
@@ -526,22 +453,28 @@ def exhaustive_sweep(
     cell's mean and counted in cap_hits (at the smallest tau). A cell or
     overall mean with no reached start is NaN, and such a phi cannot be
     best_phi. Angles must be distinct integers in [1, 359], bearings
-    distinct integers in [0, 359] and taus distinct integers in [0, 2**53],
-    in any order; each range is read once. Counts equal steps_to_reach
-    exactly: every decision is the one math.hypot's distances give. The
-    first leg, the same for every angle, is stepped once for the sweep.
+    distinct integers in [0, 359], taus distinct integers in [0, 2**53] and
+    rhos distinct and >= 0, in any order; each range is read once. Counts
+    equal steps_to_reach exactly: step 0 is decided on rho and every later
+    decision on squared distances, as there. The first leg, the same for
+    every angle, is stepped once for the sweep.
     """
     phis = _distinct_ints(phi_range, "angles", range(1, 360), "phi_range", "an angle")
-    rhos = np.asarray(list(rho_range), dtype=np.float64)
+    rho_values = list(rho_range)
+    rhos = np.asarray(rho_values, dtype=np.float64)
     betas = np.asarray(_distinct_ints(beta_range, "bearings", range(360), "beta_range"), dtype=np.int64)
     tau_labels = sorted(_distinct_ints(tau_range, "tau values", _TAUS, "tau_range"))
     taus = np.asarray(tau_labels, dtype=np.float64)
     if not (rhos.size and betas.size and taus.size):
         raise ValueError("rho_range, beta_range and tau_range must not be empty")
+    if not (rhos >= 0.0).all():
+        raise ValueError(f"rho values must be >= 0, got {rho_values}")
+    if np.unique(rhos).size < rhos.size:
+        raise ValueError(f"rho_range repeats a value: {rho_values}")
     if step_cap < 0:
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
-    if not np.abs(rhos).max() + step_cap < _MAX_DISTANCE:
-        raise ValueError(f"|rho| + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
+    if not rhos.max() + step_cap < _MAX_DISTANCE:
+        raise ValueError(f"rho + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
     leg = _first_leg(rhos, betas, taus, step_cap)
     cells: list[ExhaustiveCell] = []
     overall: dict[int, float] = {}

@@ -8,10 +8,11 @@ over candidate counts. normalize_heading and left_sum, the package's
 earlier heading wrap and float sum, serve the oracles below.
 
 The two sweep kernels at the end are the package's earlier vectorized
-kernels, kept verbatim as references for their replacements:
-sweep_cell_rotations scans every wrap kappa for one (phi, epsilon) cell,
-and sweep_one_phi computes every distance with np.hypot and writes every
-crossed tau level with its own scatter.
+kernels, kept as references for their replacements: sweep_cell_rotations
+scans every wrap kappa for one (phi, epsilon) cell, verbatim, and
+sweep_one_phi steps every start from the origin, with no shared first
+leg, and writes every crossed tau level with its own scatter. It decides
+as steps_to_reach does: step 0 on rho, later steps on squared distances.
 
 The Hot-Cold tracker's earlier list windows follow, verbatim: ingest_sample
 appends each sample to a HotColdWindows list and averages each finished
@@ -191,18 +192,21 @@ def sweep_one_phi(
 ) -> tuple[np.ndarray, int]:
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
-    `taus` must be ascending and distinct; columns follow its order. All tau
-    levels share one trajectory per (rho, beta): tau only decides when
-    counting stops, so each trajectory is stepped once.
+    `taus` must be non-negative, ascending and distinct; columns follow its
+    order. All tau levels share one trajectory per (rho, beta): tau only
+    decides when counting stops, so each trajectory is stepped once.
 
-    Since d <= tau implies d <= every larger tau, a start crosses its levels
-    from the largest down. Each start therefore carries one threshold, the
-    largest tau it has not crossed yet (-inf once all are crossed), and one
-    `d <= threshold` test per step finds the starts with new crossings; only
-    those rows look up how many levels they now cross. Finished starts keep
-    stepping harmlessly until the live count drops below 3/4 of the state
-    length, when the state is compacted. Starts still live after step_cap
-    steps are the returned cap count.
+    Step 0 is decided on rho: the start crosses every tau >= rho. Later
+    steps compare s = dx*dx + dy*dy with tau*tau, and a start turns when s
+    exceeds its previous s. Since s <= tau*tau implies s <= every larger
+    square, a start crosses its levels from the largest down. Each start
+    therefore carries one threshold, the square of the largest tau it has
+    not crossed yet (-inf once all are crossed), and one `s <= threshold`
+    test per step finds the starts with new crossings; only those rows look
+    up how many levels they now cross. Finished starts keep stepping
+    harmlessly until the live count drops below 3/4 of the state length,
+    when the state is compacted. Starts still live after step_cap steps are
+    the returned cap count.
     """
     rho_grid, beta_grid = np.meshgrid(rhos, betas, indexing="ij")
     target_x = (rho_grid * _COS_DEG[beta_grid]).ravel()
@@ -211,22 +215,30 @@ def sweep_one_phi(
     counts = np.full((n, taus.size), -1, dtype=np.int64)
     levels = np.arange(taus.size)
     successor = (np.arange(360) + phi_deg) % 360
-    thresholds = np.concatenate(([-np.inf], taus))  # indexed by levels left
+    squares = taus * taus
+    thresholds = np.concatenate(([-np.inf], squares))  # indexed by levels left
+    start_rho = rho_grid.ravel()
 
     idx = np.arange(n)
     x = np.zeros(n)
     y = np.zeros(n)
     heading = np.zeros(n, dtype=np.int64)
-    prev_d = np.full(n, np.inf)
+    prev_s = np.full(n, np.inf)
     left = np.full(n, taus.size)  # levels not crossed yet: taus[:left]
     threshold = thresholds[left]
     live = n
 
     for step in range(step_cap + 1):
-        d = np.hypot(x - target_x, y - target_y)
-        rows = np.flatnonzero(d <= threshold)
+        dx = x - target_x
+        dy = y - target_y
+        s = dx * dx + dy * dy
+        if step == 0:
+            rows = np.flatnonzero(start_rho <= taus[-1])
+            first = np.searchsorted(taus, start_rho[rows])  # lowest level now crossed
+        else:
+            rows = np.flatnonzero(s <= threshold)
+            first = np.searchsorted(squares, s[rows])
         if rows.size:
-            first = np.searchsorted(taus, d[rows])  # lowest level now crossed
             crossed = (levels >= first[:, None]) & (levels < left[rows, None])
             hit_rows, hit_levels = np.nonzero(crossed)
             counts[idx[rows[hit_rows]], hit_levels] = step
@@ -238,11 +250,11 @@ def sweep_one_phi(
             if live < 0.75 * idx.size:
                 keep = left > 0
                 idx, x, y, heading = idx[keep], x[keep], y[keep], heading[keep]
-                d, prev_d = d[keep], prev_d[keep]
+                s, prev_s = s[keep], prev_s[keep]
                 target_x, target_y = target_x[keep], target_y[keep]
                 left, threshold = left[keep], threshold[keep]
-        heading = np.where(d > prev_d, successor[heading], heading)
-        prev_d = d
+        heading = np.where(s > prev_s, successor[heading], heading)
+        prev_s = s
         x += _COS_DEG[heading]
         y += _SIN_DEG[heading]
 

@@ -137,6 +137,18 @@ def test_steps_to_reach_inclusive_boundary():
     assert steps_to_reach(135, 10.0, 0.0, 10.0) == 0
 
 
+def test_steps_to_reach_validates_its_inputs():
+    # squaring would read tau -3 as 3, and a negative step_cap returned None
+    # where exhaustive_sweep raises
+    start = dict(phi_deg=135, rho=10.0, beta_deg=0.0, tau=1.0)
+    for name, bad in (("tau", -3.0), ("tau", math.nan), ("rho", -10.0), ("rho", math.nan),
+                      ("step_cap", -1)):
+        with pytest.raises(ValueError, match=name):
+            steps_to_reach(**{**start, name: bad})
+    assert steps_to_reach(**start, step_cap=0) is None
+    assert steps_to_reach(**{**start, "tau": 10.0}, step_cap=0) == 0
+
+
 def test_steps_to_reach_straight_line():
     # target dead ahead: never rotates, one step per distance unit
     assert steps_to_reach(137, 12.0, 0.0, 10.0) == 2
@@ -241,29 +253,17 @@ def test_exhaustive_sweep_monotone_and_deterministic():
     assert again.overall_means == result.overall_means
 
 
-# Starts whose tau-10 count the np.hypot kernel gets wrong: np.hypot (glibc)
-# rounds their exact start distance, just above 10, down to 10.0, so it
-# counts tau 10 as reached at step 0. The kernel decides on math.hypot, as
-# steps_to_reach does.
-_NP_HYPOT_LOW_STARTS = ((10, 239), (10, 329))
-
-
 @pytest.mark.parametrize("step_cap", [analysis.DEFAULT_STEP_CAP, 60])
 def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
+    # the oracle is the earlier kernel, which steps every start from the
+    # origin with no shared first leg, on the same squared-distance rules
     rhos = np.asarray(analysis.DEFAULT_RHO_RANGE, dtype=np.float64)
     betas = np.asarray(analysis.DEFAULT_BETA_RANGE, dtype=np.int64)
     taus = np.asarray(analysis.DEFAULT_TAU_RANGE, dtype=np.float64)
-    column = taus.tolist().index(10.0)
-    rows = [rhos.tolist().index(rho) * betas.size + betas.tolist().index(beta)
-            for rho, beta in _NP_HYPOT_LOW_STARTS]
     leg = analysis._first_leg(rhos, betas, taus, step_cap)
     for phi in (121, 135, 143):
         counts, capped = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
-        for row, (rho, beta) in zip(rows, _NP_HYPOT_LOW_STARTS):
-            scalar = steps_to_reach(phi, rho, beta, 10.0, step_cap=step_cap)
-            assert counts[row, column] == (-1 if scalar is None else scalar), (phi, rho, beta)
-            expected[row, column] = counts[row, column]
         assert np.array_equal(counts, expected), phi
         assert capped == expected_capped
 
@@ -271,7 +271,7 @@ def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
 def test_exhaustive_kernel_near_ties_and_skipped_levels():
     # a target half a step ahead is as far after the first step as before it
     # (an exact tie, so no turn); at phi 72 the starts at bearing 234 meet
-    # near ties that squared distances order differently from np.hypot; a tau
+    # consecutive squared distances that are equal or an ulp apart; a tau
     # grid finer than a step makes single steps cross several levels at once
     rhos = np.array([0.5, 2.0, 5.588, 23.752, 23.944, 99.979])
     betas = np.array([0, 45, 181, 234, 359])
@@ -333,6 +333,19 @@ def test_exhaustive_sweep_rejects_bearings_off_the_degree_grid():
         exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0,), step_cap=-1)
 
 
+def test_exhaustive_sweep_rejects_repeated_negative_and_nan_ranges():
+    # a repeated rho counted its starts twice in every mean, and rho -10 at
+    # bearing 0 is rho 10 at bearing 180
+    grid = dict(phi_range=(135,), beta_range=(0, 180))
+    assert exhaustive_sweep(rho_range=(10,), tau_range=(1,), **grid).total_runs == 2
+    for bad in ((10, 10), (10, 20, 10.0), (0.0, -0.0)):
+        with pytest.raises(ValueError, match="rho_range repeats a value"):
+            exhaustive_sweep(rho_range=bad, **grid)
+    for bad in ((10, -10), (math.nan,), (20, -0.5)):
+        with pytest.raises(ValueError, match="rho values must be >= 0"):
+            exhaustive_sweep(rho_range=bad, **grid)
+
+
 def test_exhaustive_sweep_reads_taus_as_distinct_integers():
     # int(tau) labelled taus 1.5, 1.7 and 3 as 1, 1 and 3: cell(135, 1) was
     # the 1.7 row, and fig4 printed one tau_1 column
@@ -358,7 +371,7 @@ def _scalar_counts(phi, rhos, betas, taus, step_cap):
 
 def _assert_kernel_exact(phis, rhos, betas, taus, step_cap, oracle=True):
     """_sweep_one_phi with its _first_leg equals steps_to_reach (and the
-    np.hypot oracle, where asked), and a second call with the same leg
+    oracle kernel, where asked), and a second call with the same leg
     gives the same counts: the kernel does not mutate the leg."""
     rhos, betas, taus = (np.asarray(v, dtype=dtype) for v, dtype in (
         (rhos, np.float64), (betas, np.int64), (taus, np.float64)))
@@ -382,11 +395,11 @@ def test_first_leg_needs_an_exact_unit_heading():
 
 
 def _first_turn(rho, beta):
-    """The first step whose math.hypot distance rose, walking along +x."""
+    """The first step whose squared distance rose, walking along +x."""
     tx, ty = rho * math.cos(math.radians(beta)), rho * math.sin(math.radians(beta))
-    step, prev = 1, math.hypot(tx, ty)
-    while (d := math.hypot(step - tx, 0.0 - ty)) <= prev:
-        step, prev = step + 1, d
+    step, prev = 1, tx * tx + ty * ty
+    while (s := (step - tx) * (step - tx) + (0.0 - ty) * (0.0 - ty)) <= prev:
+        step, prev = step + 1, s
     return step
 
 
@@ -429,16 +442,17 @@ def test_first_leg_turns_at_once_on_axis_bearings():
 
 
 def test_first_leg_crossings_at_step_0():
-    # at range 10 the start distance rounds to either side of tau 10, and
-    # np.hypot's to 10.0 at two bearings where math.hypot's is above it;
-    # tau 10.5 is reached at step 0 everywhere
+    # step 0 is decided on rho itself: at range 10 the squared start
+    # distance rounds to either side of 100, yet tau 10 and 10.5 are
+    # reached at step 0 at every bearing, and tau 1 at none
     rhos, betas, taus = np.array([10.0]), np.arange(360), np.array([1.0, 10.0, 10.5])
-    leg = _assert_kernel_exact((121, 135), rhos, betas, taus, 10_000, oracle=False)
-    rows = [beta for _, beta in _NP_HYPOT_LOW_STARTS]
+    target_x, target_y = 10.0 * analysis._COS_DEG, 10.0 * analysis._SIN_DEG
+    start_s = target_x * target_x + target_y * target_y
+    assert (start_s > 100.0).any() and (start_s < 100.0).any()
+    leg = _assert_kernel_exact((121, 135), rhos, betas, taus, 10_000)
     for phi in (121, 135):
         counts, _ = analysis._sweep_one_phi(phi, rhos, taus, 10_000, leg)
-        assert (counts[rows, 1] != 0).all() and (counts[:, 2] == 0).all()
-        assert (counts[:, 1] == 0).any()
+        assert (counts[:, 1:] == 0).all() and (counts[:, 0] != 0).all()
 
 
 def test_first_leg_longer_than_the_step_cap():
@@ -464,8 +478,8 @@ _half_step_ranges = st.builds(lambda k, up: math.nextafter(k + 0.5, math.inf if 
        taus=st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 10.5)), min_size=1,
                      max_size=4, unique=True).map(sorted),
        step_cap=st.integers(0, 250))
-# targets an ulp from x = 0.5 and 7.5: first-leg near ties that the squared
-# distances alone order wrongly
+# targets an ulp from x = 0.5 and 7.5: first-leg near ties, where one ulp
+# of the target decides the turn
 @example(phi=135, rhos=[1.9318516525781366, 28.977774788672047], betas=[75], taus=[0.25, 1.0],
          step_cap=200)
 def test_first_leg_and_kernel_equal_steps_to_reach(phi, rhos, betas, taus, step_cap):

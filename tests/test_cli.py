@@ -493,7 +493,7 @@ def test_command_output_bytes_pinned(tmp_path, capsys, name):
 
 
 # sha256 of the fig4.csv that `exhaustive-sweep` writes
-FIG4_SHA256 = "c17d95a730010561b2382343243b1501b1be02ef2be5a480e11adfb130033304"
+FIG4_SHA256 = "6b8342a8056d75ec565e85478616c7cf9facb687d60001634e1e46cbafc2352c"
 
 
 def test_exhaustive_sweep_command_bytes_pinned(tmp_path, capsys):
