@@ -346,7 +346,6 @@ def _first_leg(rhos: np.ndarray, betas: np.ndarray, taus: np.ndarray, step_cap: 
 
 def _sweep_one_phi(
     phi_deg: int,
-    rhos: np.ndarray,
     taus: np.ndarray,
     step_cap: int,
     leg: _FirstLeg,
@@ -354,8 +353,8 @@ def _sweep_one_phi(
     """First-crossing step counts, shape (n_starts, n_taus); -1 where capped.
 
     `taus` must be finite, non-negative, ascending and distinct; columns
-    follow its order. step_cap must be >= 0 and rhos + step_cap below
-    _MAX_DISTANCE. `leg` is _first_leg of the same rhos, taus and step_cap.
+    follow its order. `leg` is _first_leg of the same taus and step_cap,
+    with step_cap >= 0 and every rho + step_cap below _MAX_DISTANCE.
 
     All tau levels share one trajectory per (rho, beta): tau only decides
     when counting stops, so each trajectory is stepped once, from the step
@@ -480,7 +479,7 @@ def exhaustive_sweep(
     overall: dict[int, float] = {}
     cap_hits = 0
     for phi in phis:
-        counts, capped = _sweep_one_phi(phi, rhos, taus, step_cap, leg)
+        counts, capped = _sweep_one_phi(phi, taus, step_cap, leg)
         cap_hits += capped
         # exact integer sums over the reached starts (the -1s added back):
         # sum / n has the bits of the float mean of the reached counts, as a

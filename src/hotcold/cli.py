@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> None:
     world = build_world(args.cfg)
     out = _out_dir(args)
     with open(out / "trace.csv", "w", newline="") as fh:  # streamed, NORMALS_CHUNK cycles at a time
-        metrics, _ = run_simulation(world, sink=trace_csv_sink(fh))
+        metrics = run_simulation(world, sink=trace_csv_sink(fh))
     write_metrics_json(metrics, out / "metrics.json")
     print(f"simulate: {metrics.total_cycles} cycles, "
           f"average distance {metrics.average_distance_m:.2f} m, "

@@ -323,11 +323,11 @@ def target_path(config: WorldConfig) -> Iterator[tuple[float, float]]:
     return config.mobility.path(config, np.random.default_rng(mobility_ss))
 
 
-def init_world(config: WorldConfig, keep_trace: bool = True,
+def init_world(config: WorldConfig,
                path: Iterable[tuple[float, float]] | None = None) -> WorldState:
-    """The world before its first cycle. `path`, when given, holds the
-    positions that target_path(config) would yield: the start, then at
-    least one per cycle."""
+    """The world before its first cycle, keeping no trace (set state.trace to
+    a list to keep one). `path`, when given, holds the positions that
+    target_path(config) would yield: the start, then at least one per cycle."""
     channel_ss = np.random.SeedSequence(config.seed).spawn(2)[0]  # target_path takes [1]
     shadowing_rng = np.random.default_rng(channel_ss)
 
@@ -353,7 +353,6 @@ def init_world(config: WorldConfig, keep_trace: bool = True,
         # drawn as the run reaches them: the same bits as one scalar draw per cycle
         shadowing_normals=itertools.chain.from_iterable(
             shadowing_rng.standard_normal(n).tolist() for n in [NORMALS_CHUNK] * whole + [rest]),
-        trace=[] if keep_trace else None,
     )
 
 
@@ -590,22 +589,20 @@ def compute_metrics(state: WorldState) -> MetricsReport:
     return MetricsReport(state.distance_sum / total, state.cycles_in_range, state.cycles_in_halt, total)
 
 
-def run_simulation(config: WorldConfig, keep_trace: bool = True,
-                   path: Iterable[tuple[float, float]] | None = None,
-                   sink: Callable[[list[CycleRecord]], object] | None = None,
-                   ) -> tuple[MetricsReport, list | None]:
-    """Run the configured world for its whole duration; without keep_trace,
-    trace is None. `path` is init_world's: the target's recorded positions.
-    With a sink, trace is None: sink(records) gets NORMALS_CHUNK cycles at a
+def run_simulation(config: WorldConfig, path: Iterable[tuple[float, float]] | None = None,
+                   sink: Callable[[list[CycleRecord]], object] | None = None) -> MetricsReport:
+    """Run the configured world for its whole duration. `path` is
+    init_world's: the target's recorded positions. Without a sink, the run
+    builds no trace; with one, sink(records) gets NORMALS_CHUNK cycles at a
     time, in order, and keeps what it wants (no cycles: one empty call)."""
-    state = init_world(config, keep_trace or sink is not None, path)
+    state = init_world(config, path)
     total = config.total_cycles
     if sink is None:
-        return compute_metrics(step_world(state, config, total)), state.trace
+        return compute_metrics(step_world(state, config, total))
     for first in range(0, max(total, 1), NORMALS_CHUNK):
         state.trace = []
         sink(step_world(state, config, min(NORMALS_CHUNK, total - first)).trace)
-    return compute_metrics(state), None
+    return compute_metrics(state)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +627,6 @@ def trace_csv_sink(fh) -> Callable[[list[CycleRecord]], object]:
     """A run_simulation sink: each chunk's rows to the text file fh, the header first."""
     headers = itertools.chain([True], itertools.repeat(False))
     return lambda trace: fh.write("\n".join(trace_csv_lines(trace, next(headers))) + "\n")
-
-
-def write_trace_csv(trace: list[CycleRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        trace_csv_sink(fh)(trace)
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:

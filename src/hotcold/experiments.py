@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .analysis import ConvergenceReport, ExhaustiveSweepResult, RotationSweepResult
 from .engine import (
-    CycleRecord,
     MetricsReport,
     StaticControl,
     Tracker,
@@ -139,7 +138,7 @@ class GridResult:
 
 def _run_point(config: WorldConfig, path) -> tuple[MetricsReport, None] | tuple[None, str]:
     try:
-        return run_simulation(config, keep_trace=False, path=path)[0], None
+        return run_simulation(config, path=path), None
     except Exception as exc:  # recorded, never aborts the grid
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -259,7 +258,7 @@ def scenario_preset(name: str, sigma_db: float = SCENARIO_SIGMA_DB, seed: int = 
 class ScenarioResult:
     name: str
     configs: tuple[WorldConfig, ...]
-    traces: tuple[tuple[CycleRecord, ...], ...]
+    distances: tuple[tuple[tuple[float, float], ...], ...]  # (time_s, distance_m) per cycle
     metrics: tuple[MetricsReport, ...]
 
 
@@ -273,15 +272,17 @@ def run_scenario(
         if value < low:
             raise ValueError(f"{arg} must be >= {low}, got {value}")
     configs = []
-    traces = []
+    distances = []
     metrics = []
     for i in range(iterations):
         cfg = scenario_preset(name, sigma_db, derive_seed(master_seed, name, float(sigma_db), i))
-        report, trace = run_simulation(cfg)
+        gaps = []  # fig12's column: each cycle's time and robot-target distance
+        report = run_simulation(cfg, sink=lambda trace: gaps.extend(
+            (r.time_s, math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y)) for r in trace))
         configs.append(cfg)
-        traces.append(tuple(trace))
+        distances.append(tuple(gaps))
         metrics.append(report)
-    return ScenarioResult(name, tuple(configs), tuple(traces), tuple(metrics))
+    return ScenarioResult(name, tuple(configs), tuple(distances), tuple(metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +427,10 @@ def write_scenario_csv(result: ScenarioResult, out_dir: Path) -> Path:
     """fig12-style: per-iteration robot-target distance against time, with a
     time-zero row for the initial separation."""
     lines = ["iteration,time_s,distance_m"]
-    for i, (cfg, trace) in enumerate(zip(result.configs, result.traces)):
+    for i, (cfg, gaps) in enumerate(zip(result.configs, result.distances)):
         start_gap = distance(cfg.robot_start.position, cfg.mobility.waypoints[0][1])
         lines.append(f"{i},{_fmt(0.0)},{_fmt(start_gap)}")
-        for rec in trace:
-            gap = math.hypot(rec.robot_x - rec.target_x, rec.robot_y - rec.target_y)
-            lines.append(f"{i},{_fmt(rec.time_s)},{_fmt(gap)}")
+        lines.extend(f"{i},{_fmt(time_s)},{_fmt(gap)}" for time_s, gap in gaps)
     path = Path(out_dir) / f"fig12_{result.name}.csv"
     _write_lines(path, lines)
     return path

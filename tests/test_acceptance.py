@@ -189,7 +189,7 @@ def test_static_control_baseline():
     distances = []
     for run in range(5):
         cfg = WorldConfig(tracker=StaticControl(), seed=derive_seed(1, "control-baseline", run))
-        metrics, _ = run_simulation(cfg)
+        metrics = run_simulation(cfg)
         distances.append(metrics.average_distance_m)
     mean = sum(distances) / len(distances)
     ok = abs(mean - 30.0) <= 0.15 * 30.0

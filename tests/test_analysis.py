@@ -262,7 +262,7 @@ def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
     taus = np.asarray(analysis.DEFAULT_TAU_RANGE, dtype=np.float64)
     leg = analysis._first_leg(rhos, betas, taus, step_cap)
     for phi in (121, 135, 143):
-        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
+        counts, capped = analysis._sweep_one_phi(phi, taus, step_cap, leg)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
         assert np.array_equal(counts, expected), phi
         assert capped == expected_capped
@@ -278,7 +278,7 @@ def test_exhaustive_kernel_near_ties_and_skipped_levels():
     taus = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 1.0, 3.0])
     leg = analysis._first_leg(rhos, betas, taus, 200)
     for phi in (1, 72, 135, 180, 359):
-        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, 200, leg)
+        counts, capped = analysis._sweep_one_phi(phi, taus, 200, leg)
         expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, 200)
         assert np.array_equal(counts, expected), phi
         assert capped == expected_capped
@@ -377,8 +377,8 @@ def _assert_kernel_exact(phis, rhos, betas, taus, step_cap, oracle=True):
         (rhos, np.float64), (betas, np.int64), (taus, np.float64)))
     leg = analysis._first_leg(rhos, betas, taus, step_cap)
     for phi in phis:
-        counts, capped = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
-        again, _ = analysis._sweep_one_phi(phi, rhos, taus, step_cap, leg)
+        counts, capped = analysis._sweep_one_phi(phi, taus, step_cap, leg)
+        again, _ = analysis._sweep_one_phi(phi, taus, step_cap, leg)
         assert np.array_equal(counts, again)
         expected = _scalar_counts(phi, rhos.tolist(), betas.tolist(), taus.tolist(), step_cap)
         assert np.array_equal(counts, expected), phi
@@ -451,7 +451,7 @@ def test_first_leg_crossings_at_step_0():
     assert (start_s > 100.0).any() and (start_s < 100.0).any()
     leg = _assert_kernel_exact((121, 135), rhos, betas, taus, 10_000)
     for phi in (121, 135):
-        counts, _ = analysis._sweep_one_phi(phi, rhos, taus, 10_000, leg)
+        counts, _ = analysis._sweep_one_phi(phi, taus, 10_000, leg)
         assert (counts[:, 1:] == 0).all() and (counts[:, 0] != 0).all()
 
 

@@ -15,9 +15,10 @@ from hotcold import cli, engine, experiments
 from hotcold.analysis import exhaustive_sweep, rotation_sweep
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
-from hotcold.engine import Rect, WorldConfig, write_trace_csv
+from hotcold.engine import Rect, WorldConfig
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
+from traced import traced_run
 
 
 def run_cli(args):
@@ -71,8 +72,9 @@ def test_simulate_streams_the_trace_of_a_run(tmp_path, monkeypatch):
     streamed = (tmp_path / "run" / "trace.csv").read_bytes()
     config = WorldConfig(duration_s=4097.0, tracker=TrilaterationConfig(),
                          obstacles=(Rect(38.0, 44.0, 44.0, 48.0), Rect(55.0, 52.0, 58.0, 60.0)))
-    _, trace = engine.run_simulation(config)
-    write_trace_csv(trace, tmp_path / "whole.csv")
+    _, trace = traced_run(config)
+    with open(tmp_path / "whole.csv", "w", newline="") as fh:
+        engine.trace_csv_sink(fh)(trace)
     assert streamed == (tmp_path / "whole.csv").read_bytes()
     assert [len(c) for c in calls] == [engine.NORMALS_CHUNK + 1, engine.NORMALS_CHUNK, 2]
     assert sum(len(line) + 1 for c in calls for line in c) == len(streamed)
@@ -251,7 +253,8 @@ def test_scenario_iteration_is_the_simulate_run_of_its_keys(tmp_path, capsys, na
                                            abs=3e-6)
     # and bit for bit: the iteration's own trace and metrics
     result = experiments.run_scenario(name, 2, sigma, 3)
-    write_trace_csv(result.traces[iteration], tmp_path / "iteration.csv")
+    with open(tmp_path / "iteration.csv", "w", newline="") as fh:
+        engine.run_simulation(result.configs[iteration], sink=engine.trace_csv_sink(fh))
     assert (tmp_path / "iteration.csv").read_bytes() == (sim / "trace.csv").read_bytes()
     metrics = json.loads((sim / "metrics.json").read_text())
     assert metrics["average_distance_m"] == result.metrics[iteration].average_distance_m

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hotcold.trilateration
 import oracles
+from traced import traced_run, traced_world
 from hotcold.channel import ChannelParams, RssiReading, noiseless_rssi
 from hotcold.engine import (
     MAX_CYCLE_PERIOD_S,
@@ -141,14 +142,14 @@ def test_world_bounds():
         seed=0,
         duration_s=5.0,
     )
-    assert math.isfinite(run_simulation(edge)[0].average_distance_m)
+    assert math.isfinite(run_simulation(edge).average_distance_m)
     # the longest steps at the longest period, from the same corner
     for tracker in (HotColdConfig(), TrilaterationConfig()):
         far = dataclasses.replace(
             edge, cycle_period_s=MAX_CYCLE_PERIOD_S, duration_s=20 * MAX_CYCLE_PERIOD_S,
             target_speed_kmh=MAX_SPEED_KMH, tracker=tracker,
         )
-        assert math.isfinite(run_simulation(far)[0].average_distance_m)
+        assert math.isfinite(run_simulation(far).average_distance_m)
 
 
 def test_every_tracker_type_has_one_table_entry():
@@ -225,15 +226,15 @@ def test_step_world_stops_after_total_cycles():
     # of the 1 s duration: the cycle count, not the clock, ends the run, with
     # or without a trace
     config = WorldConfig(duration_s=1.0, cycle_period_s=0.1, seed=19)
-    for keep_trace in (True, False):
-        state = init_world(config, keep_trace=keep_trace)
+    for traced in (True, False):
+        state = traced_world(config) if traced else init_world(config)
         for _ in range(config.total_cycles):
             step_world(state, config)
         assert len(state) == state.cycles == 10 and state.time_s < config.duration_s
         with pytest.raises(ValueError, match="full duration"):
             step_world(state, config)
         assert len(state) == 10
-        assert (len(state.trace) == 10) if keep_trace else state.trace is None
+        assert (len(state.trace) == 10) if traced else state.trace is None
 
 
 def test_shadowing_normals_are_the_channel_stream_drawn_up_front():
@@ -250,7 +251,7 @@ def test_a_long_run_sets_up_in_bounded_memory():
     config = WorldConfig(duration_s=5e5)  # 10**6 cycles
     tracemalloc.start()
     try:
-        init_world(config, keep_trace=False)
+        init_world(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +351,7 @@ def test_avoidance_preempts_tracker():
         mobility=FixedPath(((0.0, Vec2(50.0, 50.0)),)),
         robot_start=Pose(Vec2(0.0, 0.0), 0.0),
     )
-    state = init_world(cfg)
+    state = traced_world(cfg)
     step_world(state, cfg)
     rec = state.trace[0]
     assert rec.decision.startswith("avoid(+45")
@@ -360,7 +361,7 @@ def test_avoidance_preempts_tracker():
 
 def test_static_control_never_moves():
     cfg = WorldConfig(duration_s=50.0, tracker=StaticControl(), seed=5)
-    _, trace = run_simulation(cfg)
+    _, trace = traced_run(cfg)
     assert all((rec.robot_x, rec.robot_y, rec.robot_heading_rad) == (50.0, 50.0, 0.0) for rec in trace)
     assert all(rec.decision == "none" for rec in trace)
 
@@ -372,7 +373,7 @@ def test_static_control_static_target_average_is_exact():
         mobility=FixedPath(((0.0, Vec2(30.0, 50.0)),)),
         seed=6,
     )
-    metrics, _ = run_simulation(cfg)
+    metrics = run_simulation(cfg)
     assert metrics.average_distance_m == pytest.approx(20.0, abs=1e-12)
     assert metrics.total_cycles == 50
 
@@ -386,7 +387,7 @@ def test_noise_free_approach_of_static_target():
         robot_start=Pose(Vec2(50.0, 50.0), 0.0),
         seed=7,
     )
-    metrics, trace = run_simulation(cfg)
+    metrics, trace = traced_run(cfg)
     ds = [math.hypot(rec.robot_x - rec.target_x, rec.robot_y - rec.target_y) for rec in trace]
     first_halt = next(i for i, rec in enumerate(trace) if rec.in_halt)
     assert all(b <= a + 1e-12 for a, b in zip(ds[:first_halt], ds[1 : first_halt + 1]))
@@ -403,14 +404,14 @@ def test_sws1_noise_free_convergence_under_500_cycles():
             robot_start=Pose(Vec2(x, y), math.radians(heading_deg)),
             seed=8,
         )
-        _, trace = run_simulation(cfg)
+        _, trace = traced_run(cfg)
         first_halt = next((i for i, rec in enumerate(trace) if rec.in_halt), None)
         assert first_halt is not None and first_halt < 500
 
 
 def test_target_stays_in_bounds():
     cfg = WorldConfig(duration_s=300.0, seed=9)
-    _, trace = run_simulation(cfg)
+    _, trace = traced_run(cfg)
     for rec in trace:
         assert 0.0 <= rec.target_x <= cfg.width_m
         assert 0.0 <= rec.target_y <= cfg.height_m
@@ -428,7 +429,7 @@ def test_out_of_range_repeats_last_decision():
         robot_start=Pose(Vec2(5.0, 50.0), 0.0),
         seed=10,
     )
-    _, trace = run_simulation(cfg)
+    _, trace = traced_run(cfg)
     assert not trace[-1].in_range
     out = [rec for rec in trace if not rec.in_range]
     assert out and all(rec.decision == "move_forward" for rec in out)
@@ -442,7 +443,7 @@ def test_never_fed_tracker_stays_put_out_of_range():
         robot_start=Pose(Vec2(500.0, 0.0), 0.0),
         seed=11,
     )
-    _, trace = run_simulation(cfg)
+    _, trace = traced_run(cfg)
     assert all(not rec.in_range for rec in trace)
     assert all(rec.decision == "none" for rec in trace)
     assert all((rec.robot_x, rec.robot_y) == (500.0, 0.0) for rec in trace)
@@ -452,12 +453,12 @@ def test_determinism_bit_identical_trace():
     cfg = WorldConfig(
         duration_s=60.0, channel=ChannelParams(shadowing_sigma_db=2.0), seed=12
     )
-    m1, t1 = run_simulation(cfg)
-    m2, t2 = run_simulation(cfg)
+    m1, t1 = traced_run(cfg)
+    m2, t2 = traced_run(cfg)
     assert t1 == t2
     assert m1 == m2
     assert trace_csv_lines(t1) == trace_csv_lines(t2)
-    m3, t3 = run_simulation(WorldConfig(duration_s=60.0, channel=ChannelParams(shadowing_sigma_db=2.0), seed=13))
+    m3, t3 = traced_run(WorldConfig(duration_s=60.0, channel=ChannelParams(shadowing_sigma_db=2.0), seed=13))
     assert t3 != t1
 
 
@@ -468,13 +469,13 @@ def test_trilateration_world_runs_and_halts_noise_free():
         mobility=FixedPath(((0.0, Vec2(80.0, 60.0)),)),
         seed=14,
     )
-    metrics, _ = run_simulation(cfg)
+    metrics = run_simulation(cfg)
     assert metrics.cycles_in_range == metrics.total_cycles
     assert metrics.cycles_in_halt > 0
 
 
 def test_empty_duration_metrics():
-    metrics, trace = run_simulation(WorldConfig(duration_s=0.0, seed=15))
+    metrics, trace = traced_run(WorldConfig(duration_s=0.0, seed=15))
     assert trace == []
     assert metrics.total_cycles == 0
     assert math.isnan(metrics.average_distance_m)
@@ -484,7 +485,7 @@ def test_empty_duration_metrics():
 
 def test_compute_metrics_against_recomputation():
     cfg = WorldConfig(duration_s=30.0, channel=ChannelParams(shadowing_sigma_db=1.0), seed=16)
-    metrics, trace = run_simulation(cfg)
+    metrics, trace = traced_run(cfg)
     mean = float(
         np.mean([math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y) for r in trace])
     )
@@ -496,7 +497,7 @@ def test_compute_metrics_against_recomputation():
 
 def test_trace_csv_schema():
     cfg = WorldConfig(duration_s=1.0, seed=17)
-    _, trace = run_simulation(cfg)
+    _, trace = traced_run(cfg)
     lines = trace_csv_lines(trace)
     assert lines[0] == (
         "time_s,robot_x,robot_y,robot_heading_deg,target_x,target_y,"
@@ -567,7 +568,7 @@ PINNED_DIGESTS = {
 
 
 def _run_digest(cfg: WorldConfig) -> str:
-    metrics, trace = run_simulation(cfg)
+    metrics, trace = traced_run(cfg)
     h = hashlib.sha256()
     h.update("\n".join(trace_csv_lines(trace)).encode())
     for rec in trace:
@@ -597,7 +598,7 @@ def test_cycle_record_is_an_immutable_named_tuple():
     for tracker in (HotColdConfig(), TrilaterationConfig()):
         world = WorldConfig(duration_s=300.0, channel=_SIGMA2, tracker=tracker,
                             obstacles=obstacles, seed=18)
-        _, trace = run_simulation(world)
+        _, trace = traced_run(world)
         # the loop builds each record without the class's constructor
         assert all(type(rec) is CycleRecord for rec in trace)
         labels.update(rec.decision.split("(")[0] for rec in trace)
@@ -780,7 +781,7 @@ def test_traced_run_builds_no_vec2_or_pose_per_cycle(monkeypatch):
                              obstacles=_TRACED_OBSTACLES, seed=27)
         built.clear()
         estimates.clear()
-        _, trace = run_simulation(config)
+        _, trace = traced_run(config)
         assert len(trace) == cycles
         others.append(len(built) - sum(e is not None for e in estimates))
     assert any(rec.decision.startswith("avoid") for rec in trace)  # the sensors were read
@@ -813,7 +814,7 @@ def test_float_cycle_loop_matches_the_pose_loop(config):
     the KPI sums bit for bit, and the decision labels; each flat trace record
     against the nested one field by field, its floats bit for bit."""
     theirs = oracles.init_world(config)
-    ours = [init_world(config), init_world(config, keep_trace=False)]
+    ours = [traced_world(config), init_world(config)]
     for cycle in range(config.total_cycles):
         oracles.step_world(theirs, config)
         want = _bits(_floats_of(theirs))
@@ -854,8 +855,9 @@ def test_chunked_stepping_matches_single_cycles(config, cuts):
     end raises and changes nothing."""
     total = config.total_cycles
     cuts = sorted(min(cut, total) for cut in cuts)
-    for keep_trace in (True, False):
-        single, chunked = init_world(config, keep_trace), init_world(config, keep_trace)
+    for traced in (True, False):
+        world = traced_world if traced else init_world
+        single, chunked = world(config), world(config)
         for _ in range(total):
             step_world(single, config)
         for start, end in zip([0, *cuts], [*cuts, total]):
@@ -870,5 +872,5 @@ def test_chunked_stepping_matches_single_cycles(config, cuts):
         assert _world_bits(chunked) == _world_bits(single)
         assert chunked.last_decision == single.last_decision
         assert chunked.tracker_state == single.tracker_state
-        if keep_trace:
+        if traced:
             assert list(map(_record_bits, chunked.trace)) == list(map(_record_bits, single.trace))

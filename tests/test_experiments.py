@@ -77,7 +77,7 @@ def test_seeds_do_not_depend_on_how_sigma_is_typed(tmp_path):
     # each seed hashes sigma as a float: an int sigma of 2 gave another world than 2.0
     for sigma in (0, 2):
         typed = [run_scenario("scenario2", 1, value, 1) for value in (sigma, float(sigma))]
-        assert typed[0].metrics == typed[1].metrics and typed[0].traces == typed[1].traces
+        assert typed[0].metrics == typed[1].metrics and typed[0].distances == typed[1].distances
     ints = replace(MINI_GRID, sigma_values=(0, 2), runs_per_point=1)
     written = []
     for grid in (ints, replace(ints, sigma_values=(0.0, 2.0))):
@@ -130,7 +130,7 @@ def test_every_grid_world_is_its_unshared_run():
     for p in result.points:
         for seed, report in zip(p.seeds, p.runs):
             config = experiments.grid_world_config(MINI_GRID, p.tracker, p.sws, p.sigma, seed)
-            assert report == engine.run_simulation(config, keep_trace=False)[0], (p, seed)
+            assert report == engine.run_simulation(config), (p, seed)
 
 
 def test_a_run_index_records_its_target_path_once(monkeypatch):
@@ -438,8 +438,7 @@ def test_scenario_preset_keys_build_the_hand_written_worlds(name):
 
 def test_scenario1_noise_free_converges():
     result = run_scenario("scenario1", iterations=1, sigma_db=0.0, master_seed=1)
-    trace = result.traces[0]
-    ds = [math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y) for r in trace]
+    ds = [gap for _, gap in result.distances[0]]
     # the run is noise-free deterministic: the approach dips into the halt
     # band right at the end of the 60 s horizon
     assert min(ds) < 4.5
@@ -448,13 +447,27 @@ def test_scenario1_noise_free_converges():
 
 def test_scenario3_distance_rises_then_falls():
     result = run_scenario("scenario3", iterations=2, sigma_db=2.0, master_seed=1)
-    for cfg, trace in zip(result.configs, result.traces):
+    for cfg, gaps in zip(result.configs, result.distances):
         x, y = next(cfg.mobility.path(cfg, None))
         d0 = math.hypot(cfg.robot_start.position.x - x, cfg.robot_start.position.y - y)
-        ds = [math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y) for r in trace]
+        ds = [gap for _, gap in gaps]
         assert d0 == pytest.approx(25.0)
         assert max(ds[:20]) > d0  # target initially heads away from the robot
         assert min(ds) < d0 - 5.0
+
+
+def test_scenario_distances_are_each_iterations_traced_run():
+    """fig12's column is each iteration's own run: every cycle's time and the
+    math.hypot of its robot-target offset, as float.hex; the metrics too."""
+    result = run_scenario("scenario2", iterations=2, sigma_db=2.0, master_seed=4)
+    assert len(result.distances) == len(result.configs) == 2
+    for cfg, gaps, report in zip(result.configs, result.distances, result.metrics):
+        records = []
+        assert engine.run_simulation(cfg, sink=records.extend) == report
+        assert len(records) == cfg.total_cycles
+        want = [(r.time_s.hex(), math.hypot(r.robot_x - r.target_x, r.robot_y - r.target_y).hex())
+                for r in records]
+        assert [(t.hex(), gap.hex()) for t, gap in gaps] == want
 
 
 def test_scenario_csv_has_initial_distance_row(tmp_path):

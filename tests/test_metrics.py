@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from traced import traced_run
 from hotcold.channel import ChannelParams
 from hotcold.engine import (
     FixedPath,
@@ -30,9 +31,9 @@ def _bits(report) -> tuple:
 def _run_bits(config: WorldConfig) -> tuple:
     """The report's bits with a trace and without one; both must equal the
     oracle's from the trace."""
-    report, trace = run_simulation(config)
-    bare, no_trace = run_simulation(config, keep_trace=False)
-    assert len(trace) == config.total_cycles and no_trace is None
+    report, trace = traced_run(config)
+    bare = run_simulation(config)
+    assert len(trace) == config.total_cycles
     nested = [oracles.CycleRecord(r.time_s, Pose(Vec2(r.robot_x, r.robot_y), r.robot_heading_rad),
                                   Vec2(r.target_x, r.target_y), *r[6:]) for r in trace]
     oracle = _bits(oracles.compute_metrics(nested))
@@ -142,10 +143,9 @@ def test_distances_are_added_left_to_right():
         mobility=FixedPath(((0.0, Vec2(1e6, 0.0)), (0.5, Vec2(1e6, 0.0)), (0.75, Vec2(2.0**-34, 0.0)))),
         robot_start=Pose(Vec2(0.0, 0.0), 0.0),
     )
-    _, trace = run_simulation(config)
+    _, trace = traced_run(config)
     gaps = [1e6, 2.0**-34, 2.0**-34]
     assert [math.hypot(r.target_x, r.target_y) for r in trace] == gaps
-    for keep_trace in (True, False):
-        report, _ = run_simulation(config, keep_trace=keep_trace)
+    for report in (traced_run(config)[0], run_simulation(config)):
         assert report.average_distance_m == ((1e6 + 2.0**-34) + 2.0**-34) / 3
         assert report.average_distance_m != math.fsum(gaps) / 3

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hotcold import engine
+from traced import traced_run, traced_world
 from hotcold.channel import ChannelParams
 from hotcold.engine import (
     AVOID_BOTH,
@@ -24,7 +26,6 @@ from hotcold.engine import (
     Rect,
     StaticControl,
     WorldConfig,
-    init_world,
     obstacle_avoidance,
     run_simulation,
     sensor_reading_cm,
@@ -32,7 +33,6 @@ from hotcold.engine import (
     trace_csv_lines,
     trace_csv_sink,
     trace_labels,
-    write_trace_csv,
 )
 from hotcold.geometry import TWO_PI, Pose, Vec2
 from hotcold.tracker import HALT, MOVE_FORWARD, HotColdConfig, rotate_then_move
@@ -227,7 +227,7 @@ def test_a_steer_keeps_its_own_label_beside_avoidances_of_its_angle(tracker, ang
     formatted label, never one from the table keyed by a like angle."""
     config = WorldConfig(duration_s=30.0, tracker=tracker, obstacles=(_WALL,),
                          mobility=FixedPath(((0.0, Vec2(45.0, 50.0)),)))
-    state = init_world(config)
+    state = traced_world(config)
     steer = rotate_then_move(angle)
     state.decide = lambda *_: steer
     seen = set()
@@ -250,16 +250,31 @@ def test_a_streamed_trace_csv_equals_the_whole_trace(cycles, tmp_path):
     """A run with a sink hands it NORMALS_CHUNK records at a time, keeps none
     and writes the bytes of the whole trace written at once."""
     config = WorldConfig(duration_s=0.5 * cycles, **_STREAMED)
-    metrics, trace = run_simulation(config)
-    write_trace_csv(trace, tmp_path / "whole.csv")
+    metrics, trace = traced_run(config)
+    with open(tmp_path / "whole.csv", "w", newline="") as fh:
+        trace_csv_sink(fh)(trace)
     chunks = []
     with open(tmp_path / "streamed.csv", "w", newline="") as fh:
         sink = trace_csv_sink(fh)
-        streamed, kept = run_simulation(
+        streamed = run_simulation(
             config, sink=lambda records: chunks.append(records) or sink(records))
-    assert (streamed, kept) == (metrics, None)
+    assert streamed == metrics
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     starts = range(0, max(cycles, 1), NORMALS_CHUNK)  # one empty chunk for no cycles
     assert [len(c) for c in chunks] == [min(NORMALS_CHUNK, cycles - i) for i in starts]
     assert [rec for chunk in chunks for rec in chunk] == trace
     assert trace_csv_lines(trace[1:], header=False) == trace_csv_lines(trace)[2:]
+
+
+def test_an_untraced_run_builds_no_label_table(monkeypatch):
+    """Without a sink, a run among obstacles, past one chunk, never formats
+    its trace labels; the same run with a sink does."""
+    def refuse(tracker):
+        raise AssertionError("trace_labels called")
+
+    monkeypatch.setattr(engine, "trace_labels", refuse)
+    for tracker in (HotColdConfig(), TrilaterationConfig()):
+        config = WorldConfig(duration_s=0.5 * (NORMALS_CHUNK + 1), **{**_STREAMED, "tracker": tracker})
+        assert run_simulation(config).total_cycles == NORMALS_CHUNK + 1
+        with pytest.raises(AssertionError, match="trace_labels called"):
+            run_simulation(config, sink=lambda records: None)
