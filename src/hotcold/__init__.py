@@ -1,5 +1,7 @@
 """Deterministic 2-D simulator and analysis toolkit for RSSI-only target following."""
 
+import importlib
+
 from .channel import ChannelParams, RssiReading
 from .engine import (
     FixedPath,
@@ -37,3 +39,10 @@ __all__ = [
     "TrilaterationState",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """`hotcold.analysis`, the numpy sweep kernels, loads on first use (PEP 562)."""
+    if name == "analysis":  # `from . import analysis` here would recurse
+        return importlib.import_module(".analysis", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .analysis import exhaustive_sweep, rotation_sweep, verify_convergence
 from .channel import MAX_SHADOWING_SIGMA_DB
 from .config import ConfigError, apply_overrides, build_grid, build_world, load_config
 from .engine import run_simulation, trace_csv_sink, write_metrics_json
@@ -182,6 +181,8 @@ def _exit_on_failures(result) -> int:
 
 
 def _rotation_sweep(args):
+    from .analysis import rotation_sweep  # the sweep kernels load on first use
+
     out = _out_dir(args)
     result = rotation_sweep()
     best = result.summary(result.best_phi)
@@ -193,6 +194,8 @@ def _rotation_sweep(args):
 
 
 def _exhaustive_sweep(args):
+    from .analysis import exhaustive_sweep
+
     out = _out_dir(args)
     result = exhaustive_sweep()
     print(f"wrote {write_exhaustive_csv(result, out)}")
@@ -203,6 +206,8 @@ def _exhaustive_sweep(args):
 
 def _cmd_verify_lemmas(args) -> int:
     import numpy as np
+
+    from .analysis import verify_convergence
 
     report = verify_convergence(rng=np.random.default_rng(args.seed or 0))
     print(f"verify-lemmas: {report.trials} trials per check, "
@@ -238,6 +243,8 @@ def _cmd_scenario(args) -> None:
 
 
 def _cmd_report(args) -> int:
+    from .analysis import verify_convergence
+
     # checked before the output directory is made
     iterations = _scenario_iterations(args)
     grid = build_grid(args.cfg, build_world(args.cfg))

@@ -6,17 +6,15 @@ scenario, and report rerun with the same master seed is byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import statistics
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import ConvergenceReport, ExhaustiveSweepResult, RotationSweepResult
 from .engine import (
     MetricsReport,
     StaticControl,
@@ -29,10 +27,15 @@ from .geometry import distance
 from .tracker import HotColdConfig
 from .trilateration import TrilaterationConfig
 
+if TYPE_CHECKING:  # the writers' annotations only: analysis loads when a sweep runs
+    from .analysis import ConvergenceReport, ExhaustiveSweepResult, RotationSweepResult
+
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 63-bit seed from the master seed and any parts. run_scenario
     passes its sigma as a float: str(2) and str(2.0) hash apart."""
+    import hashlib  # loaded on first use: simulate never derives a seed
+
     text = "|".join([str(master_seed), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -108,7 +111,8 @@ class GridPoint:
         """Mean over the runs; NaN when every run of the point failed."""
         if not self.runs:
             return math.nan
-        return statistics.fmean(getattr(r, metric) for r in self.runs)
+        values = [getattr(r, metric) for r in self.runs]
+        return math.fsum(values) / len(values)  # statistics.fmean's own sum
 
     def std(self, metric: str) -> float:
         return _std([getattr(r, metric) for r in self.runs])
@@ -118,6 +122,8 @@ def _std(values: list[float]) -> float:
     """Sample std; 0 for one value, NaN for none or when any value is NaN."""
     if not values or any(math.isnan(v) for v in values):
         return math.nan
+    import statistics  # loaded on first use, with fractions and decimal
+
     return statistics.stdev(values) if len(values) > 1 else 0.0
 
 
@@ -394,7 +400,7 @@ def write_sws_difference_csv(result: GridResult, metric: str, filename: str, out
     lines.append("sws,mean_diff_across_sigma,std_diff_across_sigma")
     for sws in sws_values:
         gaps = [diffs[(sws, sigma)] for sigma in sigmas]
-        lines.append(f"{sws},{_fmt(statistics.fmean(gaps))},{_fmt(_std(gaps))}")
+        lines.append(f"{sws},{_fmt(math.fsum(gaps) / len(gaps))},{_fmt(_std(gaps))}")
     path = Path(out_dir) / filename
     _write_lines(path, lines)
     return path
@@ -450,7 +456,7 @@ def write_summary_json(
     by_sws: dict[int, list[float]] = {}
     for p in hc:
         by_sws.setdefault(p.sws, []).append(p.mean("average_distance_m"))
-    mean_ad = {sws: statistics.fmean(v) for sws, v in by_sws.items()}
+    mean_ad = {sws: math.fsum(v) / len(v) for sws, v in by_sws.items()}
     mean_ad = {sws: m for sws, m in mean_ad.items() if not math.isnan(m)}
     summary = {
         "convergence": {

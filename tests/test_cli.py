@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hotcold import cli, engine, experiments
+from hotcold import analysis, cli, engine, experiments
 from hotcold.analysis import exhaustive_sweep, rotation_sweep
 from hotcold.cli import main
 from hotcold.config import DEFAULTS
@@ -27,8 +27,8 @@ def run_cli(args):
 
 def _one_angle_sweeps(monkeypatch):
     """report's two sweeps at one angle, for the tests of its wiring."""
-    monkeypatch.setattr(cli, "rotation_sweep", partial(rotation_sweep, range(139, 140)))
-    monkeypatch.setattr(cli, "exhaustive_sweep", partial(exhaustive_sweep, range(139, 140)))
+    monkeypatch.setattr(analysis, "rotation_sweep", partial(rotation_sweep, range(139, 140)))
+    monkeypatch.setattr(analysis, "exhaustive_sweep", partial(exhaustive_sweep, range(139, 140)))
 
 
 def test_simulate_writes_trace_and_metrics(tmp_path, capsys):
@@ -786,3 +786,37 @@ def test_cli_import_leaves_the_process_pool_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_simulate_loads_neither_the_sweep_kernels_nor_statistics_nor_hashlib(tmp_path):
+    """A fresh `import hotcold.cli`, and then a `simulate`, load none of the
+    three; what numpy loads is the baseline, numpy.random's too for the run
+    (its seeding loads hashlib through secrets)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, numpy\n"
+        "lazy = {'hotcold.analysis', 'statistics', 'hashlib'}\n"
+        "base = set(sys.modules)\n"
+        "from hotcold.cli import main\n"
+        "print(','.join(sorted(lazy & (set(sys.modules) - base))))\n"
+        "import numpy.random\n"
+        "base |= set(sys.modules)\n"
+        "argv = ['--out-dir', sys.argv[1], '--set', 'world.duration_s=10', 'simulate']\n"
+        "assert main(argv) == 0\n"
+        "print(','.join(sorted(lazy & (set(sys.modules) - base))))\n"
+        "import hotcold\n"
+        "print(hotcold.analysis.exhaustive_sweep.__name__)\n"
+        "try:\n"
+        "    hotcold.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.splitlines()
+    assert [out[0], *out[-3:]] == ["", "", "exhaustive_sweep", "AttributeError"]
