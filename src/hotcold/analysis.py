@@ -2,7 +2,7 @@
 
 Three independent tools live here:
 
-* rotations_to_reach / rotation_sweep: for a fixed turn angle phi, the
+* turn_counts / rotation_sweep: for a fixed turn angle phi, the
   fewest whole turns that land the heading within +-epsilon of a desired
   bearing theta, swept over integer grids and averaged.
 * steps_to_reach / exhaustive_sweep: noise-free unit-step kinematics of the
@@ -30,7 +30,8 @@ DEFAULT_BETA_RANGE = range(0, 360)
 DEFAULT_TAU_RANGE = range(1, 11)
 DEFAULT_STEP_CAP = 10_000
 _MAX_EPSILON = 30
-_MAX_TURNS = 400  # every solvable rotation cell needs fewer turns, see _sweep_phi_rotations
+_MAX_TURNS = 400  # every solvable rotation cell needs fewer turns, see turn_counts
+_BOUNDARY_TOLERANCE = 1e-9  # relative band around a threshold that verify_convergence skips
 
 _TAUS = range(2**53 + 1)  # the stop radii, in steps, that are distinct floats
 
@@ -38,17 +39,28 @@ _COS_DEG = np.cos(np.radians(np.arange(360)))
 _SIN_DEG = np.sin(np.radians(np.arange(360)))
 
 
-def _distinct_ints(values, what: str, allowed: range, name: str, item: str = "a value") -> list[int]:
-    """`values` read once as distinct integers in `allowed`; an integral
-    float such as 139.0 reads as its integer, and anything else raises
-    ValueError."""
-    values = list(values)
+def _int(value, what: str, low: int, high: float = math.inf) -> int:
+    """`value` as an integer in [low, high]: an integral float such as 139.0
+    reads as its integer, and anything else raises ValueError."""
     try:
-        ints = [int(v) for v in values]
+        i = int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, an infinity, not a number
-        ints = None
-    if ints != values or not all(i in allowed for i in ints):
-        raise ValueError(f"{what} must be integers in [{allowed[0]}, {allowed[-1]}], got {values}")
+        i = None
+    if i is None or i != value or not low <= i <= high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return i
+
+
+def _distinct_ints(values, what: str, allowed: range, name: str, item: str = "a value") -> list[int]:
+    """`values` read once as distinct integers in `allowed`, each as _int reads
+    it; an empty range raises ValueError."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    try:
+        ints = [_int(v, what, allowed[0], allowed[-1]) for v in values]
+    except ValueError:
+        raise ValueError(f"{what} must be integers in [{allowed[0]}, {allowed[-1]}], got {values}") from None
     if len(set(ints)) < len(ints):
         raise ValueError(f"{name} repeats {item}: {values}")
     return ints
@@ -58,46 +70,21 @@ def _distinct_ints(values, what: str, allowed: range, name: str, item: str = "a 
 # minimum rotations to reach a bearing window
 
 
-def rotations_to_reach(phi_deg: int, theta_deg: int, epsilon_deg: int) -> int | None:
-    """Fewest whole phi-turns with (w*phi) mod 360 inside [theta-eps, theta+eps].
+def turn_counts(phi_deg: int) -> np.ndarray:
+    """Fewest whole phi-turns that land the heading within epsilon of each bearing.
 
-    The wrap integer kappa is scanned upward from 0 to phi; the first kappa
-    admitting an integer solution yields the smallest turn count. Returns
-    None when no solution exists within that scan.
+    Row epsilon (0-30) of the (31, 360) result holds the counts over theta
+    (0-359), -1 where none exists; phi must be an integer in [1, 359]. Turn
+    w solves (theta, epsilon) when w*phi lies within epsilon of
+    theta + 360*kappa for a wrap kappa in [0, phi]; as epsilon < 180 only
+    the nearest wrap can do so, at signed offset m. The running minimum of
+    |m| over w falls to epsilon at the first solving w, which is the number
+    of turns whose running minimum is still above epsilon. Every solvable
+    cell has a solution below 390 turns: the heading sequence repeats every
+    360/gcd(phi, 360) <= 360 turns, and a solution that needs kappa = -1
+    has w*phi < 30.
     """
-    if not 1 <= phi_deg <= 359:
-        raise ValueError(f"phi must be in [1, 359], got {phi_deg}")
-    if not 0 <= theta_deg <= 359:
-        raise ValueError(f"theta must be in [0, 359], got {theta_deg}")
-    if not 0 <= epsilon_deg <= _MAX_EPSILON:
-        raise ValueError(f"epsilon must be in [0, {_MAX_EPSILON}], got {epsilon_deg}")
-    for kappa in range(phi_deg + 1):
-        lo = theta_deg - epsilon_deg + 360 * kappa
-        hi = theta_deg + epsilon_deg + 360 * kappa
-        w_min = -((-lo) // phi_deg)  # ceil for integers
-        if w_min < 0:
-            w_min = 0
-        w_max = hi // phi_deg
-        if w_min <= w_max:
-            return w_min
-    return None
-
-
-def _sweep_phi_rotations(phi_deg: int) -> np.ndarray:
-    """rotations_to_reach for every epsilon in [0, 30] and every theta at once.
-
-    Row epsilon of the (31, 360) result holds the turn counts over theta;
-    -1 marks no solution. Turn w solves (theta, epsilon) when w*phi lies
-    within epsilon of theta + 360*kappa for a wrap kappa in [0, phi]; as
-    epsilon < 180 only the nearest wrap can do so, at signed offset m. The
-    running minimum of |m| over w falls to epsilon at the first solving w,
-    which is the number of turns whose running minimum is still above
-    epsilon. Every solvable cell has a solution below 390 turns: the heading
-    sequence repeats every 360/gcd(phi, 360) <= 360 turns, and a solution
-    that needs kappa = -1 has w*phi < 30.
-    """
-    if not 1 <= phi_deg <= 359:
-        raise ValueError(f"phi must be in [1, 359], got {phi_deg}")
+    phi_deg = _int(phi_deg, "phi", 1, 359)
     turns = np.arange(_MAX_TURNS)[:, None]
     offset = turns * phi_deg - np.arange(360)  # w*phi - theta, shape (turns, theta)
     kappa = (offset + 180) // 360
@@ -162,13 +149,13 @@ def rotation_sweep(
     phi_range=DEFAULT_PHI_RANGE, epsilon_range=DEFAULT_EPSILON_RANGE
 ) -> RotationSweepResult:
     """Sweep mean turn counts over the (phi, epsilon) grid and rank the angles: distinct
-    integer angles in [1, 359] and epsilons in [0, 30], each range read once."""
+    integer angles in [1, 359] and epsilons in [0, 30], each range read once and not empty."""
     phis = _distinct_ints(phi_range, "angles", range(1, 360), "phi_range", "an angle")
     epsilons = _distinct_ints(epsilon_range, "epsilon values", range(_MAX_EPSILON + 1), "epsilon_range")
     cells: list[RotationCell] = []
     summaries: list[RotationSummary] = []
     for phi in phis:
-        per_epsilon = _sweep_phi_rotations(phi)
+        per_epsilon = turn_counts(phi)
         phi_cells: list[RotationCell] = []
         for eps in epsilons:
             omegas = per_epsilon[eps]
@@ -211,14 +198,15 @@ def steps_to_reach(
     compares squared ranges s = dx*dx + dy*dy, with dx = x - target_x and
     dy = y - target_y: it has arrived when s <= tau*tau (the rounded level),
     and it turns by phi exactly when the last step strictly increased s.
-    None when step_cap is reached.
+    None when step_cap is reached. phi and step_cap are read as
+    exhaustive_sweep reads them.
     """
+    phi_deg = _int(phi_deg, "phi", 1, 359)
+    step_cap = _int(step_cap, "step_cap", 0)
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not rho >= 0.0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if step_cap < 0:
-        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     if rho <= tau:
         return 0
     target_x = rho * math.cos(math.radians(beta_deg))
@@ -453,7 +441,8 @@ def exhaustive_sweep(
     overall mean with no reached start is NaN, and such a phi cannot be
     best_phi. Angles must be distinct integers in [1, 359], bearings
     distinct integers in [0, 359], taus distinct integers in [0, 2**53] and
-    rhos distinct and >= 0, in any order; each range is read once. Counts
+    rhos distinct and >= 0, in any order; each range is read once and
+    must not be empty, and step_cap is an integer >= 0. Counts
     equal steps_to_reach exactly: step 0 is decided on rho and every later
     decision on squared distances, as there. The first leg, the same for
     every angle, is stepped once for the sweep.
@@ -464,14 +453,13 @@ def exhaustive_sweep(
     betas = np.asarray(_distinct_ints(beta_range, "bearings", range(360), "beta_range"), dtype=np.int64)
     tau_labels = sorted(_distinct_ints(tau_range, "tau values", _TAUS, "tau_range"))
     taus = np.asarray(tau_labels, dtype=np.float64)
-    if not (rhos.size and betas.size and taus.size):
-        raise ValueError("rho_range, beta_range and tau_range must not be empty")
+    if not rhos.size:
+        raise ValueError("rho_range must not be empty")
     if not (rhos >= 0.0).all():
         raise ValueError(f"rho values must be >= 0, got {rho_values}")
     if np.unique(rhos).size < rhos.size:
         raise ValueError(f"rho_range repeats a value: {rho_values}")
-    if step_cap < 0:
-        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
+    step_cap = _int(step_cap, "step_cap", 0)
     if not rhos.max() + step_cap < _MAX_DISTANCE:
         raise ValueError(f"rho + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
     leg = _first_leg(rhos, betas, taus, step_cap)
@@ -503,8 +491,15 @@ def exhaustive_sweep(
 # convergence thresholds and randomized verification
 
 
-@dataclass(frozen=True)
-class ColdModeThresholds:
+class ColdModeThresholds(NamedTuple):
+    """cold_mode_thresholds' three thresholds, floats or arrays as its inputs."""
+
+    first_rotation: float | np.ndarray
+    second_rotation: float | np.ndarray
+    overall_gain: float | np.ndarray
+
+
+def cold_mode_thresholds(step_m, horizontal_m, phi_deg: float) -> ColdModeThresholds:
     """Vertical-offset thresholds for recovery right after entering Cold mode.
 
     With step s, horizontal distance t > s/2 to the (behind-the-robot)
@@ -519,32 +514,16 @@ class ColdModeThresholds:
 
     overall_gain changes comparison direction for phi at or below 120
     degrees and is reported as NaN there; first_rotation is well defined on
-    the whole [90, 180] range.
+    the whole [90, 180] range. s and t may be floats or arrays, checked
+    element by element; a threshold infinite or NaN at phi is one float.
     """
-
-    step_m: float
-    horizontal_m: float
-    phi_deg: float
-    first_rotation: float
-    second_rotation: float
-    overall_gain: float
-
-
-def cold_mode_thresholds(step_m: float, horizontal_m: float, phi_deg: float) -> ColdModeThresholds:
-    if step_m <= 0.0:
+    if not np.all(step_m > 0.0):
         raise ValueError(f"step must be positive, got {step_m}")
-    if horizontal_m <= step_m / 2.0:
-        raise ValueError(
-            f"horizontal distance {horizontal_m} must exceed half the step {step_m / 2.0}"
-        )
+    if not np.all(horizontal_m > step_m / 2.0):
+        raise ValueError(f"horizontal distance {horizontal_m} must exceed half of step {step_m}")
     if not 90.0 <= phi_deg <= 180.0:
         raise ValueError(f"turn angle must be in [90, 180] degrees, got {phi_deg}")
-    first, second, overall = _cold_thresholds(step_m, horizontal_m, math.radians(phi_deg))
-    return ColdModeThresholds(step_m, horizontal_m, phi_deg, first, second, overall)
-
-
-def _cold_thresholds(s, t, phi: float):
-    """`ColdModeThresholds`' three thresholds; s and t are floats or arrays."""
+    s, t, phi = step_m, horizontal_m, math.radians(phi_deg)
     first = 0.5 * s / math.sin(phi) + t / math.tan(phi)
     sin2 = math.sin(2.0 * phi)
     if sin2 < 0.0:
@@ -561,7 +540,7 @@ def _cold_thresholds(s, t, phi: float):
         ) / sum_sines
     else:
         overall = math.nan
-    return first, second, overall
+    return ColdModeThresholds(first, second, overall)
 
 
 @dataclass(frozen=True)
@@ -592,16 +571,17 @@ def verify_convergence(
     trials: int = 10_000,
     rng: np.random.Generator | None = None,
     phi_deg: float = 137.0,
-    tolerance: float = 1e-9,
 ) -> ConvergenceReport:
     """Check the approach predictions on random geometries by direct simulation.
 
     Hot mode: one forward step shrinks the range exactly when the horizontal
     distance to the target is at least half a step. Cold mode: simulate the
     two-rotation escape sequence and compare against the closed-form
-    thresholds. Geometries within `tolerance` of a threshold are skipped as
-    boundary cases.
+    thresholds. Geometries within _BOUNDARY_TOLERANCE (relative to the
+    geometry's scale) of a threshold are skipped as boundary cases. trials
+    must be an integer >= 1.
     """
+    trials = _int(trials, "trials", 1)
     if rng is None:
         rng = np.random.default_rng(0)
     if not 120.0 < phi_deg < 180.0:
@@ -617,7 +597,7 @@ def verify_convergence(
     bp2 = (h - s) ** 2 + v**2
     predicted = h >= s / 2.0
     actual = bp2 <= ap2
-    boundary = np.abs(h - s / 2.0) <= tolerance * s
+    boundary = np.abs(h - s / 2.0) <= _BOUNDARY_TOLERANCE * s
     skips += int(boundary.sum())
     hot_violations = int((predicted != actual)[~boundary].sum())
 
@@ -626,7 +606,7 @@ def verify_convergence(
     s = rng.uniform(0.1, 2.0, trials)
     t = s * rng.uniform(0.5 + 1e-6, 3.0, trials)
     r = rng.uniform(-6.0, 6.0, trials) * s
-    first, second, overall = _cold_thresholds(s, t, phi)
+    first, second, overall = cold_mode_thresholds(s, t, phi_deg)
 
     dx = s * math.cos(phi)
     dy = s * math.sin(phi)
@@ -637,16 +617,16 @@ def verify_convergence(
     ep2 = (ex + t) ** 2 + (ey - r) ** 2
     scale = s + t + np.abs(r)
 
-    band_first = np.abs(r - first) <= tolerance * scale
+    band_first = np.abs(r - first) <= _BOUNDARY_TOLERANCE * scale
     skips += int(band_first.sum())
     first_violations = int((((dp2 < cp2) != (r > first)) & ~band_first).sum())
 
     stayed_cold = (r <= first) & ~band_first
-    band_second = np.abs(r - second) <= tolerance * scale
+    band_second = np.abs(r - second) <= _BOUNDARY_TOLERANCE * scale
     skips += int((stayed_cold & band_second).sum())
     second_violations = int((stayed_cold & ~band_second & ~(ep2 < dp2)).sum())
 
-    band_overall = np.abs(r - overall) <= tolerance * scale
+    band_overall = np.abs(r - overall) <= _BOUNDARY_TOLERANCE * scale
     skips += int(band_overall.sum())
     overall_violations = int((((ep2 < cp2) != (r < overall)) & ~band_overall).sum())
 

@@ -173,7 +173,8 @@ def brute_force_rotations(phi: int, theta: int, epsilon: int) -> int | None:
 
 
 def sweep_cell_rotations(phi_deg: int, epsilon_deg: int) -> np.ndarray:
-    """Vectorized rotations_to_reach over all theta; -1 marks no solution."""
+    """The fewest turns for every theta, by a scan of the wraps kappa in [0, phi]: the first
+    kappa with an integer solution gives the smallest count; -1 marks no solution."""
     thetas = np.arange(360, dtype=np.int64)[:, None]
     kappas = np.arange(phi_deg + 1, dtype=np.int64)[None, :]
     lo = thetas - epsilon_deg + 360 * kappas

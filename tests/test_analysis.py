@@ -12,8 +12,8 @@ from hotcold.analysis import (
     cold_mode_thresholds,
     exhaustive_sweep,
     rotation_sweep,
-    rotations_to_reach,
     steps_to_reach,
+    turn_counts,
     verify_convergence,
 )
 
@@ -21,16 +21,7 @@ from hotcold.analysis import (
 def test_zero_bearing_needs_zero_rotations():
     for phi in (121, 135, 139, 143):
         for eps in (0, 5, 30):
-            assert rotations_to_reach(phi, 0, eps) == 0
-
-
-def test_rotations_validation():
-    with pytest.raises(ValueError):
-        rotations_to_reach(0, 10, 5)
-    with pytest.raises(ValueError):
-        rotations_to_reach(137, 360, 5)
-    with pytest.raises(ValueError):
-        rotations_to_reach(137, 10, 31)
+            assert turn_counts(phi)[eps, 0] == 0
 
 
 def test_rotations_against_brute_force_scan():
@@ -41,7 +32,8 @@ def test_rotations_against_brute_force_scan():
              for _ in range(150)]
     cases += [(126, 9, 0), (126, 9, 4), (135, 7, 3), (140, 130, 1), (132, 66, 2)]
     for phi, theta, eps in cases:
-        assert rotations_to_reach(phi, theta, eps) == brute_force_rotations(phi, theta, eps)
+        count = int(turn_counts(phi)[eps, theta])
+        assert (None if count < 0 else count) == brute_force_rotations(phi, theta, eps)
 
 
 def test_sweep_cell_means_have_expected_extremes():
@@ -83,11 +75,11 @@ def test_sweep_rerun_identical():
 
 def test_rotation_kernel_equals_kappa_scan():
     for phi in range(121, 144):
-        table = analysis._sweep_phi_rotations(phi)
+        table = turn_counts(phi)
         for eps in range(31):
             assert np.array_equal(table[eps], sweep_cell_rotations(phi, eps)), (phi, eps)
     for phi in range(1, 360):
-        table = analysis._sweep_phi_rotations(phi)
+        table = turn_counts(phi)
         for eps in (0, 1, 15, 30):
             assert np.array_equal(table[eps], sweep_cell_rotations(phi, eps)), (phi, eps)
 
@@ -98,6 +90,18 @@ def test_rotation_sweep_validation():
             rotation_sweep(range(135, 136), bad)
     with pytest.raises(ValueError):
         rotation_sweep(range(0, 2))
+
+
+@pytest.mark.parametrize("sweep, name", [
+    (rotation_sweep, "phi_range"), (rotation_sweep, "epsilon_range"),
+    (exhaustive_sweep, "phi_range"), (exhaustive_sweep, "rho_range"),
+    (exhaustive_sweep, "beta_range"), (exhaustive_sweep, "tau_range"),
+])
+def test_sweeps_reject_empty_ranges(sweep, name):
+    # an empty epsilon_range divided by zero cells, and an empty phi_range
+    # said that no angle was valid or reached a tau
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        sweep(**{name: []})
 
 
 def _sweep_fields(result) -> tuple:
@@ -147,6 +151,24 @@ def test_steps_to_reach_validates_its_inputs():
             steps_to_reach(**{**start, name: bad})
     assert steps_to_reach(**start, step_cap=0) is None
     assert steps_to_reach(**{**start, "tau": 10.0}, step_cap=0) == 0
+
+
+def test_steps_to_reach_and_turn_counts_read_phi_as_the_sweeps_do():
+    # phi 135.5 raised numpy's IndexError mid-walk, 0, 360 and -10 ran, and
+    # a step_cap of 1.5 raised TypeError here and in exhaustive_sweep
+    for phi in (135.5, 0, 360, -10, math.nan, "135"):
+        with pytest.raises(ValueError, match="phi must be an integer"):
+            steps_to_reach(phi, 40.0, 100.0, 1.0)
+        with pytest.raises(ValueError, match="phi must be an integer"):
+            turn_counts(phi)
+    for step_cap in (1.5, -1, math.inf, None):
+        with pytest.raises(ValueError, match="step_cap must be an integer"):
+            steps_to_reach(135, 40.0, 100.0, 1.0, step_cap=step_cap)
+        with pytest.raises(ValueError, match="step_cap must be an integer"):
+            exhaustive_sweep(phi_range=(135,), rho_range=(40,), beta_range=(0,), step_cap=step_cap)
+    assert steps_to_reach(135.0, 40.0, 100.0, 1.0, step_cap=500.0) == (
+        steps_to_reach(135, 40.0, 100.0, 1.0, step_cap=500))
+    assert np.array_equal(turn_counts(139.0), turn_counts(139))
 
 
 def test_steps_to_reach_straight_line():
@@ -520,7 +542,7 @@ def test_verify_convergence_uses_the_exported_thresholds():
     s = rng.uniform(0.1, 2.0, 200)
     t = s * rng.uniform(0.5 + 1e-6, 3.0, 200)
     for phi_deg in (121.0, 137.0, 179.0):
-        arrays = analysis._cold_thresholds(s, t, math.radians(phi_deg))
+        arrays = cold_mode_thresholds(s, t, phi_deg)
         for i in range(len(s)):
             th = cold_mode_thresholds(float(s[i]), float(t[i]), phi_deg)
             scalars = (th.first_rotation, th.second_rotation, th.overall_gain)
@@ -534,6 +556,13 @@ def test_cold_thresholds_validation():
         cold_mode_thresholds(1.0, 1.0, 60.0)
     with pytest.raises(ValueError):
         cold_mode_thresholds(0.0, 1.0, 137.0)
+    # the checks hold element by element for arrays
+    s = np.array([1.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="horizontal distance"):
+        cold_mode_thresholds(s, np.array([1.0, 0.5, 1.0]), 137.0)
+    with pytest.raises(ValueError, match="step must be positive"):
+        cold_mode_thresholds(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 137.0)
+    assert cold_mode_thresholds(s, 2.0 * s, 137.0)[0].shape == (3,)
 
 
 def test_hot_mode_boundary_geometry():
@@ -560,6 +589,15 @@ def test_verify_convergence_clean():
     report = verify_convergence(10_000, np.random.default_rng(43))
     assert report.total_violations == 0
     assert report.trials == 10_000
+
+
+def test_verify_convergence_needs_a_whole_trial():
+    # trials=0 returned a clean report of no trials, -1 failed in numpy and
+    # 2.5 with TypeError
+    for trials in (0, -1, 2.5, math.nan, "10"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            verify_convergence(trials)
+    assert verify_convergence(50.0) == verify_convergence(50)
 
 
 def test_verify_convergence_other_angles():

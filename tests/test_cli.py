@@ -143,6 +143,13 @@ def test_grid_command_with_overrides(tmp_path):
     assert len(runs) == 1 + 2 + 2 + 2  # hotcold, trilateration, static x 2 sigmas
 
 
+# sha256 of the two files that `rotation-sweep` writes
+FIG2_FIG3_SHA256 = {
+    "fig2.csv": "6eafa2904373d5902ee81ed19fdc1724bca525856be6fee522c54fe0aaeb8e89",
+    "fig3.csv": "8d99fd2428ed7c66ebccb220cd98f788fd93079ecc776c360abf2bfe31144e4a",
+}
+
+
 def test_rotation_sweep_command(tmp_path, capsys):
     out = tmp_path / "rot"
     assert run_cli(["--out-dir", str(out), "rotation-sweep"]) == 0
@@ -153,6 +160,8 @@ def test_rotation_sweep_command(tmp_path, capsys):
     assert "X" in fig2[15]  # phi=135 has unreachable bearings at small eps
     fig3 = (out / "fig3.csv").read_text().splitlines()
     assert fig3[0] == "phi_deg,overall_mean_rotations,percent_valid"
+    for name, digest in FIG2_FIG3_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_verify_lemmas_command(capsys, tmp_path, monkeypatch):
