@@ -31,6 +31,7 @@ DEFAULT_TAU_RANGE = range(1, 11)
 DEFAULT_STEP_CAP = 10_000
 _MAX_EPSILON = 30
 _MAX_TURNS = 400  # every solvable rotation cell needs fewer turns, see turn_counts
+_MAX_DISTANCE = 2.0**400  # bound on rho + step_cap: keeps every s finite
 _BOUNDARY_TOLERANCE = 1e-9  # relative band around a threshold that verify_convergence skips
 
 _TAUS = range(2**53 + 1)  # the stop radii, in steps, that are distinct floats
@@ -85,8 +86,9 @@ def turn_counts(phi_deg: int) -> np.ndarray:
     has w*phi < 30.
     """
     phi_deg = _int(phi_deg, "phi", 1, 359)
-    turns = np.arange(_MAX_TURNS)[:, None]
-    offset = turns * phi_deg - np.arange(360)  # w*phi - theta, shape (turns, theta)
+    # int32 holds every value below: |w*phi - theta| <= 399*359 + 360 < 2**31
+    turns = np.arange(_MAX_TURNS, dtype=np.int32)[:, None]
+    offset = turns * phi_deg - np.arange(360, dtype=np.int32)  # w*phi - theta, (turns, theta)
     kappa = (offset + 180) // 360
     miss = np.minimum(np.abs(offset - 360 * kappa), _MAX_EPSILON + 1)
     miss[(kappa < 0) | (kappa > phi_deg)] = _MAX_EPSILON + 1
@@ -155,13 +157,13 @@ def rotation_sweep(
     cells: list[RotationCell] = []
     summaries: list[RotationSummary] = []
     for phi in phis:
-        per_epsilon = turn_counts(phi)
-        phi_cells: list[RotationCell] = []
-        for eps in epsilons:
-            omegas = per_epsilon[eps]
-            valid = bool((omegas >= 0).all())
-            mean = float(omegas.mean()) if valid else None
-            phi_cells.append(RotationCell(phi, eps, omegas, mean))
+        table = turn_counts(phi)
+        # each row's validity and mean in one reduction per angle; the means
+        # are exact float sums of integers, so each equals its row's own mean
+        valid = (table >= 0).all(axis=1).tolist()
+        means = table.mean(axis=1).tolist()
+        phi_cells = [RotationCell(phi, eps, table[eps], means[eps] if valid[eps] else None)
+                     for eps in epsilons]
         valid_means = [c.mean_rotations for c in phi_cells if c.valid]
         overall = float(np.mean(valid_means)) if valid_means else math.nan
         summaries.append(
@@ -199,14 +201,19 @@ def steps_to_reach(
     dy = y - target_y: it has arrived when s <= tau*tau (the rounded level),
     and it turns by phi exactly when the last step strictly increased s.
     None when step_cap is reached. phi and step_cap are read as
-    exhaustive_sweep reads them.
+    exhaustive_sweep reads them; rho + step_cap must be below
+    _MAX_DISTANCE, as there, and beta finite.
     """
     phi_deg = _int(phi_deg, "phi", 1, 359)
-    step_cap = _int(step_cap, "step_cap", 0)
+    step_cap = _int(step_cap, "step_cap", 0, _MAX_DISTANCE)
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not rho >= 0.0:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    if not rho + step_cap < _MAX_DISTANCE:
+        raise ValueError(f"rho + step_cap must be finite and below {_MAX_DISTANCE:.3g}, got rho {rho}")
+    if not math.isfinite(beta_deg):
+        raise ValueError(f"beta_deg must be finite, got {beta_deg}")
     if rho <= tau:
         return 0
     target_x = rho * math.cos(math.radians(beta_deg))
@@ -258,7 +265,6 @@ class ExhaustiveSweepResult:
 # _COS_DEG[0] == 1.0 and _SIN_DEG[0] == 0.0 it sits exactly on (j, 0.0) at
 # step j until its first turn, whatever phi: _first_leg steps it once for
 # every angle with steps_to_reach's rules.
-_MAX_DISTANCE = 2.0**400  # bound on rho + step_cap: keeps every s finite
 
 
 class _FirstLeg(NamedTuple):
@@ -366,7 +372,9 @@ def _sweep_one_phi(
     """
     squares = taus * taus
     reaches = np.concatenate(([-np.inf], squares))  # by levels left
-    successor = ((np.arange(360) + phi_deg) % 360).astype(np.int16)
+    # headings index successor, _COS_DEG and _SIN_DEG every step: as intp,
+    # numpy gathers with them directly instead of first casting a copy
+    successor = (np.arange(360, dtype=np.intp) + phi_deg) % 360
     # the loop's crossings, by loop step
     counts = np.full((leg.offset.size, taus.size), -1, dtype=leg.offset.dtype)
     flat = counts.reshape(-1)
@@ -381,7 +389,7 @@ def _sweep_one_phi(
     y.fill(0.0 + _SIN_DEG[phi_deg])
     cos_h.fill(_COS_DEG[phi_deg])
     sin_h.fill(_SIN_DEG[phi_deg])
-    heading = np.full(live, phi_deg, dtype=np.int16)
+    heading = np.full(live, phi_deg, dtype=np.intp)  # intp, as successor
     lane, left = leg.lane.copy(), leg.left.copy()
     np.take(reaches, left, out=reach)
     start = int(leg.turn_step.min(initial=step_cap)) + 1  # the first loop step
@@ -392,16 +400,18 @@ def _sweep_one_phi(
         np.multiply(dx, dx, out=s)
         np.subtract(y, target_y, out=dx)
         s += np.multiply(dx, dx, out=dx)
-        rows = np.flatnonzero(np.less_equal(s, reach, out=mask))
+        # the array methods, not their np.* wrappers: this loop runs
+        # thousands of steps per angle
+        rows = np.less_equal(s, reach, out=mask).nonzero()[0]
         if rows.size:
-            first = np.searchsorted(squares, s[rows])  # the lowest level crossed
+            first = squares.searchsorted(s[rows])  # the lowest level crossed
             flat[lane[rows] + first] = step
             left[rows] = first
             reach[rows] = reaches[first]
-            live -= int(np.count_nonzero(first == 0))
+            live -= rows.size - np.count_nonzero(first)
             if live == 0:
                 break
-        turning = np.flatnonzero(np.greater(s, prev_s, out=mask))
+        turning = np.greater(s, prev_s, out=mask).nonzero()[0]
         turned = successor[heading[turning]]
         heading[turning] = turned
         cos_h[turning] = _COS_DEG[turned]
@@ -459,7 +469,7 @@ def exhaustive_sweep(
         raise ValueError(f"rho values must be >= 0, got {rho_values}")
     if np.unique(rhos).size < rhos.size:
         raise ValueError(f"rho_range repeats a value: {rho_values}")
-    step_cap = _int(step_cap, "step_cap", 0)
+    step_cap = _int(step_cap, "step_cap", 0, _MAX_DISTANCE)
     if not rhos.max() + step_cap < _MAX_DISTANCE:
         raise ValueError(f"rho + step_cap must be finite and below {_MAX_DISTANCE:.3g}")
     leg = _first_leg(rhos, betas, taus, step_cap)
@@ -502,7 +512,7 @@ class ColdModeThresholds(NamedTuple):
 def cold_mode_thresholds(step_m, horizontal_m, phi_deg: float) -> ColdModeThresholds:
     """Vertical-offset thresholds for recovery right after entering Cold mode.
 
-    With step s, horizontal distance t > s/2 to the (behind-the-robot)
+    With step s, finite horizontal distance t > s/2 to the (behind-the-robot)
     target, and vertical offset v, a turn angle phi in (120, 180) degrees
     gives:
 
@@ -519,8 +529,8 @@ def cold_mode_thresholds(step_m, horizontal_m, phi_deg: float) -> ColdModeThresh
     """
     if not np.all(step_m > 0.0):
         raise ValueError(f"step must be positive, got {step_m}")
-    if not np.all(horizontal_m > step_m / 2.0):
-        raise ValueError(f"horizontal distance {horizontal_m} must exceed half of step {step_m}")
+    if not np.all((horizontal_m > step_m / 2.0) & (horizontal_m < math.inf)):
+        raise ValueError(f"horizontal distance {horizontal_m} must be finite and exceed half of step {step_m}")
     if not 90.0 <= phi_deg <= 180.0:
         raise ValueError(f"turn angle must be in [90, 180] degrees, got {phi_deg}")
     s, t, phi = step_m, horizontal_m, math.radians(phi_deg)

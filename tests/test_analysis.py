@@ -84,6 +84,21 @@ def test_rotation_kernel_equals_kappa_scan():
             assert np.array_equal(table[eps], sweep_cell_rotations(phi, eps)), (phi, eps)
 
 
+def test_rotation_sweep_cells_equal_their_turn_count_rows():
+    # validity and means are read per angle in one reduction over the rows;
+    # each cell must hold its own row's mean, bit for bit
+    result = rotation_sweep()
+    for phi in analysis.DEFAULT_PHI_RANGE:
+        table = turn_counts(phi)
+        for eps in analysis.DEFAULT_EPSILON_RANGE:
+            cell = result.cell(phi, eps)
+            assert cell.valid == bool((table[eps] >= 0).all()), (phi, eps)
+            if cell.valid:
+                assert cell.mean_rotations.hex() == float(table[eps].mean()).hex(), (phi, eps)
+            else:
+                assert cell.mean_rotations is None
+
+
 def test_rotation_sweep_validation():
     for bad in ((0, 31), (-1,), (1.5,)):
         with pytest.raises(ValueError):
@@ -144,13 +159,17 @@ def test_steps_to_reach_inclusive_boundary():
 def test_steps_to_reach_validates_its_inputs():
     # squaring would read tau -3 as 3, and a negative step_cap returned None
     # where exhaustive_sweep raises
-    start = dict(phi_deg=135, rho=10.0, beta_deg=0.0, tau=1.0)
+    start = dict(phi_deg=135, rho=10.0, beta_deg=0.0, tau=1.0, step_cap=50)
+    # a NaN bearing or an infinite rho walked to the cap and returned None,
+    # and an infinite bearing raised "math domain error"
     for name, bad in (("tau", -3.0), ("tau", math.nan), ("rho", -10.0), ("rho", math.nan),
-                      ("step_cap", -1)):
+                      ("rho", math.inf), ("rho", 1e200), ("beta_deg", math.nan),
+                      ("beta_deg", math.inf), ("beta_deg", -math.inf), ("step_cap", -1),
+                      ("step_cap", 10**400)):
         with pytest.raises(ValueError, match=name):
             steps_to_reach(**{**start, name: bad})
-    assert steps_to_reach(**start, step_cap=0) is None
-    assert steps_to_reach(**{**start, "tau": 10.0}, step_cap=0) == 0
+    assert steps_to_reach(**{**start, "step_cap": 0}) is None
+    assert steps_to_reach(**{**start, "tau": 10.0, "step_cap": 0}) == 0
 
 
 def test_steps_to_reach_and_turn_counts_read_phi_as_the_sweeps_do():
@@ -290,6 +309,21 @@ def test_exhaustive_kernel_equals_hypot_kernel(step_cap):
         assert capped == expected_capped
 
 
+def test_exhaustive_kernel_equals_oracle_with_int32_counts():
+    # 16,384 is the first cap whose counts need int32; the caps above keep int16
+    step_cap = 16_384
+    rhos = np.arange(10, 101, 15, dtype=np.float64)
+    betas = np.arange(0, 360, 23)
+    taus = np.asarray(analysis.DEFAULT_TAU_RANGE, dtype=np.float64)
+    leg = analysis._first_leg(rhos, betas, taus, step_cap)
+    for phi in (121, 135, 143):
+        counts, capped = analysis._sweep_one_phi(phi, taus, step_cap, leg)
+        expected, expected_capped = sweep_one_phi(phi, rhos, betas, taus, step_cap)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, expected), phi
+        assert capped == expected_capped
+
+
 def test_exhaustive_kernel_near_ties_and_skipped_levels():
     # a target half a step ahead is as far after the first step as before it
     # (an exact tie, so no turn); at phi 72 the starts at bearing 234 meet
@@ -314,7 +348,8 @@ def test_exhaustive_sweep_rejects_unbounded_inputs():
     grid = dict(phi_range=(135,), beta_range=(0,))
     for bad in (dict(tau_range=(1, math.inf)), dict(tau_range=(math.nan,)),
                 dict(rho_range=(10, math.inf)), dict(rho_range=(1e200,)),
-                dict(rho_range=(10,), step_cap=2**400)):
+                dict(rho_range=(10,), step_cap=2**400),
+                dict(rho_range=(10,), step_cap=10**400)):  # this one overflowed a float
         with pytest.raises(ValueError):
             exhaustive_sweep(**{**grid, **bad})
 
@@ -563,6 +598,18 @@ def test_cold_thresholds_validation():
     with pytest.raises(ValueError, match="step must be positive"):
         cold_mode_thresholds(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 137.0)
     assert cold_mode_thresholds(s, 2.0 * s, 137.0)[0].shape == (3,)
+
+
+def test_cold_thresholds_refuse_an_infinite_horizontal_distance():
+    # an infinite horizontal distance gave (-inf, -inf, inf): the second
+    # threshold equal to the first
+    s = np.array([1.0, 1.0, 0.5])
+    for horizontal in (math.inf, math.nan, np.array([1.0, math.inf, 1.0])):
+        with pytest.raises(ValueError, match="horizontal distance"):
+            cold_mode_thresholds(s, horizontal, 137.0)
+    with pytest.raises(ValueError, match="horizontal distance"):
+        cold_mode_thresholds(1.0, math.inf, 137.0)
+    assert math.isfinite(cold_mode_thresholds(1.0, 1e300, 137.0).first_rotation)
 
 
 def test_hot_mode_boundary_geometry():
