@@ -133,8 +133,3 @@ def invert_rssi_to_distance(value_dbm: float, params: ChannelParams) -> float:
         10.0 * params.path_loss_exponent
     )
     return 10.0**exponent
-
-
-def max_range_m(params: ChannelParams) -> float:
-    """Largest range still received at the sensitivity floor, without shadowing."""
-    return invert_rssi_to_distance(params.rx_sensitivity_dbm, params)

@@ -25,7 +25,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
@@ -611,22 +611,122 @@ def run_simulation(config: WorldConfig, path: Iterable[tuple[float, float]] | No
 # the trace.csv header, and the format of one row: a CycleRecord's fields, the heading in degrees
 TRACE_COLUMNS = tuple(name.replace("_rad", "_deg") for name in CycleRecord._fields)
 _TRACE_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%s"
+_DEGREES_PER_RADIAN = math.degrees(1.0)  # x * this has the bits of math.degrees(x)
+_TRACE_BLOCK = 512  # rows formatted per numpy pass: bounds the pass's transient arrays
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _trace_row(rec: CycleRecord) -> str:
+    """One record's trace.csv line by '%': the bytes the numpy path matches."""
+    time_s, x, y, heading, *rest = rec
+    return _TRACE_ROW % (time_s, x, y, math.degrees(heading), *rest)
+
+
+@cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """'<u4' words of ASCII bytes, built on first use from bytes alone: 0-9999
+    as 4 digits, zero-padded; 0-999 with leading zeros as NUL (the units digit
+    kept); and 0-999 as ".ddd" and "ddd,"."""
+    padded = bytearray(40_000)
+    for i, repeat in enumerate((1000, 100, 10, 1)):  # byte i of k: digit k // repeat % 10
+        padded[i::4] = b"".join(bytes([d]) * repeat for d in b"0123456789") * (1000 // repeat)
+    lead = bytearray(padded[:4000])
+    for i, below in enumerate((1000, 100, 10)):
+        lead[i:4 * below:4] = bytes(below)
+    point = bytearray(padded[:4000])
+    point[::4] = b"." * 1000
+    comma = bytearray(padded[1:4001])
+    comma[3::4] = b"," * 1000
+    return tuple(np.frombuffer(bytes(t), "<u4") for t in (padded, lead, point, comma))
+
+
+def _float_words(floats: list[tuple[float, ...]]) -> tuple[list[np.ndarray], set[int]]:
+    """The rows' 7 float fields, each '%.6f,' as NUL-padded '<u4' words: one
+    array per word, field by field, and the rows holding a value whose
+    6-decimal rounding this cannot prove (their words are unused)."""
+    padded, lead, point3, comma3 = _digit_words()
+    n = len(floats[0])
+    values = np.array([np.fromiter(column, np.float64, n) for column in floats])
+    negative = np.signbit(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge, NaN, inf: unproven
+        values[3] *= _DEGREES_PER_RADIAN
+        micros = np.abs(values, out=values)
+        micros *= 1e6
+        # '%.6f' prints p = |v| * 1e6 rounded half-even. Below 2**50, r +- 0.5
+        # are doubles and p - r is exact, so if |p - r| < 0.5 for r = rint(p),
+        # the exact product lies strictly within 0.5 of r (rounding is
+        # monotonic), and r is its rounding.
+        rounded = np.rint(micros)
+        unproven = np.where(micros < 2.0**50, np.abs(micros - rounded), 0.5) >= 0.5
+    rounded = np.where(unproven, 0.0, rounded)  # the row formatter writes those
+    whole, fraction = np.divmod(rounded.astype(np.int64), 1_000_000)
+    # the integer part: 4-digit words, as many as the block's largest needs (1
+    # below 10**4, 2 below 10**8). Word j holds group j (whole // 10_000**j %
+    # 10_000): all 4 digits when the number has more than 3 from it up, else
+    # its leading zeros as NUL (the group is below 1000 then), and nothing
+    # above the number's top.
+    count = 1 + bool(np.count_nonzero(rounded >= 1e10)) + bool(np.count_nonzero(rounded >= 1e14))
+    words = []
+    for j in range(count):  # rounded = whole * 1e6 + fraction, exactly
+        whole, group = np.divmod(whole, 10_000)
+        word = np.where(rounded >= 10.0 ** (4 * j + 9), padded[group], lead[group % 1000])
+        words.append(np.where(rounded >= 10.0 ** (4 * j + 6), word, 0) if j else word)
+    sign = np.where(negative, np.uint32(ord("-")), np.uint32(0))  # -0.0 too
+    high, low = np.divmod(fraction, 1000)
+    fields = [sign, *words[::-1], point3[high], comma3[low]]
+    columns = [field[c] for c in range(7) for field in fields]
+    return columns, {k % n for k in np.flatnonzero(unproven).tolist()}
+
+
+def _trace_block_lines(rows: list[CycleRecord]) -> list[str]:
+    """_trace_row of each row, formatted together: the fields as NUL-padded
+    '<u4' words of one byte buffer, with _trace_row only for the rows that
+    _float_words cannot prove."""
+    *floats, in_range, in_halt, decisions = zip(*rows)
+    flags = bytes(in_range + in_halt).translate(_FLAG_DIGITS)
+    labels = dict.fromkeys(decisions)
+    if flags.translate(None, b"01") or not all(map(str.isprintable, labels)):
+        return list(map(_trace_row, rows))  # bytes that the words cannot hold
+    columns, unproven = _float_words(floats)
+    # the flags as "%d,%d," and the label with the newline, from a table of this block's labels
+    n = len(rows)
+    pairs = bytearray(b"0,0,") * n
+    pairs[::4], pairs[2::4] = flags[:n], flags[n:]
+    columns.append(np.frombuffer(pairs, "<u4"))
+    for i, label in enumerate(labels):
+        labels[label] = i
+    tails = [label.encode() + b"\n" for label in labels]
+    width = max(map(len, tails)) + 3 & ~3
+    tail_words = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), "<u4")
+    tail = np.fromiter(map(labels.__getitem__, decisions), np.intp, n)
+    columns.extend(tail_words.reshape(len(tails), -1)[tail].T)
+    text = np.stack(columns, axis=1, dtype="<u4").tobytes().translate(None, b"\0").decode()
+    lines = text.split("\n")
+    lines.pop()
+    for i in unproven:
+        lines[i] = _trace_row(rows[i])
+    return lines
 
 
 def trace_csv_lines(trace: list[CycleRecord], header: bool = True) -> list[str]:
+    """The trace.csv lines of the records, the header first if asked."""
     lines = [",".join(TRACE_COLUMNS)] if header else []
-    lines.extend(
-        _TRACE_ROW % (time_s, x, y, math.degrees(heading), tx, ty, rssi_dbm, in_range, in_halt,
-                      decision)
-        for time_s, x, y, heading, tx, ty, rssi_dbm, in_range, in_halt, decision in trace
-    )
+    for first in range(0, len(trace), _TRACE_BLOCK):
+        lines += _trace_block_lines(trace[first:first + _TRACE_BLOCK])
     return lines
 
 
 def trace_csv_sink(fh) -> Callable[[list[CycleRecord]], object]:
-    """A run_simulation sink: each chunk's rows to the text file fh, the header first."""
+    """A run_simulation sink: each chunk's rows to the text file fh, the header
+    first; a later chunk with no rows writes nothing."""
     headers = itertools.chain([True], itertools.repeat(False))
-    return lambda trace: fh.write("\n".join(trace_csv_lines(trace, next(headers))) + "\n")
+
+    def write(trace: list[CycleRecord]) -> None:
+        if lines := trace_csv_lines(trace, next(headers)):
+            fh.write("\n".join(lines))
+            fh.write("\n")  # not joined on: no second copy of the chunk's text
+
+    return write
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:

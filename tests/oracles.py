@@ -4,8 +4,10 @@ These deliberately avoid the solver paths they are checking: position
 recovery is a coarse grid scan (to pick the right basin, thin observation
 triangles leave a near-mirror lobe) followed by a Levenberg-Marquardt
 polish on the range residuals, and the turn-count oracle is a linear scan
-over candidate counts. normalize_heading and left_sum, the package's
-earlier heading wrap and float sum, serve the oracles below.
+over candidate counts. max_range_m, the channel's noiseless range,
+serves the channel and acceptance tests (the package has no caller for
+it). normalize_heading and left_sum, the package's earlier heading wrap
+and float sum, serve the oracles below.
 
 The two sweep kernels at the end are the package's earlier vectorized
 kernels, kept as references for their replacements: sweep_cell_rotations
@@ -94,6 +96,11 @@ from hotcold.trilateration import (
     TrilaterationState,
     update_estimate,
 )
+
+
+def max_range_m(params: ChannelParams) -> float:
+    """Largest range still received at the sensitivity floor, without shadowing."""
+    return invert_rssi_to_distance(params.rx_sensitivity_dbm, params)
 
 
 def normalize_heading(angle_rad: float) -> float:

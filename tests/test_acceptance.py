@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_position
+from oracles import brute_force_position, max_range_m
 
 from hotcold.analysis import exhaustive_sweep, rotation_sweep, verify_convergence
-from hotcold.channel import ChannelParams, max_range_m, noiseless_rssi, rssi
+from hotcold.channel import ChannelParams, noiseless_rssi, rssi
 from hotcold.cli import main as cli_main
 from hotcold.engine import StaticControl, WorldConfig, run_simulation
 from hotcold.experiments import ExperimentGrid, derive_seed, run_grid

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import max_range_m
+
 from hotcold.channel import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
     ChannelParams,
     RssiReading,
     invert_rssi_to_distance,
-    max_range_m,
     noiseless_rssi,
     path_loss,
     rssi,

@@ -1,10 +1,13 @@
 """The obstacle sensors, their reach cull and the trace writer against
 their earlier versions in oracles.py, bit for bit: float.hex for readings,
-string equality for trace lines; the trace labels and the streamed trace."""
+string equality for trace lines; the trace's float fields against '%.6f',
+the trace labels and the streamed trace."""
 
+import io
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,8 @@ from hotcold.engine import (
     SENSOR_MAX_CM,
     SENSOR_RAY_OFFSET_RAD,
     SENSOR_REACH_M,
+    TRACE_COLUMNS,
+    _TRACE_BLOCK,
     CycleRecord,
     FixedPath,
     Rect,
@@ -168,29 +173,132 @@ def test_sensor_rays_parallel_to_an_axis():
             _check_readings(turned, rects)
 
 
+# the edge of trace_csv_lines' numpy path: |v| * 1e6 below 2**50 is formatted there
+_FAST_LIMIT = 2.0**50 / 1e6
+# values that path leaves to the row formatter: ties of the 6-decimal rounding
+# (|v| * 1e6 a half-integer) and values from the limit on
+_UNPROVEN = [0.0078125, -0.0078125, 5e-7, 0.0000015, 1.2345665, 999999.9999995,
+             _FAST_LIMIT, -math.nextafter(_FAST_LIMIT, math.inf), 1e300, -1e300]
 _floats = st.one_of(
     st.floats(min_value=-2e6, max_value=2e6, allow_nan=False),
-    st.sampled_from([-0.0, 0.0, 5e-7, -5e-7, 0.0000015, 1.2345665, 2.5e-7, 999999.9999995, -1e6]),
+    st.sampled_from([-0.0, 0.0, 5e-7, -5e-7, 0.0000015, 1.2345665, 2.5e-7, 999999.9999995, -1e6,
+                     math.nextafter(_FAST_LIMIT, 0.0), -math.nextafter(_FAST_LIMIT, 0.0), *_UNPROVEN]),
 )
-_records = st.builds(
-    oracles.CycleRecord,
-    time_s=_floats,
-    robot=st.builds(Pose, st.builds(Vec2, _floats, _floats), st.floats(-10.0, 10.0)),
-    target=st.builds(Vec2, _floats, _floats),
-    rssi_dbm=_floats,
-    in_range=st.booleans(),
-    in_halt=st.booleans(),
-    decision=st.sampled_from(["none", "halt", "move_forward", "rotate_then_move(-0.0000)",
-                              AVOID_LEFT.label, AVOID_BOTH.label]),
-)
+_labels = st.sampled_from(["none", "halt", "move_forward", "rotate_then_move(-0.0000)",
+                           AVOID_LEFT.label, AVOID_BOTH.label])
+
+
+def _records_of(floats, extra=st.nothing()):
+    """Oracle records of these floats; time and signal may also take `extra`."""
+    return st.builds(
+        oracles.CycleRecord,
+        time_s=st.one_of(floats, extra),
+        robot=st.builds(Pose, st.builds(Vec2, floats, floats), st.floats(-10.0, 10.0)),
+        target=st.builds(Vec2, floats, floats),
+        rssi_dbm=st.one_of(floats, extra),
+        in_range=st.booleans(),
+        in_halt=st.booleans(),
+        decision=_labels,
+    )
+
+
+_records = _records_of(_floats, st.sampled_from([math.nan, math.inf, -math.inf]))
+# rows whose every field the numpy path formats, but for the rare tie
+_plain_records = _records_of(st.floats(min_value=-2e6, max_value=2e6, allow_nan=False))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(trace=st.lists(_records, max_size=5))
+@given(trace=st.lists(st.one_of(_plain_records, _records), max_size=64))
 @example(trace=[])
 def test_trace_csv_lines_match_oracle(trace):
     flat = [CycleRecord(*oracles.flat_record(rec)) for rec in trace]
     assert trace_csv_lines(flat) == oracles.trace_csv_lines(trace)
+
+
+def _proven(value: float) -> bool:
+    """The numpy path's rule: |v| * 1e6 (rounded) below 2**50 and not a tie."""
+    micros = abs(value) * 1e6
+    return micros < 2.0**50 and abs(micros - round(micros)) != 0.5
+
+
+_doubles = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(values=st.lists(_doubles, min_size=1, max_size=64))
+@example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+@example(values=[0.0078125, -0.0078125, 0.0000005, 2.5e-7, 7.5e-7, 999999.9999995, -999999.9999995])
+@example(values=[math.nextafter(_FAST_LIMIT, 0.0), _FAST_LIMIT, math.nextafter(_FAST_LIMIT, math.inf),
+                 -math.nextafter(_FAST_LIMIT, 0.0), -_FAST_LIMIT, 999.9999995, 9999999.9999995])
+@example(values=[1e300, -1.7976931348623157e308, 123456789.123456, 0.5, 1e-7, -4.9999999e-7])
+def test_trace_float_fields_match_percent_format(values):
+    """Every float field of a trace line is '%.6f' of its value (the heading
+    of math.degrees of it), and the row formatter takes exactly the rows
+    holding a value that the numpy path cannot prove."""
+    rows = [CycleRecord(v, -v, v, v, v, -v, v, True, False, "none") for v in values]
+    expected = [",".join(["%.6f" % f for f in (v, -v, v, math.degrees(v), v, -v, v)] + ["1", "0", "none"])
+                for v in values]
+    by_row_formatter = []
+    row_formatter = engine._trace_row
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_trace_row", lambda rec: by_row_formatter.append(rec) or row_formatter(rec))
+        assert trace_csv_lines(rows, header=False) == expected
+    unproven = [rec for rec, v in zip(rows, values) if not (_proven(v) and _proven(math.degrees(v)))]
+    assert sorted(by_row_formatter) == sorted(unproven)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(headings=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+@example(headings=[0.0, -0.0, math.pi, -math.pi, TWO_PI, 5e-324, 1.7976931348623157e308])
+def test_numpy_heading_conversion_is_math_degrees(headings):
+    """One multiply by math.degrees(1.0) in numpy gives math.degrees' bits."""
+    with np.errstate(over="ignore"):
+        degrees = np.array(headings, dtype=np.float64) * engine._DEGREES_PER_RADIAN
+    assert [h.hex() for h in degrees.tolist()] == [math.degrees(h).hex() for h in headings]
+
+
+@pytest.mark.parametrize("tracker", [HotColdConfig(), TrilaterationConfig()],
+                         ids=["hotcold", "trilateration"])
+def test_an_engine_trace_needs_no_row_formatter(tracker, monkeypatch):
+    """A traced run among obstacles, past one block and one chunk, formats
+    every row on the numpy path, to the row formatter's bytes."""
+    config = WorldConfig(duration_s=0.5 * (NORMALS_CHUNK + 1), **{**_STREAMED, "tracker": tracker})
+    metrics, trace = traced_run(config)
+    expected = [",".join(TRACE_COLUMNS), *map(engine._trace_row, trace)]
+
+    def refuse(rec):
+        raise AssertionError(f"row formatter called for {rec}")
+
+    monkeypatch.setattr(engine, "_trace_row", refuse)
+    assert len(trace) > _TRACE_BLOCK and trace_csv_lines(trace) == expected
+
+
+def test_rows_the_words_cannot_hold_are_formatted_row_by_row():
+    """A block with a label that is not printable (a newline, a NUL, a tab) or
+    a flag that is neither 0 nor 1 is formatted row by row, to '%' bytes."""
+    base = (1.5, 2.0, -3.25, 0.5, 4.0, 5.0, -70.125, True, False)
+    for odd in (CycleRecord(*base[:7], 2, False, "none"), CycleRecord(*base, "two\nlines"),
+                CycleRecord(*base, "nul\0"), CycleRecord(*base, "tab\there")):
+        rows = [CycleRecord(*base, "none"), odd]
+        assert trace_csv_lines(rows, header=False) == list(map(engine._trace_row, rows))
+    assert engine._trace_row(CycleRecord(*base[:7], 2, False, "none")).endswith(",2,0,none")
+
+
+def test_a_sink_writes_nothing_for_a_later_empty_chunk():
+    """The header comes with the first chunk, rows or none; a later chunk with
+    no rows adds no line."""
+    rec = CycleRecord(0.5, 1.0, 2.0, 0.0, 3.0, 4.0, -60.0, True, False, "none")
+    header = ",".join(TRACE_COLUMNS) + "\n"
+    fh = io.StringIO()
+    sink = trace_csv_sink(fh)
+    sink([])
+    sink([])
+    assert fh.getvalue() == header
+    sink([rec])
+    sink([])
+    assert fh.getvalue() == header + engine._trace_row(rec) + "\n"
+    assert trace_csv_lines([], header=False) == []
+    assert trace_csv_lines([]) == [header[:-1]]
 
 
 def test_avoidance_maneuvers_are_shared_and_labelled():
