@@ -503,6 +503,7 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
     period, channel, obstacles = config.cycle_period_s, config.channel, config.obstacles
     robot_step_m, trace = config.robot_step_m, state.trace
     labels = None if trace is None else trace_labels(config.tracker)
+    steer, steer_label = MOVE_FORWARD, MOVE_FORWARD.label  # the last steer and its label
     tracker_state, decide, halt = state.tracker_state, state.decide, state.halt_threshold_dbm
     t, x, y, heading = state.time_s, state.robot_x, state.robot_y, state.robot_heading_rad
     tx, ty = state.target_x, state.target_y
@@ -538,7 +539,11 @@ def step_world(state: WorldState, config: WorldConfig, cycles: int = 1) -> World
         in_range_sum += in_range
         in_halt_sum += in_halt
         if trace is not None:
-            label = labels.get(act) or act.label  # a trilateration steer formats its own
+            if act is steer:  # a trilateration steer, repeated out of range
+                label = steer_label
+            elif (label := labels.get(act)) is None:  # a steer formats its own label, once
+                steer = act
+                label = steer_label = act.label
             # tuple.__new__ builds the same CycleRecord without the generated __new__'s frame
             trace.append(new(CycleRecord, (t, x, y, heading, tx, ty, value, in_range, in_halt, label)))
 

@@ -307,14 +307,24 @@ TINY_GRID = [
 @pytest.mark.parametrize("command", [["grid"], ["report"]])
 def test_failed_grid_runs_exit_1_after_writing(tmp_path, capsys, monkeypatch, command):
     _one_angle_sweeps(monkeypatch)
-    real = experiments.run_simulation
+    real, real_lockstep = experiments.run_simulation, experiments.run_lockstep
+
+    def fails(config):
+        return isinstance(config.tracker, HotColdConfig) and config.tracker.sws == 3
 
     def run_simulation(config, *args, **kwargs):
-        if isinstance(config.tracker, HotColdConfig) and config.tracker.sws == 3:
+        if fails(config):
             raise RuntimeError("forced failure")
         return real(config, *args, **kwargs)
 
+    def run_lockstep(configs, *args, **kwargs):
+        if any(map(fails, configs)):
+            raise RuntimeError("forced failure")
+        return real_lockstep(configs, *args, **kwargs)
+
     monkeypatch.setattr(experiments, "run_simulation", run_simulation)
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    monkeypatch.setattr(experiments, "LOCKSTEP_MIN_WORLDS", 1)  # the tiny grid's six worlds batch
     out = tmp_path / "failed"
     assert run_cli(TINY_GRID + ["--out-dir", str(out)] + command) == 1
     err = capsys.readouterr().err

@@ -15,8 +15,8 @@ from hotcold.config import (
     load_config,
     write_default_config,
 )
-from hotcold import engine, experiments
-from hotcold.engine import TRACKERS, FixedPath, StaticControl, WorldConfig
+from hotcold import engine, experiments, lockstep
+from hotcold.engine import TRACKERS, FixedPath, Rect, StaticControl, WorldConfig
 from hotcold.experiments import (
     ExperimentGrid,
     derive_seed,
@@ -30,7 +30,7 @@ from hotcold.experiments import (
     write_sws_difference_csv,
 )
 from hotcold.analysis import exhaustive_sweep, rotation_sweep, verify_convergence
-from hotcold.channel import ChannelParams
+from hotcold.channel import ChannelParams, rssi
 from hotcold.geometry import Pose, Vec2, distance
 from hotcold.tracker import HotColdConfig
 from hotcold.trilateration import TrilaterationConfig
@@ -131,6 +131,104 @@ def test_every_grid_world_is_its_unshared_run():
         for seed, report in zip(p.seeds, p.runs):
             config = experiments.grid_world_config(MINI_GRID, p.tracker, p.sws, p.sigma, seed)
             assert report == engine.run_simulation(config), (p, seed)
+
+
+def _bits(report) -> tuple:
+    """Every MetricsReport field, each float as float.hex."""
+    values = (getattr(report, f.name) for f in fields(report))
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def _fed(monkeypatch, run) -> tuple[list, list]:
+    """run()'s reports, and the samples each Hot-Cold world fed its tracker,
+    as float.hex, sorted: every in-range signal value, which the reports
+    alone can hide when a rounding change flips no decision."""
+    fed, real = {}, engine.ingest_sample
+
+    def ingest_sample(state, reading_dbm, *args):
+        fed.setdefault(id(state), (state, []))[1].append(reading_dbm.hex())  # keeps ids unique
+        return real(state, reading_dbm, *args)
+
+    monkeypatch.setattr(engine, "ingest_sample", ingest_sample)
+    reports = run()
+    monkeypatch.setattr(engine, "ingest_sample", real)
+    return list(map(_bits, reports)), sorted(samples for _, samples in fed.values())
+
+
+def _lockstep_worlds(grid: ExperimentGrid, run: int) -> list[WorldConfig]:
+    seed = derive_seed(grid.master_seed, run)
+    configs = (experiments.grid_world_config(grid, *point, seed) for point in grid.points())
+    return [c for c in configs if isinstance(c.tracker, lockstep.LOCKSTEP_TRACKERS)]
+
+
+@pytest.mark.parametrize("grid", [MINI_GRID, ExperimentGrid(runs_per_point=1)],
+                         ids=["mini", "default-1-run"])
+def test_lockstep_is_the_scalar_engine_bit_for_bit(grid, monkeypatch):
+    # the oracle is run_simulation of each world alone, drawing its own path
+    for run in range(grid.runs_per_point):
+        configs = _lockstep_worlds(grid, run)
+        assert len(configs) == (len(grid.sws_values) + 1) * len(grid.sigma_values)
+        assert _fed(monkeypatch, lambda: lockstep.run_lockstep(configs)) == _fed(
+            monkeypatch, lambda: [engine.run_simulation(config) for config in configs])
+
+
+@pytest.mark.parametrize("halt_distance_m", [12.0, 400.0], ids=["halts-near", "halts-in-range"])
+def test_lockstep_halts_turns_and_loses_the_signal_as_the_scalar_engine(halt_distance_m,
+                                                                         monkeypatch):
+    # a fixed path from out of range to past the robot, which starts turned;
+    # at 400 m every in-range sample halts and out-of-range ones count as halts too
+    base = WorldConfig(
+        duration_s=300.0, halt_distance_m=halt_distance_m, seed=7,
+        robot_start=Pose(Vec2(5.0, 95.0), 4.0),
+        mobility=FixedPath(((0.0, Vec2(95.0, 5.0)), (60.0, Vec2(10.0, 90.0)),
+                            (120.0, Vec2(90.0, 90.0)))))
+    trackers = (HotColdConfig(sws=1), HotColdConfig(sws=3, rotation_angle_deg=-100.0),
+                StaticControl())
+    configs = [replace(base, tracker=tracker, channel=ChannelParams(shadowing_sigma_db=sigma))
+               for tracker in trackers for sigma in (0.0, 3.0, 8.0)]
+    assert _fed(monkeypatch, lambda: lockstep.run_lockstep(configs)) == _fed(
+        monkeypatch, lambda: [engine.run_simulation(c) for c in configs])
+    reports = lockstep.run_lockstep(configs)
+    assert all(0 < r.cycles_in_range < r.total_cycles for r in reports)
+    moved = {r.average_distance_m for r in reports} - {reports[-1].average_distance_m}
+    if halt_distance_m > 100.0:  # a robot that halts in range never moves
+        assert not moved and all(r.cycles_in_halt > r.cycles_in_range for r in reports)
+    else:
+        assert len(moved) == 6 and sum(r.cycles_in_halt > 0 for r in reports) == 8
+
+
+def test_lockstep_of_no_worlds_no_cycles_the_range_floor_and_ties():
+    # a target standing on the robot's start puts the range at its 0.1 m floor;
+    # at sigma 0, one standing halt_distance_m away reads exactly the halt
+    # threshold, which is not a halt, and one standing at the range's edge
+    # reads exactly the sensitivity, which is in range
+    assert lockstep.run_lockstep([]) == []
+    edge = float.fromhex("0x1.8e4afb41a7034p+6")  # 99.573 m
+    assert rssi(edge, 50.0, 0.0, 50.0, MINI_BASE.channel, 0.0) == (
+        MINI_BASE.channel.rx_sensitivity_dbm, True)
+    on_robot, at_halt, at_edge = (replace(MINI_BASE, robot_start=Pose(Vec2(x, 50.0), 0.0),
+                                          mobility=FixedPath(((0.0, Vec2(x + d, 50.0)),)))
+                                  for x, d in ((50.0, 0.0), (50.0, MINI_BASE.halt_distance_m),
+                                               (0.0, edge)))
+    for base in (replace(MINI_BASE, duration_s=0.0), on_robot, at_halt, at_edge):
+        configs = [replace(base, tracker=t) for t in (HotColdConfig(), StaticControl())]
+        assert list(map(_bits, lockstep.run_lockstep(configs))) == [
+            _bits(engine.run_simulation(c)) for c in configs]
+    halt_tie, edge_tie = (lockstep.run_lockstep([replace(base, tracker=StaticControl())])[0]
+                          for base in (at_halt, at_edge))
+    assert halt_tie.cycles_in_range == halt_tie.total_cycles > halt_tie.cycles_in_halt == 0
+    assert edge_tie.cycles_in_range == edge_tie.total_cycles > 0
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=2), dict(duration_s=10.0), dict(obstacles=(Rect(10.0, 10.0, 20.0, 20.0),)),
+    dict(tracker=TrilaterationConfig()), dict(channel=ChannelParams(path_loss_exponent=3.0)),
+], ids=["seed", "duration", "obstacle", "trilateration", "channel"])
+def test_lockstep_refuses_worlds_that_cannot_share_a_batch(change):
+    with pytest.raises(ValueError, match="lockstep"):
+        lockstep.run_lockstep([MINI_BASE, replace(MINI_BASE, **change)])
+    with pytest.raises(ValueError, match="lockstep"):
+        lockstep.run_lockstep([replace(MINI_BASE, **change), MINI_BASE])
 
 
 def test_a_run_index_records_its_target_path_once(monkeypatch):
@@ -336,15 +434,24 @@ def _summary(out_dir, grid) -> dict:
 
 
 def _failing_runs(monkeypatch, fails):
-    """Make run_simulation raise for every world config that `fails` picks."""
-    real = experiments.run_simulation
+    """Make run_simulation raise for every world config that `fails` picks,
+    and run_lockstep for every batch that holds one; MINI_GRID's six-world
+    batches run as batches."""
+    real, real_lockstep = experiments.run_simulation, experiments.run_lockstep
 
     def run_simulation(config, *args, **kwargs):
         if fails(config):
             raise RuntimeError("forced failure")
         return real(config, *args, **kwargs)
 
+    def run_lockstep(configs, *args, **kwargs):
+        if any(map(fails, configs)):
+            raise RuntimeError("forced failure")
+        return real_lockstep(configs, *args, **kwargs)
+
     monkeypatch.setattr(experiments, "run_simulation", run_simulation)
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    monkeypatch.setattr(experiments, "LOCKSTEP_MIN_WORLDS", 1)
 
 
 def test_failed_points_write_nan_and_leave_the_best_sws(tmp_path, monkeypatch):
@@ -388,6 +495,81 @@ def test_every_hotcold_point_failed_has_no_best_sws(tmp_path, monkeypatch):
     assert all(row.endswith("nan,nan,nan") for row in fig6.read_text().splitlines()[1:5])
     summary = _summary(tmp_path, result)
     assert summary["grid"]["best_sws_by_mean_average_distance"] is None
+
+
+def test_a_world_that_fails_inside_its_batch_fails_alone(monkeypatch):
+    # the world's tracker raises inside run_lockstep, so its run index's
+    # batch re-runs world by world: the world fails with the message it
+    # gives alone, and every other world keeps its clean report
+    clean = run_grid(MINI_GRID)
+    seed, batches = derive_seed(99, 1), []
+    new_state, real = TRACKERS[HotColdConfig]
+    real_lockstep = experiments.run_lockstep
+
+    def decide(tracker_state, value, x, y, heading, config, *args):
+        if (config.seed, config.tracker, config.channel.shadowing_sigma_db) == (
+                seed, HotColdConfig(sws=4), 2.0):
+            raise RuntimeError("forced failure")
+        return real(tracker_state, value, x, y, heading, config, *args)
+
+    def run_lockstep(configs, *args):
+        batches.append(len(configs))
+        return real_lockstep(configs, *args)
+
+    monkeypatch.setitem(TRACKERS, HotColdConfig, (new_state, decide))
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    monkeypatch.setattr(experiments, "LOCKSTEP_MIN_WORLDS", 1)
+    result = run_grid(MINI_GRID)
+    assert batches == [6, 6]
+    assert result.failures == (f"('hotcold', 4, 2.0) seed={seed}: RuntimeError: forced failure",)
+    for p in result.points:
+        expected = clean.point(p.tracker, p.sws, p.sigma)
+        if (p.tracker, p.sws, p.sigma) == ("hotcold", 4, 2.0):
+            assert (p.seeds, p.runs) == (expected.seeds[:1], expected.runs[:1])
+        else:
+            assert p == expected
+
+
+def _paths(monkeypatch, grid: ExperimentGrid) -> tuple[list[int], list]:
+    """run_grid(grid)'s batch widths and the trackers of the worlds it ran alone."""
+    batches, alone = [], []
+    real, real_lockstep = experiments._run_point, experiments.run_lockstep
+
+    def run_lockstep(configs, *args):
+        batches.append(len(configs))
+        return real_lockstep(configs, *args)
+
+    def _run_point(config, *args):
+        alone.append(config.tracker)
+        return real(config, *args)
+
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    monkeypatch.setattr(experiments, "_run_point", _run_point)
+    assert not run_grid(grid).failures
+    return batches, alone
+
+
+@pytest.mark.parametrize("grid, width", [
+    (MINI_GRID, 6), (ExperimentGrid(runs_per_point=1), 77),
+], ids=["mini-as-batches", "default-1-run"])
+def test_a_clean_grid_runs_only_its_trilateration_worlds_alone(grid, width, monkeypatch):
+    # a batch that raised would re-run its worlds alone with the same
+    # reports: only the calls show that it did not
+    if width < lockstep.LOCKSTEP_MIN_WORLDS:
+        monkeypatch.setattr(experiments, "LOCKSTEP_MIN_WORLDS", width)
+    batches, alone = _paths(monkeypatch, grid)
+    assert batches == [width] * grid.runs_per_point
+    assert alone == [TrilaterationConfig()] * len(grid.sigma_values) * grid.runs_per_point
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+def test_a_batch_narrower_than_its_minimum_runs_alone(below, monkeypatch):
+    # static worlds at as many sigmas as the narrowest batch, or one fewer
+    n = lockstep.LOCKSTEP_MIN_WORLDS - below
+    grid = ExperimentGrid(sigma_values=tuple(map(float, range(n))), trackers=(StaticControl(),),
+                          runs_per_point=1, base=MINI_BASE)
+    batches, alone = _paths(monkeypatch, grid)
+    assert (batches, alone) == (([], [StaticControl()] * n) if below else ([n], []))
 
 
 def test_scenario_presets_geometry():

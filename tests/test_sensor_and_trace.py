@@ -40,7 +40,7 @@ from hotcold.engine import (
     trace_labels,
 )
 from hotcold.geometry import TWO_PI, Pose, Vec2
-from hotcold.tracker import HALT, MOVE_FORWARD, HotColdConfig, rotate_then_move
+from hotcold.tracker import HALT, MOVE_FORWARD, HotColdConfig, TrackerDecision, rotate_then_move
 from hotcold.trilateration import TrilaterationConfig
 
 
@@ -386,3 +386,21 @@ def test_an_untraced_run_builds_no_label_table(monkeypatch):
         assert run_simulation(config).total_cycles == NORMALS_CHUNK + 1
         with pytest.raises(AssertionError, match="trace_labels called"):
             run_simulation(config, sink=lambda records: None)
+
+
+def test_a_steer_repeated_out_of_range_formats_its_label_once(monkeypatch):
+    """A traced trilateration run formats a steer's label when the steer is
+    new: the cycles that repeat it out of range reuse that label."""
+    config = WorldConfig(duration_s=1000.0, channel=ChannelParams(shadowing_sigma_db=2.0),
+                         tracker=TrilaterationConfig(), seed=1)
+    table = len(trace_labels(config.tracker)) - 1  # None's label is not formatted
+    formatted = []
+    label = TrackerDecision.label
+    monkeypatch.setattr(TrackerDecision, "label",
+                        property(lambda act: formatted.append(act) or label.fget(act)))
+    _, trace = traced_run(config)
+    steers = [rec for rec in trace if rec.decision.startswith("rotate_then_move")]
+    repeated = sum(not rec.in_range for rec in steers)
+    assert repeated > 1000  # most of the run repeats a steer out of range
+    # the table, step_world's first remembered label, and each steer decided in range
+    assert len(formatted) <= table + 1 + len(steers) - repeated
